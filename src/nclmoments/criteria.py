@@ -31,7 +31,6 @@ characteristic function.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Optional, Sequence, Union
@@ -43,7 +42,7 @@ from .moments import (
     MomentSource,
     MomentTable,
     as_real,
-    char_function,
+    char_values,
     quad_moment,
     resolve_table,
     xn_moment,
@@ -424,6 +423,40 @@ def determinant_hierarchy(
 # -- Bochner determinants --------------------------------------------------
 
 
+def _cached_char_values(
+    state: State, args: Array, cache: dict[complex, complex]
+) -> Array:
+    """``Phi`` at every argument, computing the missing ones in one call.
+
+    ``Phi(-beta) = conj(Phi(beta))``, so each pair ``{beta, -beta}`` is
+    computed once, at the member with the larger ``(real, imag)``, and read
+    as the same bits whatever the order of the calls.  ``cache`` maps those
+    members to ``Phi``, so ``len(cache)`` counts distinct arguments computed.
+    """
+    args = np.asarray(args, dtype=complex)
+    flip = (args.real < 0) | ((args.real == 0) & (args.imag < 0))
+    distinct, inverse = np.unique(np.where(flip, -args, args), return_inverse=True)
+    missing = [b for b in map(complex, distinct) if b not in cache]
+    if missing:
+        cache.update(zip(missing, char_values(state, missing)))
+    values = np.array([cache[b] for b in map(complex, distinct)])[inverse]
+    return np.where(flip, values.conj(), values).reshape(args.shape)
+
+
+def _bochner_matrices(values: Array, k: int) -> Array:
+    """Stack of ``k x k`` unit-diagonal Hermitian matrices.
+
+    ``values[..., p]`` fills the ``p``-th upper-triangle entry in row-major
+    order (``np.triu_indices(k, 1)``); the lower triangle is its conjugate.
+    """
+    upper, lower = np.triu_indices(k, 1)
+    mats = np.zeros(values.shape[:-1] + (k, k), dtype=complex)
+    mats[..., upper, lower] = values
+    mats[..., lower, upper] = values.conj()
+    mats[..., range(k), range(k)] = 1.0
+    return mats
+
+
 def bochner_det(
     state: State,
     betas: Sequence[complex],
@@ -433,7 +466,9 @@ def bochner_det(
 
     ``Phi`` is the normally ordered characteristic function; for classical
     states it is positive-definite in the Bochner sense, so every such
-    determinant is nonnegative.  Points must be pairwise distinct.
+    determinant is nonnegative.  Points must be pairwise distinct.  The
+    missing ``Phi`` values are computed in one :func:`char_values` call and
+    stored in ``cache`` (see :func:`bochner_search`).
     """
     pts = [complex(b) for b in betas]
     k = len(pts)
@@ -447,29 +482,19 @@ def bochner_det(
                 )
     if cache is None:
         cache = {}
-    mat = np.zeros((k, k), dtype=complex)
-    for i in range(k):
-        mat[i, i] = 1.0
-        for j in range(i + 1, k):
-            diff = pts[i] - pts[j]
-            val = cache.get(diff)
-            if val is None:
-                mirrored = cache.get(-diff)
-                # Phi(-beta) = conj(Phi(beta)) saves half the evaluations.
-                val = (
-                    np.conj(mirrored)
-                    if mirrored is not None
-                    else char_function(state, diff)
-                )
-                cache[diff] = val
-            mat[i, j] = val
-            mat[j, i] = np.conj(val)
+    upper, lower = np.triu_indices(k, 1)
+    diffs = [pts[i] - pts[j] for i, j in zip(upper, lower)]
+    mat = _bochner_matrices(_cached_char_values(state, diffs, cache), k)
     return as_real(complex(np.linalg.det(mat)), "Bochner determinant")
 
 
 @dataclass(frozen=True)
 class BochnerResult:
-    """Most negative Bochner determinant found and the points achieving it."""
+    """Most negative Bochner determinant found and the points achieving it.
+
+    ``value`` is ``bochner_det(state, points)``; ``evaluations`` is the
+    number of distinct ``Phi`` arguments computed during the search.
+    """
 
     value: float
     points: tuple[complex, ...]
@@ -488,10 +513,12 @@ def bochner_search(
 
     The first point is pinned at the origin (determinants are invariant
     under a common shift).  A square lattice of side ``grid_n`` inside
-    ``|beta| <= radius`` seeds the search — exhaustively for ``k <= 3``,
-    by seeded random tuples beyond — followed by a Gaussian refinement
-    walk with a shrinking step, rejecting moves that leave the disc.
-    All characteristic-function values are cached per distinct argument.
+    ``|beta| <= radius`` seeds the search with tuples of lattice points:
+    every tuple for ``k <= 3``, seeded random tuples beyond.  ``Phi`` is
+    computed for all their differences in one :func:`char_values` call and
+    the tuples are scored as one stack of determinants.  A Gaussian
+    refinement walk with a shrinking step follows, rejecting moves that
+    leave the disc.  ``Phi`` values are cached per distinct argument.
     """
     if k < 2:
         raise ValidationError("Bochner search needs at least two points")
@@ -499,41 +526,35 @@ def bochner_search(
         raise ValidationError("radius must be positive and grid_n at least 2")
     cache: dict[complex, complex] = {}
     axis = np.linspace(-radius, radius, grid_n)
-    lattice = [
+    lattice = [0.0 + 0.0j] + [
         complex(re, im)
         for re in axis
         for im in axis
         if 0.0 < abs(complex(re, im)) <= radius
     ]
-
-    def det_of(points: list[complex]) -> float:
-        return bochner_det(state, points, cache=cache)
-
-    best_points: list[complex] = []
-    best_value = math.inf
+    count = len(lattice) - 1
+    if count < k - 1:
+        raise ValidationError(
+            f"only {count} lattice points lie inside the disc; k={k} needs {k - 1}"
+        )
+    # Rows of lattice indices; index 0 is the origin.
     if k == 2:
-        for b in lattice:
-            value = det_of([0.0 + 0.0j, b])
-            if value < best_value:
-                best_value, best_points = value, [0.0 + 0.0j, b]
+        tuples = np.arange(1, count + 1)[:, None]
     elif k == 3:
-        for i, b2 in enumerate(lattice):
-            for b3 in lattice[i + 1 :]:
-                value = det_of([0.0 + 0.0j, b2, b3])
-                if value < best_value:
-                    best_value, best_points = value, [0.0 + 0.0j, b2, b3]
+        tuples = np.column_stack(np.triu_indices(count, 1)) + 1
     else:
         rng_seed = np.random.default_rng(seed)
-        draws = max(200, 20 * len(lattice) // k)
-        for _ in range(draws):
-            picks = rng_seed.choice(len(lattice), size=k - 1, replace=False)
-            points = [0.0 + 0.0j] + [lattice[int(p)] for p in picks]
-            try:
-                value = det_of(points)
-            except DuplicatePointError:
-                continue
-            if value < best_value:
-                best_value, best_points = value, points
+        draws = max(200, 20 * count // k)
+        tuples = np.array(
+            [rng_seed.choice(count, size=k - 1, replace=False) for _ in range(draws)]
+        ) + 1
+    tuples = np.column_stack([np.zeros(len(tuples), dtype=int), tuples])
+    points = np.array(lattice)[tuples]
+    upper, lower = np.triu_indices(k, 1)
+    values = _cached_char_values(state, points[:, upper] - points[:, lower], cache)
+    dets = np.linalg.det(_bochner_matrices(values, k)).real
+    best_points = [complex(b) for b in points[int(np.argmin(dets))]]
+    best_value = bochner_det(state, best_points, cache=cache)
 
     rng = np.random.default_rng(seed + 1)
     step = 0.25 * radius
@@ -547,7 +568,7 @@ def bochner_search(
         if any(abs(b) > radius for b in proposal):
             continue
         try:
-            value = det_of(proposal)
+            value = bochner_det(state, proposal, cache=cache)
         except DuplicatePointError:
             continue
         if value < best_value:

@@ -25,6 +25,7 @@ state constructors.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,15 +100,17 @@ class HermiteOracle:
         return total
 
 
-_ORACLE_CACHE: dict[AssParams, HermiteOracle] = {}
+# Least recently used last; at most _ORACLE_CACHE_SIZE parameter sets are kept.
+_ORACLE_CACHE: OrderedDict[AssParams, HermiteOracle] = OrderedDict()
+_ORACLE_CACHE_SIZE = 32
 
 
 def ass_moment_analytic(params: AssParams, k: int, l: int) -> complex:
     """Exact ``<a^dag^k a^l>`` of the amplitude-squared squeezed state.
 
     Evaluates ``|c_m|^2 * H_{m m k l}(0)`` through the memoized recursion;
-    oracles are cached per parameter set so sweeps over ``(k, l)`` reuse all
-    intermediate polynomial values.
+    oracles of the most recently used parameter sets are cached, so sweeps
+    over ``(k, l)`` reuse all intermediate polynomial values.
     """
     if k < 0 or l < 0:
         raise ValidationError("moment orders must be nonnegative")
@@ -119,6 +122,10 @@ def _oracle_for(params: AssParams) -> HermiteOracle:
     if oracle is None:
         oracle = HermiteOracle.for_ass(params)
         _ORACLE_CACHE[params] = oracle
+        if len(_ORACLE_CACHE) > _ORACLE_CACHE_SIZE:
+            _ORACLE_CACHE.popitem(last=False)
+    else:
+        _ORACLE_CACHE.move_to_end(params)
     return oracle
 
 

@@ -9,11 +9,15 @@ Conventions
   ``z = r`` real positive it reduces the variance of ``x = a + a^dag``.
 * The displacement operator is ``D(beta) = exp(beta a^dag - conj(beta) a)``.
 
-Both exponentials are evaluated with a dense matrix exponential of the
-truncated generator.  The generators are exactly anti-Hermitian on the
-truncated space, so the resulting matrices are unitary to machine precision;
-truncation instead shows up as corrupted amplitudes near the top of the basis,
-which callers control by choosing ``dim`` with headroom.
+Both matrices here are dense matrix exponentials of the truncated generator.
+The generators are exactly anti-Hermitian on the truncated space, so the
+resulting matrices are unitary to machine precision; truncation instead shows
+up as corrupted amplitudes near the top of the basis, which callers control by
+choosing ``dim`` with headroom.  ``apply_squeeze`` uses ``squeeze_matrix``.
+The library never exponentiates the displacement generator: characteristic
+functions come from the closed-form Laguerre elements of ``D(beta)`` in
+:mod:`nclmoments.moments`, and ``displacement_matrix`` remains as a dense
+reference for tests.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ def squeeze_matrix(z: complex, dim: int) -> Array:
 
 
 def displacement_matrix(beta: complex, dim: int) -> Array:
-    """Dense displacement operator ``exp(beta a^dag - conj(beta) a)``."""
+    """Dense displacement operator ``exp(beta a^dag - conj(beta) a)`` (reference)."""
     a = destroy(dim)
     adag = a.conj().T
     gen = beta * adag - np.conj(beta) * a

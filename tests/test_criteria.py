@@ -9,11 +9,12 @@ Key oracles:
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from helpers import random_pure_state
+from helpers import random_density_state, random_pure_state
 from nclmoments import (
     BasisKind,
     BochnerResult,
@@ -21,6 +22,7 @@ from nclmoments import (
     InsufficientOrderError,
     MomentTable,
     MonomialBasis,
+    OrderAccuracyWarning,
     ValidationError,
     apply_squeeze,
     asq_min_max,
@@ -369,3 +371,68 @@ def test_bochner_search_validates():
         bochner_search(state, k=1)
     with pytest.raises(ValidationError):
         bochner_search(state, radius=-1.0)
+    # the 2x2 lattice has its four corners outside the disc
+    with pytest.raises(ValidationError):
+        bochner_search(state, grid_n=2)
+
+
+def seeding_lattice(radius: float, grid_n: int) -> list[complex]:
+    axis = np.linspace(-radius, radius, grid_n)
+    return [
+        complex(re, im)
+        for re in axis
+        for im in axis
+        if 0.0 < abs(complex(re, im)) <= radius
+    ]
+
+
+SEEDING_STATES = {
+    "squeezed": lambda: apply_squeeze(make_fock(0, 40), 0.3 * np.exp(0.4j)),
+    "rank-3 rho": lambda: random_density_state(40, 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEEDING_STATES))
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("grid_n", [5, 9])
+def test_bochner_lattice_minimum_matches_brute_force(name, k, grid_n):
+    """The batched lattice pass finds the minimum of a loop of bochner_det.
+
+    At dim 40 every difference (|beta| <= 3) stays below the warning limit.
+    """
+    state = SEEDING_STATES[name]()
+    lattice = seeding_lattice(1.5, grid_n)
+    if k == 2:
+        tuples = [[0.0, b] for b in lattice]
+    else:
+        tuples = [
+            [0.0, b2, b3] for i, b2 in enumerate(lattice) for b3 in lattice[i + 1 :]
+        ]
+    brute = min(bochner_det(state, pts) for pts in tuples)
+    seeded = bochner_search(state, k=k, radius=1.5, grid_n=grid_n, refine_iters=0)
+    assert seeded.value == pytest.approx(brute, abs=1e-10)
+    assert seeded.value == bochner_det(state, seeded.points)
+    refined = bochner_search(state, k=k, radius=1.5, grid_n=grid_n, seed=2)
+    assert refined.value <= seeded.value
+    assert refined.value == bochner_det(state, refined.points)
+
+
+def test_bochner_search_counts_distinct_arguments():
+    state = random_pure_state(16, 1)
+    lattice = seeding_lattice(1.0, 5)
+    # The lattice is symmetric and Phi(-beta) = conj(Phi(beta)): each pair
+    # {beta, -beta} of arguments is computed once.
+    seeded = bochner_search(state, k=2, radius=1.0, grid_n=5, refine_iters=0)
+    assert seeded.evaluations == len(lattice) // 2
+    refined = bochner_search(state, k=2, radius=1.0, grid_n=5, refine_iters=10)
+    assert len(lattice) // 2 < refined.evaluations <= len(lattice) // 2 + 10
+
+
+def test_bochner_search_warns_once_per_batched_call():
+    state = make_fock(1, 16)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        # |beta|^2 reaches 4 = dim / 4 on the lattice; the final re-evaluation
+        # of the minimum reads the cache and computes nothing
+        bochner_search(state, k=2, radius=2.0, grid_n=5, refine_iters=0)
+    assert [w.category for w in caught] == [OrderAccuracyWarning]

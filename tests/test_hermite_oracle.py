@@ -18,6 +18,7 @@ from nclmoments import (
     make_ass_state,
     moment_aa,
 )
+from nclmoments import hermite
 from nclmoments.hermite import HermiteOracle
 
 
@@ -83,6 +84,21 @@ def test_oracle_cache_reuses_instances():
     _, first = ass_oracle(2, 1.5)
     _, second = ass_oracle(2, 1.5)
     assert first is second
+
+
+def test_oracle_cache_is_bounded():
+    bound = hermite._ORACLE_CACHE_SIZE
+    _, kept = ass_oracle(2, 1.25)
+    for i in range(bound + 5):
+        ass_oracle(2, 1.3 + 0.01 * i)
+        ass_oracle(2, 1.25)  # recently used, so never evicted
+        assert len(hermite._ORACLE_CACHE) <= bound
+    assert len(hermite._ORACLE_CACHE) == bound
+    assert ass_oracle(2, 1.25)[1] is kept
+    params = ass_params(3, 1.7)
+    assert ass_moment_analytic(params, 2, 2) == pytest.approx(
+        ass_oracle(3, 1.7)[1].value(3, 3, 2, 2) * params.c_m_sq, rel=1e-14
+    )
 
 
 def test_recursion_agrees_with_direct_quartic():

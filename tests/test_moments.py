@@ -13,18 +13,21 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.special import eval_laguerre
+from scipy.special import eval_genlaguerre, eval_laguerre, gammaln
 
 from helpers import dense_moment, random_density_state, random_pure_state
 from nclmoments import (
+    DensityState,
     InsufficientOrderError,
     MomentTable,
     NormalPolynomial,
     NumericConsistencyError,
     OrderAccuracyWarning,
     ValidationError,
+    apply_squeeze,
     as_real,
     char_function,
+    char_values,
     make_coherent,
     make_fock,
     make_thermal,
@@ -275,3 +278,72 @@ def test_char_function_warns_for_large_displacement():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         char_function(state, 0.5)
+
+
+def laguerre_char(state, beta: complex) -> complex:
+    """``e^{|beta|^2/2} Tr(rho D(beta))`` with every element of ``D`` from
+    ``sqrt(n!/m!) beta^{m-n} e^{-|beta|^2/2} L_n^{(m-n)}(|beta|^2)``."""
+    if isinstance(state, DensityState):
+        rho = state.matrix
+    else:
+        rho = np.outer(state.amplitudes, state.amplitudes.conj())
+    dim = rho.shape[0]
+    x = abs(beta) ** 2
+    m = np.arange(dim)[:, None]
+    n = np.arange(dim)[None, :]
+    lo = np.minimum(m, n)
+    gap = np.abs(m - n)
+    magnitude = (
+        np.exp(0.5 * (gammaln(lo + 1) - gammaln(lo + gap + 1)) + gap * math.log(abs(beta)))
+        * eval_genlaguerre(lo, gap, x)
+    )
+    unit = beta / abs(beta)
+    phase = np.where(m >= n, unit**gap, (-np.conj(unit)) ** gap)
+    # e^{|beta|^2/2} cancels the e^{-|beta|^2/2} of every element
+    return complex(np.sum(rho.T * magnitude * phase))
+
+
+CHAR_STATES = {
+    "thermal nbar 3, dim 128": lambda: make_thermal(3.0, 128),
+    "rank-5 rho, dim 128": lambda: random_density_state(128, 5, rank=5),
+    "squeezed vacuum r 0.5, dim 64": lambda: apply_squeeze(make_fock(0, 64), 0.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHAR_STATES))
+def test_char_function_matches_laguerre_elements(name):
+    """Closed-form Phi to 1e-12 relative, out to |beta| = 4.
+
+    Thermal nbar 3 at dim 128 is where the shortcut
+    ``<e^{conj(beta) a} psi|e^{-conj(beta) a} psi>`` loses all digits.
+    """
+    state = CHAR_STATES[name]()
+    rng = np.random.default_rng(3)
+    radii = np.concatenate([[4.0, 0.05], 4.0 * np.sqrt(rng.random(22))])
+    betas = radii * np.exp(2j * np.pi * rng.random(radii.size))
+    want = np.array([laguerre_char(state, b) for b in betas])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", OrderAccuracyWarning)
+        batch = char_values(state, betas)
+        single = np.array([char_function(state, b) for b in betas])
+    bound = 1e-12 * np.maximum(1.0, np.abs(want))
+    assert np.all(np.abs(batch - want) <= bound)
+    assert np.all(np.abs(single - want) <= bound)
+
+
+def test_char_values_edge_points():
+    state = random_pure_state(24, 2)
+    assert char_values(state, []).shape == (0,)
+    assert char_values(state, [0.0])[0] == pytest.approx(1.0, abs=1e-15)
+    # Phi(-beta) = conj(Phi(beta))
+    got = char_values(state, [0.7 - 0.2j, -0.7 + 0.2j])
+    assert abs(got[1] - np.conj(got[0])) < 1e-14
+
+
+def test_char_values_warns_once_per_call():
+    state = make_fock(0, 16)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        char_values(state, [2.5, 3.0, -2.5j, 0.5])
+        char_values(state, [0.5, 1.0j])
+    assert [w.category for w in caught] == [OrderAccuracyWarning]
