@@ -5,8 +5,10 @@ probability density; every criterion here is a quantity that is nonnegative
 for all classical states, so a verified negative value certifies
 nonclassicality.
 
-Four determinant hierarchies are provided, differing in the monomials that
-index the underlying matrix of normally ordered moments:
+Every hierarchy and witness is a moment matrix ``<:f_i^dag w f_j:>`` of the
+one table over monomials ``f`` (Shchukin, Richter & Vogel, PRA 71,
+011802(R) (2005)), localizing for ``w != 1`` (Lasserre, SIAM J. Optim. 11,
+796 (2001)); :func:`build_matrix` forms each as ``C^H A_w C``.  Families:
 
 * ``aa``  — monomials in ``a^dag`` and ``a``; entry
   ``M[i, j] = <a^dag^{q_i + p_j} a^{p_i + q_j}>`` for monomial exponent
@@ -14,19 +16,19 @@ index the underlying matrix of normally ordered moments:
 * ``quad`` — monomials in the quadratures ``x_phi`` and ``p_phi``; entries
   are normally ordered quadrature moments.
 * ``xn``  — mixed monomials in ``x_phi`` and the photon number ``n``.
-* ``d2``  — the ``xn`` family contracted against ``p_phi^2``: entry
-  ``4 <:x^kappa n^{sigma+1}:> - <:x^{kappa+2} n^sigma:>``, which for the
-  trivial basis reduces to ``<:p_phi^2:>``.
+* ``d2``  — the ``xn`` family localized by ``w = :p_phi^2:`` (the others
+  use ``w = 1``): entry ``4 <:x^kappa n^{sigma+1}:> - <:x^{kappa+2} n^sigma:>``,
+  which for the trivial basis reduces to ``<:p_phi^2:>``.
 
 ``d_N`` denotes the determinant of the leading ``N x N`` block in the graded
 monomial order.  The first orders that can certify anything differ by kind:
 the ``aa`` determinant at ``N = 2`` is ``<n> - |<a>|^2 >= 0`` for *every*
 state, so it is reported but never classified.
 
-Witnesses: ``s3`` (a 3x3 determinant over ``{1, a^dag^2, a^2}``), the pair
-``s2A``/``s2B`` of 2x2 quadrature determinants, the amplitude-squared
-quadrature variances, and the Bochner determinants of the normally ordered
-characteristic function.
+Witnesses: ``s3`` (the ``aa`` principal minor over ``{1, a^dag^2, a^2}``),
+``s2A``/``s2B`` (``quad`` principal minors over ``{x, x p}`` and
+``{1, x p}``), the amplitude-squared quadrature variances, and the Bochner
+determinants of the normally ordered characteristic function.
 """
 
 from __future__ import annotations
@@ -41,11 +43,10 @@ from .errors import DuplicatePointError, ValidationError
 from .moments import (
     MomentSource,
     MomentTable,
+    NormalPolynomial,
     as_real,
     char_values,
-    quad_moment,
     resolve_table,
-    xn_moment,
 )
 from .operators import Array
 from .states import State
@@ -172,27 +173,37 @@ def build_matrix(
     basis: MonomialBasis,
     phi: float = 0.0,
 ) -> MomentMatrix:
-    """Moment matrix over an ``AA``, ``QUAD`` or ``XN`` monomial basis.
+    """Moment matrix ``M[i, j] = <:f_i^dag w f_j:>`` over the basis ``f``.
 
-    For the weighted ``d2`` family use :func:`build_matrix_d2`.
+    Each monomial is expanded once into terms ``a^dag^p a^q``: ``f_j = sum_t
+    C[t, j] a^dag^{p_t} a^{q_t}``.  One gather from the table forms
+    ``A_w[s, t] = sum_kl w_kl <a^dag^{q_s + p_t + k} a^{p_s + q_t + l}>`` and
+    ``M = C^H A_w C``.  ``w = :p_phi^2:`` for ``XN_WEIGHTED`` (since
+    ``:x_phi^2 + p_phi^2: = 4 n``), and ``w = 1`` otherwise.
     """
-    if basis.kind is BasisKind.XN_WEIGHTED:
-        raise ValidationError("use build_matrix_d2 for the d2 basis family")
     table = resolve_table(source, basis.required_order())
-    n = basis.size
-    vals = np.zeros((n, n), dtype=complex)
-    for i, (pi, qi) in enumerate(basis.pairs):
-        for j in range(i, n):
-            pj, qj = basis.pairs[j]
-            if basis.kind is BasisKind.AA:
-                vals[i, j] = table.entry(qi + pj, pi + qj)
-            elif basis.kind is BasisKind.QUAD:
-                vals[i, j] = quad_moment(table, qi + qj, pi + pj, phi)
-            else:
-                vals[i, j] = xn_moment(table, qi + qj, pi + pj, phi)
-            if j > i:
-                vals[j, i] = np.conj(vals[i, j])
-    return MomentMatrix(basis=basis, phi=phi, values=vals)
+    if basis.kind is BasisKind.AA:
+        polys = [NormalPolynomial({pair: 1.0}) for pair in basis.pairs]
+    else:
+        x = NormalPolynomial.quadrature(phi)
+        if basis.kind is BasisKind.QUAD:
+            first = NormalPolynomial.momentum(phi)
+        else:
+            first = NormalPolynomial.number()
+        polys = [first**p * x**q for p, q in basis.pairs]
+    terms = list(dict.fromkeys(t for f in polys for t in f.terms))
+    coeffs = np.array([[f.terms.get(t, 0.0) for f in polys] for t in terms])
+    if basis.kind is BasisKind.XN_WEIGHTED:
+        weight = NormalPolynomial.momentum(phi) ** 2
+    else:
+        weight = NormalPolynomial.constant(1.0)
+    p, q = np.array(terms).T
+    wp, wq = np.array(list(weight.terms)).T[:, :, None, None]
+    w = np.array(list(weight.terms.values()))[:, None, None]
+    gathered = table.values[q[:, None] + p[None, :] + wp, p[:, None] + q[None, :] + wq]
+    a_w = (w * gathered).sum(axis=0)
+    vals = coeffs.conj().T @ a_w @ coeffs
+    return MomentMatrix(basis=basis, phi=phi, values=0.5 * (vals + vals.conj().T))
 
 
 def build_matrix_d2(
@@ -203,7 +214,8 @@ def build_matrix_d2(
 ) -> MomentMatrix:
     """Weighted moment matrix ``4 <:x^k n^{s+1}:> - <:x^{k+2} n^s:>``.
 
-    By default the basis is the photon-number chain ``1, n, ..., n^{size-1}``;
+    The localizing matrix of ``:p_phi^2:`` (see :func:`build_matrix`).  By
+    default the basis is the photon-number chain ``1, n, ..., n^{size-1}``;
     an explicit ``XN_WEIGHTED`` basis overrides it.  The ``1 x 1`` case is
     the normally ordered variance proxy ``<:p_phi^2:>``.
     """
@@ -213,60 +225,34 @@ def build_matrix_d2(
         basis = MonomialBasis.number_chain(size)
     elif basis.kind is not BasisKind.XN_WEIGHTED:
         raise ValidationError("build_matrix_d2 requires an XN_WEIGHTED basis")
-    table = resolve_table(source, basis.required_order())
-    n = basis.size
-    vals = np.zeros((n, n), dtype=complex)
-    for i, (ni, xi) in enumerate(basis.pairs):
-        for j in range(i, n):
-            nj, xj = basis.pairs[j]
-            kappa = xi + xj
-            sigma = ni + nj
-            vals[i, j] = 4.0 * xn_moment(table, kappa, sigma + 1, phi) - xn_moment(
-                table, kappa + 2, sigma, phi
-            )
-            if j > i:
-                vals[j, i] = np.conj(vals[i, j])
-    return MomentMatrix(basis=basis, phi=phi, values=vals)
+    return build_matrix(source, basis, phi)
 
 
 # -- scalar witnesses ----------------------------------------------------
+
+_S3_BASIS = MonomialBasis(BasisKind.AA, ((0, 0), (2, 0), (0, 2)))
+_S2_BASIS = MonomialBasis(BasisKind.QUAD, ((0, 0), (0, 1), (1, 1)))
 
 
 def s3(source: MomentSource) -> float:
     """Determinant of the moment matrix over ``{1, a^dag^2, a^2}``.
 
-    Negative values certify nonclassicality; equals one quarter of the
-    product of the amplitude-squared variance extrema.
+    The ``aa`` principal minor on those monomials.  Negative values certify
+    nonclassicality; equals one quarter of the product of the
+    amplitude-squared variance extrema.
     """
-    table = resolve_table(source, _WITNESS_ORDER)
-    e02 = table.entry(0, 2)
-    e20 = table.entry(2, 0)
-    e22 = table.entry(2, 2)
-    e04 = table.entry(0, 4)
-    e40 = table.entry(4, 0)
-    mat = np.array(
-        [
-            [1.0, e20, e02],
-            [e02, e22, e04],
-            [e20, e40, e22],
-        ],
-        dtype=complex,
-    )
-    return as_real(complex(np.linalg.det(mat)), "s3 witness")
+    return principal_minor(build_matrix(source, _S3_BASIS), (0, 1, 2))
 
 
 def s2_witnesses(source: MomentSource, phi: float = 0.0) -> tuple[float, float]:
     """The pair of 2x2 quadrature determinants ``(s2A, s2B)``.
 
     ``s2A = <:x^2:><:x^2 p^2:> - <:x^2 p:>^2`` and
-    ``s2B = <:x^2 p^2:> - <:x p:>^2`` at quadrature angle ``phi``.
+    ``s2B = <:x^2 p^2:> - <:x p:>^2`` at quadrature angle ``phi``: the
+    ``quad`` principal minors over ``{x, x p}`` and ``{1, x p}``.
     """
-    table = resolve_table(source, _WITNESS_ORDER)
-    q20 = quad_moment(table, 2, 0, phi)
-    q22 = quad_moment(table, 2, 2, phi)
-    q21 = quad_moment(table, 2, 1, phi)
-    q11 = quad_moment(table, 1, 1, phi)
-    return q20 * q22 - q21**2, q22 - q11**2
+    matrix = build_matrix(source, _S2_BASIS, phi)
+    return principal_minor(matrix, (1, 2)), principal_minor(matrix, (0, 2))
 
 
 def _asq_pair(table: MomentTable) -> tuple[complex, float]:
@@ -382,10 +368,7 @@ def determinant_hierarchy(
         basis = MonomialBasis.graded(kind, n_max)
     needed = max(basis.required_order(), _WITNESS_ORDER)
     table = resolve_table(source, needed)
-    if kind is BasisKind.XN_WEIGHTED:
-        matrix = build_matrix_d2(table, phi=phi, basis=basis)
-    else:
-        matrix = build_matrix(table, basis, phi=phi)
+    matrix = build_matrix(table, basis, phi=phi)
     scale = float(np.max(np.abs(matrix.values)))
     tol_eff = tolerance * max(1.0, scale)
 

@@ -4,7 +4,10 @@ The central object is the :class:`MomentTable`: the array of expectation
 values ``<a^dag^k a^l>`` up to a maximum total order.  Every derived
 quantity in this package — quadrature moments, photon-number
 cross-correlations, moment matrices, witnesses — is a finite linear
-combination of these entries, expressed through :class:`NormalPolynomial`.
+combination of these entries, expressed through :class:`NormalPolynomial`;
+each hierarchy and witness is a matrix ``C^H A_w C`` over the one table (see
+:mod:`nclmoments.criteria`), and one kernel fills the table from the offset
+diagonals ``rho[m, m+d]``.
 
 Conventions
 -----------
@@ -39,7 +42,7 @@ from .errors import (
     OrderAccuracyWarning,
     ValidationError,
 )
-from .operators import Array, lowered
+from .operators import Array
 from .states import DensityState, FockState, State
 
 _SYMMETRY_TOL = 1e-10
@@ -49,41 +52,49 @@ _IMAG_TOL = 1e-8
 MomentSource = Union["MomentTable", FockState, DensityState]
 
 
+def _normal_moments(state: State, ks, ls) -> Array:
+    """``<a^dag^k a^l>`` at every pair of the broadcast order arrays ``ks, ls``.
+
+    For ``k >= l`` and ``d = k - l`` the moment is
+    ``sum_n n!/(n-l)! sqrt((n+d)!/n!) rho[n, n+d]``, so every pair is read
+    from one product ``P^T V`` of the falling factorials ``P[n, l]`` and the
+    scaled offset diagonals ``V[n, d]``; pairs with ``k < l`` are conjugates.
+    Warns once when some ``k + l`` exceeds ``dim / 2``, where the missing
+    tail of a generic state starts to bite.
+    """
+    ks, ls = np.broadcast_arrays(ks, ls)
+    dim = state.dim
+    order = int((ks + ls).max())
+    if order > dim / 2:
+        warnings.warn(
+            f"moment order k+l={order} exceeds half the truncation dim={dim}; "
+            "the result may be dominated by truncation error",
+            OrderAccuracyWarning,
+            stacklevel=3,
+        )
+    hi, lo = np.maximum(ks, ls), np.minimum(ks, ls)
+    top = int(hi.max())
+    offsets, diagonals = _offset_diagonals(state, top + 1)
+    ns = np.arange(len(diagonals), dtype=float)[:, None]
+    steps = np.arange(top, dtype=float)
+    ones = np.ones_like(ns)
+    falling = np.cumprod(np.hstack([ones, np.maximum(ns - steps, 0.0)]), axis=1)
+    rising = np.cumprod(np.hstack([ones, ns + 1.0 + steps]), axis=1)
+    scaled = np.zeros((len(diagonals), top + 1), dtype=complex)
+    scaled[:, offsets] = np.sqrt(rising[:, offsets]) * diagonals
+    values = (falling.T @ scaled)[lo, hi - lo]
+    return np.where(ks < ls, values.conj(), values)
+
+
 def moment_aa(state: State, k: int, l: int) -> complex:
     """Normally ordered moment ``<a^dag^k a^l>`` of a truncated state.
 
-    Emits :class:`OrderAccuracyWarning` when the requested order uses more
-    than half of the truncated basis, where the missing tail of a generic
-    state starts to bite.
+    The one-entry call of the :func:`moment_table` kernel; emits
+    :class:`OrderAccuracyWarning` when ``k + l`` exceeds ``dim / 2``.
     """
     if k < 0 or l < 0:
         raise ValidationError("moment orders must be nonnegative")
-    dim = state.dim
-    if k + l > dim / 2:
-        warnings.warn(
-            f"moment order k+l={k + l} exceeds half the truncation dim={dim}; "
-            "the result may be dominated by truncation error",
-            OrderAccuracyWarning,
-            stacklevel=2,
-        )
-    if isinstance(state, FockState):
-        left = lowered(state.amplitudes, k)
-        right = lowered(state.amplitudes, l)
-        return complex(np.vdot(left, right))
-    # Tr(rho a^dag^k a^l) = sum_m rho[m, m + k - l] * sqrt(m!/(m-l)!) *
-    # sqrt((m - l + k)!/(m - l)!), over m with both indices in range.
-    total = 0.0 + 0.0j
-    for m in range(l, dim):
-        col = m + k - l
-        if col < 0 or col >= dim:
-            continue
-        coeff = 1.0
-        for i in range(l):
-            coeff *= m - i
-        for i in range(k):
-            coeff *= m - l + k - i
-        total += state.matrix[m, col] * math.sqrt(coeff)
-    return complex(total)
+    return complex(_normal_moments(state, k, l))
 
 
 @dataclass(frozen=True)
@@ -142,22 +153,12 @@ class MomentTable:
 
 
 def moment_table(state: State, max_order: int) -> MomentTable:
-    """Tabulate ``<a^dag^k a^l>`` for all ``k, l <= max_order``."""
+    """Tabulate ``<a^dag^k a^l>`` for all ``k, l <= max_order`` (one warning)."""
     if max_order < 0:
         raise ValidationError("max_order must be nonnegative")
-    size = max_order + 1
-    vals = np.zeros((size, size), dtype=complex)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", OrderAccuracyWarning)
-        for k in range(size):
-            for l in range(k + 1):
-                vals[k, l] = moment_aa(state, k, l)
-                if l < k:
-                    vals[l, k] = np.conj(vals[k, l])
-    if caught:
-        # One warning for the whole table instead of one per entry.
-        warnings.warn(caught[-1].message, stacklevel=2)
-    return MomentTable(max_order=max_order, values=vals)
+    orders = np.arange(max_order + 1)
+    values = _normal_moments(state, orders[:, None], orders[None, :])
+    return MomentTable(max_order=max_order, values=values)
 
 
 @dataclass(frozen=True)
@@ -333,21 +334,21 @@ def xn_moment(
     )
 
 
-def _offset_diagonals(state: State) -> tuple[Array, Array]:
-    """Offsets ``d`` and the diagonals ``W[n, j] = rho[n, n + d_j]`` of a state.
+def _offset_diagonals(state: State, count: int) -> tuple[Array, Array]:
+    """Offsets ``d < count`` and the diagonals ``W[n, j] = rho[n, n + d_j]``.
 
     ``W`` is zero where ``n + d_j`` leaves the basis.  Offsets whose diagonal
     is exactly zero and rows past the last nonzero one are dropped, so a
     diagonal ``rho`` keeps one column and ``|n>`` keeps ``n + 1`` rows.
     """
     dim = state.dim
+    cols = np.arange(dim)[:, None] + np.arange(min(count, dim))
     if isinstance(state, FockState):
-        rho = np.outer(state.amplitudes, state.amplitudes.conj())
+        amps = np.concatenate([state.amplitudes, np.zeros(count)])
+        diagonals = amps[:dim, None] * amps[cols].conj()
     else:
-        rho = state.matrix
-    idx = np.arange(dim)
-    padded = np.concatenate([rho, np.zeros_like(rho)], axis=1)
-    diagonals = padded[idx[:, None], idx[:, None] + idx[None, :]]
+        padded = np.concatenate([state.matrix, np.zeros((dim, count))], axis=1)
+        diagonals = padded[np.arange(dim)[:, None], cols]
     nonzero = diagonals != 0
     offsets = np.flatnonzero(nonzero.any(axis=0))
     rows = np.flatnonzero(nonzero.any(axis=1))[-1] + 1
@@ -380,7 +381,7 @@ def char_values(state: State, betas: Sequence[complex]) -> Array:
             OrderAccuracyWarning,
             stacklevel=2,
         )
-    offsets, diagonals = _offset_diagonals(state)
+    offsets, diagonals = _offset_diagonals(state, dim)
     x = x[:, None]
     log_fact = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1.0, dim)))])
     with np.errstate(divide="ignore", invalid="ignore"):

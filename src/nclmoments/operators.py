@@ -14,6 +14,7 @@ The generators are exactly anti-Hermitian on the truncated space, so the
 resulting matrices are unitary to machine precision; truncation instead shows
 up as corrupted amplitudes near the top of the basis, which callers control by
 choosing ``dim`` with headroom.  ``apply_squeeze`` uses ``squeeze_matrix``.
+Both import ``scipy.linalg`` on call: it is most of the package import time.
 The library never exponentiates the displacement generator: characteristic
 functions come from the closed-form Laguerre elements of ``D(beta)`` in
 :mod:`nclmoments.moments`, and ``displacement_matrix`` remains as a dense
@@ -23,7 +24,6 @@ reference for tests.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import expm
 
 Array = np.ndarray
 
@@ -50,6 +50,8 @@ def number(dim: int) -> Array:
 
 def squeeze_matrix(z: complex, dim: int) -> Array:
     """Dense squeeze operator ``exp((conj(z) a^2 - z a^dag^2) / 2)``."""
+    from scipy.linalg import expm
+
     a = destroy(dim)
     adag = a.conj().T
     gen = 0.5 * (np.conj(z) * (a @ a) - z * (adag @ adag))
@@ -58,6 +60,8 @@ def squeeze_matrix(z: complex, dim: int) -> Array:
 
 def displacement_matrix(beta: complex, dim: int) -> Array:
     """Dense displacement operator ``exp(beta a^dag - conj(beta) a)`` (reference)."""
+    from scipy.linalg import expm
+
     a = destroy(dim)
     adag = a.conj().T
     gen = beta * adag - np.conj(beta) * a

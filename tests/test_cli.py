@@ -200,6 +200,20 @@ def test_exit_code_validation_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_package_import_leaves_scipy_linalg_unloaded():
+    """``scipy.linalg`` is most of the import time and only squeezing needs it."""
+    result = subprocess.run(
+        [
+            sys.executable, "-c",
+            "import sys, nclmoments; print('scipy.linalg' in sys.modules)",
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
+
+
 def test_cli_module_entry_point(tmp_path):
     result = subprocess.run(
         [

@@ -38,8 +38,10 @@ from nclmoments import (
     make_thermal,
     moment_table,
     principal_minor,
+    quad_moment,
     s2_witnesses,
     s3,
+    xn_moment,
 )
 from nclmoments.criteria import MomentMatrix
 
@@ -165,10 +167,75 @@ def test_coherent_matrices_are_rank_one():
     assert np.allclose(d2.values, weight * np.outer(w, w), atol=1e-9)
 
 
+def long_hand_matrix(table, basis, phi):
+    """Each entry from its own per-entry formula (oracle for the one builder)."""
+    n = basis.size
+    vals = np.zeros((n, n), dtype=complex)
+    for i, (pi, qi) in enumerate(basis.pairs):
+        for j, (pj, qj) in enumerate(basis.pairs):
+            kappa, sigma = qi + qj, pi + pj
+            if basis.kind is BasisKind.QUAD:
+                vals[i, j] = quad_moment(table, kappa, sigma, phi)
+            elif basis.kind is BasisKind.XN:
+                vals[i, j] = xn_moment(table, kappa, sigma, phi)
+            else:
+                vals[i, j] = 4.0 * xn_moment(
+                    table, kappa, sigma + 1, phi
+                ) - xn_moment(table, kappa + 2, sigma, phi)
+    return vals
+
+
+PER_ENTRY_BASES = [
+    MonomialBasis.graded(BasisKind.QUAD, 10),
+    MonomialBasis.graded(BasisKind.XN, 10),
+    MonomialBasis.number_chain(6),
+    MonomialBasis(BasisKind.XN_WEIGHTED, ((0, 0), (0, 1), (1, 0), (1, 1), (0, 2))),
+]
+
+
+@pytest.mark.parametrize("basis", PER_ENTRY_BASES, ids=lambda b: f"{b.kind.value}-{b.size}")
+@pytest.mark.parametrize("seed", range(3))
+def test_build_matrix_matches_per_entry_formulas(seed, basis):
+    phi = 0.37
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", OrderAccuracyWarning)
+        table = moment_table(random_density_state(32, seed), basis.required_order())
+    if basis.kind is BasisKind.XN_WEIGHTED:
+        got = build_matrix_d2(table, phi=phi, basis=basis).values
+    else:
+        got = build_matrix(table, basis, phi).values
+    want = long_hand_matrix(table, basis, phi)
+    assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_witnesses_match_long_hand_formulas(seed):
+    phi = 0.37
+    table = moment_table(random_density_state(32, seed), 4)
+    e = table.entry
+    mat = np.array(
+        [
+            [1.0, e(2, 0), e(0, 2)],
+            [e(0, 2), e(2, 2), e(0, 4)],
+            [e(2, 0), e(4, 0), e(2, 2)],
+        ]
+    )
+    q20, q22, q21, q11 = (
+        quad_moment(table, x, p, phi) for x, p in ((2, 0), (2, 2), (2, 1), (1, 1))
+    )
+    wants = (np.linalg.det(mat).real, q20 * q22 - q21**2, q22 - q11**2)
+    gots = (s3(table),) + s2_witnesses(table, phi)
+    for got, want in zip(gots, wants):
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
 def test_build_matrix_kind_routing():
-    table = symbolic_table(4)
-    with pytest.raises(ValidationError):
-        build_matrix(table, MonomialBasis.number_chain(2))
+    table = symbolic_table(6)
+    phi = 0.4
+    assert np.array_equal(
+        build_matrix(table, MonomialBasis.number_chain(3), phi).values,
+        build_matrix_d2(table, size=3, phi=phi).values,
+    )
     with pytest.raises(ValidationError):
         build_matrix_d2(table, basis=MonomialBasis.graded(BasisKind.XN, 2))
     with pytest.raises(ValidationError):

@@ -43,6 +43,16 @@ from nclmoments import (
 # moment_aa
 
 
+def assert_table_matches_dense_products(state, max_order: int) -> None:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", OrderAccuracyWarning)
+        table = moment_table(state, max_order)
+    for k in range(max_order + 1):
+        for l in range(max_order + 1):
+            want = dense_moment(state, k, l)
+            assert abs(table.entry(k, l) - want) < 1e-11 * (1.0 + abs(want)), (k, l)
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_moment_aa_matches_dense_products_pure(seed):
     state = random_pure_state(32, seed)
@@ -51,6 +61,7 @@ def test_moment_aa_matches_dense_products_pure(seed):
             got = moment_aa(state, k, l)
             want = dense_moment(state, k, l)
             assert abs(got - want) < 1e-11 * (1.0 + abs(want))
+    assert_table_matches_dense_products(state, 12)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -61,6 +72,7 @@ def test_moment_aa_matches_dense_products_density(seed):
             got = moment_aa(state, k, l)
             want = dense_moment(state, k, l)
             assert abs(got - want) < 1e-11 * (1.0 + abs(want))
+    assert_table_matches_dense_products(state, 12)
 
 
 def test_moment_aa_fock_closed_form():
@@ -93,6 +105,20 @@ def test_moment_table_round_trip_entries():
             assert table.entry(k, l) == pytest.approx(
                 moment_aa(state, k, l), abs=1e-14
             )
+
+
+def test_moment_table_warns_once_past_half_dim():
+    """One warning per table once ``2 max_order`` exceeds ``dim / 2``, none below."""
+    state = random_density_state(24, 5)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        moment_table(state, 6)
+    assert caught == []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        moment_table(state, 7)
+    assert [w.category for w in caught] == [OrderAccuracyWarning]
+    assert caught[0].filename == __file__
 
 
 def test_moment_table_conjugate_symmetry_enforced():
