@@ -25,7 +25,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -156,104 +156,90 @@ def _parse_range(text: str, context: str) -> tuple[float, float, float]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser; every option's default is declared once, here.
+
+    The defaults sit on the top-level parser and the verb parsers suppress
+    their own, so every verb's namespace carries every :class:`RunConfig`
+    field, whether or not the verb takes the option.
+    """
     parser = argparse.ArgumentParser(
         prog="nclmoments",
         description="Moment-based nonclassicality tests and homodyne-"
         "correlation measurement simulation for single-mode states.",
     )
+    parser.set_defaults(
+        state=None, dim=None, out=None, tolerance=DEFAULT_TOLERANCE,
+        order=4, phi=0.0, kind="all", nmax=4, scheme="a", depth=2,
+        lo_alpha="3,0", t0=math.sqrt(0.5), samples=None, seed=0, record=None,
+        m_list="2,3,4", lambda_range="1.05,2.0,0.05", grid_bound=2.0, grid_n=41,
+    )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add_common(p: argparse.ArgumentParser, state: bool = True) -> None:
+    def add_verb(name: str, summary: str, state: bool = True) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
         if state:
             p.add_argument(
                 "--state",
                 required=True,
                 help="state spec: inline JSON or path to a JSON file",
             )
-        p.add_argument("--dim", type=int, default=None, help="Fock truncation")
-        p.add_argument("--out", default=None, help="output file path")
+        p.add_argument("--dim", type=int, help="Fock truncation")
+        p.add_argument("--out", help="output file path")
         p.add_argument(
-            "--tolerance", type=float, default=DEFAULT_TOLERANCE,
+            "--tolerance", type=float,
             help="negativity threshold (scaled by matrix magnitude)",
         )
+        return p
 
-    p = sub.add_parser("moments", help="tabulate <a^dag^k a^l>")
-    add_common(p)
-    p.add_argument("--order", type=int, default=4, help="largest k and l")
+    p = add_verb("moments", "tabulate <a^dag^k a^l>")
+    p.add_argument("--order", type=int, help="largest k and l")
 
-    p = sub.add_parser("criteria", help="determinant hierarchies and witnesses")
-    add_common(p)
-    p.add_argument(
-        "--kind", choices=["aa", "quad", "xn", "d2", "all"], default="all"
-    )
-    p.add_argument("--nmax", type=int, default=4, help="largest hierarchy order")
-    p.add_argument("--phi", type=float, default=0.0, help="quadrature angle")
+    p = add_verb("criteria", "determinant hierarchies and witnesses")
+    p.add_argument("--kind", choices=["aa", "quad", "xn", "d2", "all"])
+    p.add_argument("--nmax", type=int, help="largest hierarchy order")
+    p.add_argument("--phi", type=float, help="quadrature angle")
 
-    p = sub.add_parser("sweep", help="witness sweep over (m, lambda)")
-    add_common(p, state=False)
-    p.add_argument("--m-list", default="2,3,4", help="comma-separated orders m")
-    p.add_argument(
-        "--lambda-range", default="1.05,2.0,0.05",
-        help="'start,stop,step' grid for lambda",
-    )
+    p = add_verb("sweep", "witness sweep over (m, lambda)", state=False)
+    p.add_argument("--m-list", help="comma-separated orders m")
+    p.add_argument("--lambda-range", help="'start,stop,step' grid for lambda")
 
-    p = sub.add_parser("qfunc", help="Husimi distribution on a grid")
-    add_common(p)
-    p.add_argument("--grid-bound", type=float, default=2.0, help="half-width")
-    p.add_argument("--grid-n", type=int, default=41, help="points per axis")
+    p = add_verb("qfunc", "Husimi distribution on a grid")
+    p.add_argument("--grid-bound", type=float, help="half-width")
+    p.add_argument("--grid-n", type=int, help="points per axis")
 
-    p = sub.add_parser("simulate", help="forward measurement record")
-    add_common(p)
+    p = add_verb("simulate", "forward measurement record")
     p.add_argument("--scheme", choices=["a", "b", "c"], required=True)
-    p.add_argument("--depth", type=int, default=2, help="scheme-a tree depth")
-    p.add_argument("--nmax", type=int, default=4, help="scheme-a largest order")
-    p.add_argument("--lo-alpha", default="3,0", help="oscillator amplitude 're,im'")
-    p.add_argument("--t0", type=float, default=math.sqrt(0.5))
-    p.add_argument("--samples", type=float, default=None, help="shot-noise samples")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--depth", type=int, help="scheme-a tree depth")
+    p.add_argument("--nmax", type=int, help="scheme-a largest order")
+    p.add_argument("--lo-alpha", help="oscillator amplitude 're,im'")
+    p.add_argument("--t0", type=float)
+    p.add_argument("--samples", type=float, help="shot-noise samples")
+    p.add_argument("--seed", type=int)
 
-    p = sub.add_parser("invert", help="recover moments from a record")
-    add_common(p, state=False)
+    p = add_verb("invert", "recover moments from a record", state=False)
     p.add_argument("--record", required=True, help="record JSON from 'simulate'")
 
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    dim = args.dim if getattr(args, "dim", None) is not None else default_dim()
-    if dim < 1:
+    values = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
+    if values["dim"] is None:
+        values["dim"] = default_dim()
+    if values["dim"] < 1:
         raise ValidationError("--dim must be positive")
-    out = args.out if args.out is not None else _DEFAULT_OUT[args.verb]
-    samples = getattr(args, "samples", None)
-    if samples is not None and samples < 1:
+    if values["out"] is None:
+        values["out"] = _DEFAULT_OUT[args.verb]
+    if args.samples is not None and args.samples < 1:
         raise ValidationError("--samples must be at least 1")
-    tolerance = args.tolerance
-    if tolerance <= 0:
+    if args.tolerance <= 0:
         raise ValidationError("--tolerance must be positive")
-    return RunConfig(
-        verb=args.verb,
-        state=getattr(args, "state", None),
-        dim=dim,
-        order=getattr(args, "order", 4),
-        phi=getattr(args, "phi", 0.0),
-        kind=getattr(args, "kind", "all"),
-        nmax=getattr(args, "nmax", 4),
-        scheme=getattr(args, "scheme", "a"),
-        depth=getattr(args, "depth", 2),
-        lo_alpha=_parse_complex_pair(getattr(args, "lo_alpha", "3,0"), "--lo-alpha"),
-        t0=getattr(args, "t0", math.sqrt(0.5)),
-        samples=samples,
-        seed=getattr(args, "seed", 0),
-        out=out,
-        tolerance=tolerance,
-        record=getattr(args, "record", None),
-        m_list=_parse_int_list(getattr(args, "m_list", "2,3,4"), "--m-list"),
-        lambda_range=_parse_range(
-            getattr(args, "lambda_range", "1.05,2.0,0.05"), "--lambda-range"
-        ),
-        grid_bound=getattr(args, "grid_bound", 2.0),
-        grid_n=getattr(args, "grid_n", 41),
+    values.update(
+        lo_alpha=_parse_complex_pair(args.lo_alpha, "--lo-alpha"),
+        m_list=_parse_int_list(args.m_list, "--m-list"),
+        lambda_range=_parse_range(args.lambda_range, "--lambda-range"),
     )
+    return RunConfig(**values)
 
 
 def verb_moments(config: RunConfig) -> int:
@@ -369,6 +355,13 @@ def verb_simulate(config: RunConfig) -> int:
     return 0
 
 
+def _detection_records(doc: dict, keys: tuple[str, ...]) -> list:
+    missing = [key for key in keys if key not in doc]
+    if missing:
+        raise ValidationError(f"scheme-{doc['scheme']} record file lacks {missing}")
+    return [detection_record_from_json(doc[key]) for key in keys]
+
+
 def verb_invert(config: RunConfig) -> int:
     doc = read_json(config.record)
     if not isinstance(doc, dict) or "scheme" not in doc:
@@ -380,15 +373,12 @@ def verb_invert(config: RunConfig) -> int:
         print(f"wrote {config.out}")
         print(f"n_mean = {table.entry(1, 1).real:.12g}")
     elif scheme == "b":
-        moments = scheme_b_extract(detection_record_from_json(doc["record"]))
+        moments = scheme_b_extract(*_detection_records(doc, ("record",)))
         write_json(config.out, moments)
         print(f"wrote {config.out}")
         print(f"n_mean = {moments['n']:.12g}")
     elif scheme == "c":
-        moments = scheme_c_extract(
-            detection_record_from_json(doc["record"]),
-            detection_record_from_json(doc["blocked"]),
-        )
+        moments = scheme_c_extract(*_detection_records(doc, ("record", "blocked")))
         write_json(config.out, moments)
         print(f"wrote {config.out}")
         print(f"n_mean = {moments['n']:.12g}")

@@ -24,6 +24,16 @@ intensity correlations, which is exact for ideal photodetectors:
   oscillator-blocked run, recover ``<n>``, ``<x>``, ``<:n^2:>``,
   ``<:n x:>`` and ``<:x^2:>``.
 
+All three share one forward model.  Each detector sees a linear mode
+``b_i = u_i a + v_i`` of the signal, where ``v_i`` carries the oscillator.
+The normally ordered correlation of a detector subset is
+``<:Q^dag Q:>`` with ``Q = prod_i b_i = sum_k c_k a^k``, which is the
+quadratic form ``c^H T c`` of the moment table ``T[k, l] = <a^dag^k a^l>``
+over ``{1, a, ..., a^n}``.  One kernel evaluates it for a stack of
+coefficient rows: scheme A's rows are the binomial expansion of ``M^n`` for
+the tree mode ``M`` at every scanned phase, and the B and C rows are the
+``[v, u]`` rows of single detectors and their pairwise convolutions.
+
 ``add_shot_noise`` perturbs any record by a seeded Gaussian of relative
 size ``1/sqrt(samples)``, emulating finite counting statistics.
 """
@@ -31,6 +41,7 @@ size ``1/sqrt(samples)``, emulating finite counting statistics.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -43,13 +54,8 @@ from .errors import (
     ValidationError,
     WeakOscillatorWarning,
 )
-from .moments import (
-    MomentSource,
-    MomentTable,
-    NormalPolynomial,
-    as_real,
-    resolve_table,
-)
+from .moments import MomentSource, MomentTable, as_real, resolve_table
+from .operators import Array
 
 _WEAK_LO = 0.5
 _NOISE_FLOOR = 1e-6
@@ -201,6 +207,48 @@ def scheme_a_phases(n: int) -> np.ndarray:
     return 2.0 * math.pi * np.arange(count) / count
 
 
+def _coincidences(table: MomentTable, rows: Array, context: str) -> Array:
+    """Normally ordered counts ``<:Q^dag Q:> = c^H T c``, one per row ``c``.
+
+    Each row holds the coefficients of ``Q = sum_k c_k a^k``, a product of
+    detector modes, and ``T[k, l] = <a^dag^k a^l>``.  Every value passes the
+    imaginary-residue check of :func:`as_real` under ``context``.
+    """
+    rows = np.atleast_2d(rows)
+    size = rows.shape[1]
+    values = np.sum((rows.conj() @ table.values[:size, :size]) * rows, axis=1)
+    return np.array([as_real(complex(v), context) for v in values])
+
+
+def _tree_rows(n: int, lo: LOConfig, depth: int, phases) -> Array:
+    """Coefficients ``c_k = C(n, k) u^k v^{n-k}`` of ``M^n``, one row per phase.
+
+    ``M = u a + v`` is the mode on each detector behind the depth-``d``
+    tree: ``u = t0 / sqrt(2^d)`` and ``v = r0 alpha e^{i phi} / sqrt(2^d)``.
+    """
+    scale = 2.0 ** (-depth / 2.0)
+    ks = np.arange(n + 1)
+    binom = np.array([math.comb(n, k) for k in ks], dtype=float)
+    v = lo.r0 * lo.alpha * scale * np.exp(1j * np.asarray(phases, dtype=float))
+    return binom * (lo.t0 * scale) ** ks * v[:, None] ** (n - ks)
+
+
+def _scheme_a_scan(
+    source: MomentSource, n: int, phases, lo: LOConfig, depth: int
+) -> Array:
+    """``F_n = C(2^d, n) <:M^dag^n M^n:>`` at every oscillator phase."""
+    if n < 1:
+        raise ValidationError("correlation order n must be at least 1")
+    if depth < 0 or n > 2**depth:
+        raise ValidationError(
+            f"cannot correlate {n} detectors with a depth-{depth} tree"
+        )
+    table = resolve_table(source, n)
+    rows = _tree_rows(n, lo, depth, phases)
+    counts = _coincidences(table, rows, f"scheme A coincidence F_{n}")
+    return math.comb(2**depth, n) * counts
+
+
 def scheme_a_forward(
     source: MomentSource,
     n: int,
@@ -211,36 +259,17 @@ def scheme_a_forward(
     """Sum of all ``n``-detector coincidences at oscillator phase ``phi_lo``.
 
     Each detector behind the depth-``d`` tree sees the mode
-    ``(t0 a + r0 alpha e^{i phi_lo}) / sqrt(2^d)``; summing the normally
+    ``M = (t0 a + r0 alpha e^{i phi_lo}) / sqrt(2^d)``; summing the normally
     ordered coincidence over the ``C(2^d, n)`` detector subsets gives
 
         F_n = C(2^d, n) / 2^{n d} * sum_{k,l<=n} C(n,k) C(n,l) t0^{k+l}
               |r0 alpha|^{2n-k-l} e^{i (k-l) psi} <a^dag^k a^l>,
 
     with ``psi = phi_lo + arg(alpha) - pi/2`` for the default reflectance
-    phase.  The result is real.
+    phase.  The result is real.  The one-phase call of the scan in
+    :func:`scheme_a_sample_and_fourier`.
     """
-    if n < 1:
-        raise ValidationError("correlation order n must be at least 1")
-    if depth < 0 or n > 2**depth:
-        raise ValidationError(
-            f"cannot correlate {n} detectors with a depth-{depth} tree"
-        )
-    table = resolve_table(source, n)
-    psi = phi_lo + cmath.phase(lo.alpha * lo.r0)
-    amp = abs(lo.r0 * lo.alpha)
-    pref = math.comb(2**depth, n) / 2.0 ** (n * depth)
-    total = 0.0 + 0.0j
-    for k in range(n + 1):
-        for l in range(n + 1):
-            weight = (
-                math.comb(n, k)
-                * math.comb(n, l)
-                * lo.t0 ** (k + l)
-                * amp ** (2 * n - k - l)
-            )
-            total += weight * np.exp(1j * (k - l) * psi) * table.entry(k, l)
-    return pref * as_real(total, f"scheme A coincidence F_{n}")
+    return float(_scheme_a_scan(source, n, [phi_lo], lo, depth)[0])
 
 
 def scheme_a_sample_and_fourier(
@@ -252,26 +281,28 @@ def scheme_a_sample_and_fourier(
     """Scan the oscillator phase for every order and Fourier-transform.
 
     For each ``n`` up to ``n_max`` the coincidence sum is evaluated at the
-    ``2n + 2`` phases of :func:`scheme_a_phases` and the scan is reduced to
-    its Fourier coefficients.
+    ``2n + 2`` phases of :func:`scheme_a_phases` in one kernel call and the
+    scan is reduced to its Fourier coefficients.
     """
     table = resolve_table(source, n_max)
     samples: dict[tuple[int, int], float] = {}
     for n in range(1, n_max + 1):
-        for j, phi in enumerate(scheme_a_phases(n)):
-            samples[(n, j)] = scheme_a_forward(table, n, float(phi), lo, depth)
+        scan = _scheme_a_scan(table, n, scheme_a_phases(n), lo, depth)
+        samples.update({(n, j): float(value) for j, value in enumerate(scan)})
     return FourierRecord.from_samples(depth, lo, n_max, samples)
 
 
 def scheme_a_invert(record: FourierRecord) -> MomentTable:
     """Recover the moment table from a phase-scanned coincidence record.
 
-    Working upward in ``n``, the Fourier coefficient at harmonic ``m >= 0``
-    contains exactly one moment not yet known — ``<a^dag^n a^{n-m}>``, whose
-    weight involves only binomials and powers of ``t0`` and ``|r0 alpha|`` —
-    so each order is peeled off by subtracting the reconstructed lower-order
-    contributions.  Positivity validation of the resulting table is relaxed
-    because shot noise can push small diagonal moments slightly negative.
+    The moment ``<a^dag^k a^l>`` enters the harmonic ``m = k - l`` of
+    ``F_n`` with weight ``C(2^d, n) |c_k| |c_l|``, the tree-mode
+    coefficients of :func:`scheme_a_forward`.  Working upward in ``n``, the
+    harmonic ``m >= 0`` contains exactly one moment not yet known —
+    ``<a^dag^n a^{n-m}>`` — so each order is peeled off by subtracting the
+    reconstructed lower-order contributions.  Positivity validation of the
+    resulting table is relaxed because shot noise can push small diagonal
+    moments slightly negative.
     """
     lo = record.lo
     amp = abs(lo.r0 * lo.alpha)
@@ -290,56 +321,51 @@ def scheme_a_invert(record: FourierRecord) -> MomentTable:
     vals = np.zeros((size, size), dtype=complex)
     vals[0, 0] = 1.0
     for n in range(1, record.n_max + 1):
-        pref = math.comb(2**record.depth, n) / 2.0 ** (n * record.depth)
+        mags = np.abs(_tree_rows(n, lo, record.depth, [0.0])[0])
+        weights = math.comb(2**record.depth, n) * np.outer(mags, mags)
         for m in range(n, -1, -1):
-            acc = record.coefficients[(n, m)] / pref
-            for k in range(m, n):
-                weight = (
-                    math.comb(n, k)
-                    * math.comb(n, k - m)
-                    * lo.t0 ** (2 * k - m)
-                    * amp ** (2 * n - 2 * k + m)
-                )
-                acc -= weight * vals[k, k - m]
-            new_weight = math.comb(n, n - m) * lo.t0 ** (2 * n - m) * amp**m
-            vals[n, n - m] = acc / new_weight
+            ks = np.arange(m, n)
+            acc = record.coefficients[(n, m)] - np.dot(
+                weights[ks, ks - m], vals[ks, ks - m]
+            )
+            vals[n, n - m] = acc / weights[n, n - m]
             vals[n - m, n] = np.conj(vals[n, n - m])
     return MomentTable(max_order=record.n_max, values=vals, validate=False)
 
 
-# -- scheme B: eight-port layout -------------------------------------------
+# -- schemes B and C: four detectors ---------------------------------------
 
 
-def _gamma_record(scheme: str, lo: LOConfig, modes: list[NormalPolynomial],
-                  source: MomentSource, order: int) -> DetectionRecord:
-    """Mean counts and pairwise coincidences of four intensity observables."""
-    table = resolve_table(source, order)
-    intensities = [m.adjoint() * m for m in modes]
-    gammas: dict[str, float] = {}
-    for i in range(4):
-        gammas[f"g{i + 1}"] = as_real(
-            intensities[i].expectation(table), f"mean count g{i + 1}"
-        )
-    for i in range(4):
-        for j in range(i + 1, 4):
-            gammas[f"g{i + 1}{j + 1}"] = as_real(
-                (intensities[i] * intensities[j]).expectation(table),
-                f"coincidence g{i + 1}{j + 1}",
-            )
-    return DetectionRecord(scheme=scheme, lo=lo, gammas=gammas)
+def _detector_record(
+    scheme: str, lo: LOConfig, modes, source: MomentSource
+) -> DetectionRecord:
+    """Mean counts and pairwise coincidences of detectors seeing ``u a + v``.
+
+    ``modes`` lists ``(u, v)`` for detectors 1..4; the count of a detector
+    subset is the kernel value of the product of its modes, whose
+    coefficient row is the convolution of the ``[v, u]`` rows.
+    """
+    table = resolve_table(source, 2)
+    singles = [np.array([v, u], dtype=complex) for u, v in modes]
+    # GAMMA_KEYS lists the singles, then the pairs in combinations order
+    pairs = [np.convolve(b, c) for b, c in itertools.combinations(singles, 2)]
+    rows = np.array([np.append(b, 0.0) for b in singles] + pairs)
+    values = _coincidences(table, rows, f"scheme {scheme.upper()} count")
+    return DetectionRecord(
+        scheme=scheme, lo=lo, gammas=dict(zip(GAMMA_KEYS, values))
+    )
 
 
 def scheme_b_forward(source: MomentSource, lo: LOConfig) -> DetectionRecord:
-    """Counts and coincidences of the eight-port (four-detector) layout."""
-    a = NormalPolynomial.annihilation()
+    """Counts and coincidences of the eight-port (four-detector) layout.
+
+    The detectors see ``(a + i alpha)/2``, ``(a - i alpha)/2``,
+    ``(a + alpha)/2`` and ``(a - alpha)/2``.
+    """
     alpha = lo.alpha
-    modes = [
-        0.5 * (a + NormalPolynomial.constant(1j * alpha)),
-        0.5 * (a - NormalPolynomial.constant(1j * alpha)),
-        0.5 * (a + NormalPolynomial.constant(alpha)),
-        0.5 * (a - NormalPolynomial.constant(alpha)),
-    ]
-    return _gamma_record("b", lo, modes, source, order=2)
+    modes = [(0.5, 0.5j * alpha), (0.5, -0.5j * alpha),
+             (0.5, 0.5 * alpha), (0.5, -0.5 * alpha)]
+    return _detector_record("b", lo, modes, source)
 
 
 def scheme_b_extract(record: DetectionRecord) -> dict[str, float]:
@@ -376,55 +402,19 @@ def scheme_b_extract(record: DetectionRecord) -> dict[str, float]:
     }
 
 
-# -- scheme C: cross-correlation of one splitter ---------------------------
-
-
-def _scheme_c_intensities(lo: LOConfig) -> tuple[NormalPolynomial, NormalPolynomial]:
-    """The two output intensities of the unbalanced splitter.
-
-    Output 1 carries ``t0^2 n + |G| x_theta + |r0 alpha|^2`` and output 2
-    the complementary combination, where ``G = conj(t0) r0 alpha``.
-    """
-    t_sq = lo.t0**2
-    r_sq = abs(lo.r0) ** 2
-    g = np.conj(lo.t0) * lo.r0 * lo.alpha
-    number = NormalPolynomial.number()
-    cross = NormalPolynomial({(1, 0): g, (0, 1): np.conj(g)})
-    q1 = (
-        t_sq * number
-        + cross
-        + NormalPolynomial.constant(r_sq * abs(lo.alpha) ** 2)
-    )
-    q2 = (
-        r_sq * number
-        + (-1.0) * cross
-        + NormalPolynomial.constant(t_sq * abs(lo.alpha) ** 2)
-    )
-    return q1, q2
-
-
 def scheme_c_forward(source: MomentSource, lo: LOConfig) -> DetectionRecord:
     """Counts and coincidences of the two-output cross-correlation layout.
 
-    Each splitter output is further halved onto two detectors, so detectors
-    1/2 share the first output intensity and 3/4 the second; all pairwise
-    coincidences are normally ordered products of the two intensities.
+    Each splitter output is halved onto two detectors: detectors 1/2 see
+    ``(t0 a + r0 alpha) / sqrt 2`` and 3/4 see
+    ``(-conj(r0) a + t0 alpha) / sqrt 2``.  Output 1 then carries the
+    intensity ``t0^2 n + |G| x_theta + |r0 alpha|^2`` and output 2 the
+    complementary combination, where ``G = conj(t0) r0 alpha``.
     """
-    table = resolve_table(source, 2)
-    q1, q2 = _scheme_c_intensities(lo)
-    half = 0.5
-    quarter = 0.25
-    g1 = half * as_real(q1.expectation(table), "scheme C mean count")
-    g3 = half * as_real(q2.expectation(table), "scheme C mean count")
-    q11 = quarter * as_real((q1 * q1).expectation(table), "scheme C coincidence")
-    q22 = quarter * as_real((q2 * q2).expectation(table), "scheme C coincidence")
-    q12 = quarter * as_real((q1 * q2).expectation(table), "scheme C coincidence")
-    gammas = {
-        "g1": g1, "g2": g1, "g3": g3, "g4": g3,
-        "g12": q11, "g34": q22,
-        "g13": q12, "g14": q12, "g23": q12, "g24": q12,
-    }
-    return DetectionRecord(scheme="c", lo=lo, gammas=gammas)
+    half = math.sqrt(0.5)
+    first = (lo.t0 * half, lo.r0 * lo.alpha * half)
+    second = (-np.conj(lo.r0) * half, lo.t0 * lo.alpha * half)
+    return _detector_record("c", lo, [first, first, second, second], source)
 
 
 def scheme_c_extract(
@@ -508,21 +498,21 @@ def add_shot_noise(record, samples: float, seed: int = 0):
     rng = np.random.default_rng(seed)
     scale = 1.0 / math.sqrt(samples)
     if isinstance(record, DetectionRecord):
-        noisy = {}
-        for key in sorted(record.gammas):
-            v = record.gammas[key]
-            noisy[key] = v + rng.standard_normal() * max(abs(v), _NOISE_FLOOR) * scale
+        noisy = _perturbed(record.gammas, rng, scale)
         return DetectionRecord(scheme=record.scheme, lo=record.lo, gammas=noisy)
     if isinstance(record, FourierRecord):
-        noisy_samples = {}
-        for key in sorted(record.samples):
-            v = record.samples[key]
-            noisy_samples[key] = (
-                v + rng.standard_normal() * max(abs(v), _NOISE_FLOOR) * scale
-            )
+        noisy = _perturbed(record.samples, rng, scale)
         return FourierRecord.from_samples(
-            record.depth, record.lo, record.n_max, noisy_samples
+            record.depth, record.lo, record.n_max, noisy
         )
     raise ValidationError(
         f"expected a DetectionRecord or FourierRecord, got {type(record).__name__}"
     )
+
+
+def _perturbed(values: Mapping, rng: np.random.Generator, scale: float) -> dict:
+    """``v + g max(|v|, floor) scale`` per value, drawn in sorted key order."""
+    return {
+        key: v + rng.standard_normal() * max(abs(v), _NOISE_FLOOR) * scale
+        for key, v in sorted(values.items())
+    }

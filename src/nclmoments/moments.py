@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
@@ -256,22 +256,18 @@ class NormalPolynomial:
 
     # -- evaluation ----------------------------------------------------
     def expectation(self, source: MomentSource) -> complex:
-        """Expectation of the normally ordered polynomial, ``sum c_kl <a^dag^k a^l>``."""
-        getter = _entry_getter(source)
-        total = 0.0 + 0.0j
-        for (k, l), coeff in self.terms.items():
-            total += coeff * getter(k, l)
-        return complex(total)
+        """Expectation of the normally ordered polynomial, ``sum c_kl <a^dag^k a^l>``.
 
-
-def _entry_getter(source: MomentSource) -> Callable[[int, int], complex]:
-    if isinstance(source, MomentTable):
-        return source.entry
-    if isinstance(source, (FockState, DensityState)):
-        return lambda k, l: moment_aa(source, k, l)
-    raise ValidationError(
-        f"expected a MomentTable or a state, got {type(source).__name__}"
-    )
+        A state's terms are all read from one :func:`_normal_moments` call.
+        """
+        if not self.terms:
+            return 0j
+        ks, ls = np.array(list(self.terms)).T
+        if isinstance(source, (FockState, DensityState)):
+            values = _normal_moments(source, ks, ls)
+        else:
+            values = resolve_table(source, int(max(ks.max(), ls.max()))).values[ks, ls]
+        return complex(np.array(list(self.terms.values())) @ values)
 
 
 def resolve_table(source: MomentSource, needed_order: int) -> MomentTable:

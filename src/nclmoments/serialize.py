@@ -133,23 +133,24 @@ def table_to_json(table: MomentTable) -> dict[str, Any]:
 def table_from_json(doc: Mapping[str, Any]) -> MomentTable:
     try:
         max_order = int(doc["max_order"])
-        entries = doc["entries"]
+        if max_order < 0:
+            raise ValidationError("moment-table max_order must be nonnegative")
+        vals = np.zeros((max_order + 1, max_order + 1), dtype=complex)
+        seen = set()
+        for item in doc["entries"]:
+            k, l = int(item["k"]), int(item["l"])
+            if not 0 <= l <= k <= max_order:
+                raise ValidationError(
+                    f"table entry ({k}, {l}) is outside 0 <= l <= k <= max_order"
+                )
+            if (k, l) in seen:
+                raise ValidationError(f"duplicate table entry ({k}, {l})")
+            seen.add((k, l))
+            vals[k, l] = complex(float(item["re"]), float(item["im"]))
+            vals[l, k] = np.conj(vals[k, l])
     except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed moment-table document: {exc}") from exc
-    size = max_order + 1
-    vals = np.zeros((size, size), dtype=complex)
-    seen = set()
-    for item in entries:
-        k, l = int(item["k"]), int(item["l"])
-        if k < l:
-            raise ValidationError("table entries must satisfy k >= l")
-        if (k, l) in seen:
-            raise ValidationError(f"duplicate table entry ({k}, {l})")
-        seen.add((k, l))
-        vals[k, l] = complex(float(item["re"]), float(item["im"]))
-        vals[l, k] = np.conj(vals[k, l])
-    expected = {(k, l) for k in range(size) for l in range(k + 1)}
-    if seen != expected:
+        raise ValidationError(f"malformed moment-table document: {exc!r}") from exc
+    if len(seen) != (max_order + 1) * (max_order + 2) // 2:
         raise ValidationError("table document is missing entries")
     return MomentTable(max_order=max_order, values=vals, validate=False)
 
@@ -220,7 +221,7 @@ def detection_record_from_json(doc: Mapping[str, Any]) -> DetectionRecord:
         return DetectionRecord(
             scheme=str(doc["scheme"]), lo=lo_from_json(doc["lo"]), gammas=gammas
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed detection record: {exc}") from exc
 
 

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from nclmoments.cli import main
+from nclmoments.cli import build_parser, config_from_args, main
 from nclmoments.serialize import read_json
 
 SQUEEZED = '{"type": "squeezed_vacuum", "z": 0.5}'
@@ -198,6 +198,70 @@ def test_exit_code_validation_errors(tmp_path, capsys):
     assert main(["invert", "--record", str(tmp_path / "missing.json"),
                  "--out", out]) == 2
     capsys.readouterr()
+
+
+def test_invert_rejects_non_numeric_record_value(tmp_path, capsys):
+    record = tmp_path / "rec.json"
+    assert main([
+        "simulate", "--state", THERMAL, "--scheme", "b", "--out", str(record),
+    ]) == 0
+    doc = read_json(record)
+    doc["record"]["gammas"][0]["value"] = "abc"
+    record.write_text(json.dumps(doc))
+    rc = main(["invert", "--record", str(record), "--out", str(tmp_path / "i.json")])
+    assert rc == 2
+    assert "malformed detection record" in capsys.readouterr().err
+
+
+def test_invert_rejects_record_file_without_record(tmp_path, capsys):
+    record = tmp_path / "rec.json"
+    record.write_text(json.dumps({"scheme": "b"}))
+    rc = main(["invert", "--record", str(record), "--out", str(tmp_path / "i.json")])
+    assert rc == 2
+    assert "lacks ['record']" in capsys.readouterr().err
+
+
+VERB_ARGV = {
+    "moments": ["--state", THERMAL],
+    "criteria": ["--state", THERMAL],
+    "sweep": [],
+    "qfunc": ["--state", THERMAL],
+    "simulate": ["--state", THERMAL, "--scheme", "b"],
+    "invert": ["--record", "rec.json"],
+}
+
+
+@pytest.mark.parametrize("verb", sorted(VERB_ARGV))
+def test_config_carries_parser_defaults(verb, monkeypatch):
+    """Every verb's config holds the parser's defaults for options it omits."""
+    monkeypatch.delenv("NCL_DEFAULT_DIM", raising=False)
+    parser = build_parser()
+    config = config_from_args(parser.parse_args([verb] + VERB_ARGV[verb]))
+    default = parser.get_default
+    given = {"state", "scheme", "record"} & {
+        arg[2:] for arg in VERB_ARGV[verb] if arg.startswith("--")
+    }
+    for name in ("state", "order", "phi", "kind", "nmax", "scheme", "depth",
+                 "t0", "samples", "seed", "tolerance", "record", "grid_bound",
+                 "grid_n"):
+        if name not in given:
+            assert getattr(config, name) == default(name), name
+    assert config.dim == 64
+    assert config.lo_alpha == complex(*map(float, default("lo_alpha").split(",")))
+    assert config.m_list == tuple(map(int, default("m_list").split(",")))
+    assert config.lambda_range == tuple(
+        map(float, default("lambda_range").split(","))
+    )
+
+
+def test_config_takes_given_options():
+    parser = build_parser()
+    config = config_from_args(parser.parse_args([
+        "simulate", "--state", THERMAL, "--scheme", "a", "--nmax", "6",
+        "--depth", "3", "--lo-alpha", "1,2", "--samples", "100", "--seed", "5",
+    ]))
+    assert (config.nmax, config.depth, config.lo_alpha) == (6, 3, 1 + 2j)
+    assert (config.samples, config.seed) == (100.0, 5)
 
 
 def test_package_import_leaves_scipy_linalg_unloaded():

@@ -6,9 +6,10 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import random_pure_state
+from helpers import random_density_state, random_pure_state
 from nclmoments import (
     DetectionRecord,
+    FockState,
     FourierRecord,
     LOConfig,
     SingularInversionError,
@@ -29,6 +30,7 @@ from nclmoments import (
     scheme_c_forward,
     xn_moment,
 )
+from nclmoments.measurement import GAMMA_KEYS
 from nclmoments.operators import destroy
 
 
@@ -101,29 +103,79 @@ def test_scheme_a_forward_validation():
         scheme_a_forward(state, 3, 0.0, LOConfig(1.0), 1)
 
 
+def normal_count(state, op) -> float:
+    """``<:Q^dag Q:>`` for a product ``op`` of detector modes ``u a + v``.
+
+    Lowering-only products are exact on the truncated space: the norm
+    ``||Q psi||^2`` for a pure state, ``Tr(Q rho Q^dag)`` for a density state.
+    """
+    if isinstance(state, FockState):
+        vec = op @ state.amplitudes
+        return float(np.vdot(vec, vec).real)
+    return float(np.trace(op @ state.matrix @ op.conj().T).real)
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_scheme_a_forward_matches_operator_route(seed):
     """F_n from the moment expansion vs the single-detector-mode operator.
 
     Every detector sees M = (t0 a + r0 alpha e^{i phi}) / sqrt(2^d),
-    so the n-fold coincidence sum is C(2^d, n) ||M^n psi||^2.
+    so the n-fold coincidence sum is C(2^d, n) <:M^dag^n M^n:>, on a pure
+    and on a density state.
     """
-    state = random_pure_state(24, seed + 10)
-    dim = state.dim
     lo = LOConfig(alpha=1.5 - 0.5j, t0=0.75)
     depth = 2
-    a = destroy(dim)
-    for n in (1, 2, 3):
-        for phi in (0.0, 0.9, 2.4):
-            mode = (lo.t0 * a + lo.r0 * lo.alpha * np.exp(1j * phi) * np.eye(dim)) / (
-                2.0 ** (depth / 2.0)
-            )
-            vec = state.amplitudes.copy()
-            for _ in range(n):
-                vec = mode @ vec
-            want = math.comb(2**depth, n) * float(np.vdot(vec, vec).real)
-            got = scheme_a_forward(state, n, phi, lo, depth)
-            assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+    for state in (random_pure_state(24, seed + 10),
+                  random_density_state(24, seed + 10)):
+        dim = state.dim
+        a = destroy(dim)
+        for n in (1, 2, 3):
+            for phi in (0.0, 0.9, 2.4):
+                mode = (
+                    lo.t0 * a + lo.r0 * lo.alpha * np.exp(1j * phi) * np.eye(dim)
+                ) / (2.0 ** (depth / 2.0))
+                power = np.linalg.matrix_power(mode, n)
+                want = math.comb(2**depth, n) * normal_count(state, power)
+                got = scheme_a_forward(state, n, phi, lo, depth)
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+FOUR_DETECTOR_STATES = {
+    "pure-31": random_pure_state(24, 31),
+    "pure-32": random_pure_state(24, 32),
+    "thermal": make_thermal(0.7, 48),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FOUR_DETECTOR_STATES))
+@pytest.mark.parametrize("scheme", ["b", "c"])
+def test_four_detector_forward_matches_operator_route(scheme, name):
+    """Every B and C gamma from dense detector-mode operators.
+
+    Scheme B's detectors see ``(a +- i alpha)/2`` and ``(a +- alpha)/2``;
+    scheme C's splitter sends ``t0 a + r0 alpha`` and ``-conj(r0) a + t0 alpha``
+    to its two outputs, each halved onto two detectors.  ``g_i`` is the
+    count of ``b_i`` and ``g_ij`` that of ``b_i b_j``.
+    """
+    state = FOUR_DETECTOR_STATES[name]
+    lo = LOConfig(alpha=1.5 - 0.5j, t0=0.8)
+    dim = state.dim
+    a, one = destroy(dim), np.eye(dim)
+    if scheme == "b":
+        modes = [(a + sign * lo.alpha * one) / 2.0 for sign in (1j, -1j, 1, -1)]
+        record = scheme_b_forward(state, lo)
+    else:
+        out1 = (lo.t0 * a + lo.r0 * lo.alpha * one) / math.sqrt(2.0)
+        out2 = (-np.conj(lo.r0) * a + lo.t0 * lo.alpha * one) / math.sqrt(2.0)
+        modes = [out1, out1, out2, out2]
+        record = scheme_c_forward(state, lo)
+    for key in GAMMA_KEYS:
+        op = one
+        for ch in key[1:]:
+            op = modes[int(ch) - 1] @ op
+        assert record.gammas[key] == pytest.approx(
+            normal_count(state, op), rel=1e-12
+        ), key
 
 
 @pytest.mark.parametrize("seed", [0, 7, 23])

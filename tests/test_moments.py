@@ -193,6 +193,18 @@ def test_polynomial_expectation_accepts_table_and_state():
     assert poly.expectation(state) == pytest.approx(poly.expectation(table))
 
 
+def test_polynomial_expectation_warns_once_on_a_state():
+    """All terms of ``<:x^2 p^2:>`` come from one kernel call: one warning."""
+    state = make_fock(1, 6)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = quad_moment(state, 2, 2, 0.3)
+    assert [w.category for w in caught] == [OrderAccuracyWarning]
+    poly = NormalPolynomial.quadrature(0.3) ** 2 * NormalPolynomial.momentum(0.3) ** 2
+    want = sum(c * dense_moment(state, k, l) for (k, l), c in poly.terms.items())
+    assert value == pytest.approx(want.real, abs=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # quad / xn moments vs coherent-state oracle
 

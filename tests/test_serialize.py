@@ -106,6 +106,20 @@ def test_table_from_json_rejects_incomplete():
         table_from_json(doc)
 
 
+def test_table_from_json_rejects_entry_without_value():
+    doc = table_to_json(moment_table(random_pure_state(16, 13), 2))
+    del doc["entries"][1]["re"]
+    with pytest.raises(ValidationError):
+        table_from_json(doc)
+
+
+def test_table_from_json_rejects_order_beyond_max_order():
+    doc = table_to_json(moment_table(random_pure_state(16, 13), 2))
+    doc["entries"][-1]["k"] = 3
+    with pytest.raises(ValidationError):
+        table_from_json(doc)
+
+
 def test_report_to_json_schema():
     report = determinant_hierarchy(make_thermal(0.5, 64), "aa", 3)
     doc = report_to_json(report)
