@@ -136,7 +136,7 @@ def gegenbauer_c_m_sq(m: int, gamma: complex) -> float:
     degenerate ultraspherical polynomial is evaluated by its terminating
     hypergeometric series with the Pochhammer limit
     ``(alpha)_{m-k} -> (-1)^{m-k} m!/k!`` at ``alpha = -m``.  Kept as an
-    independent rewrite of the normalization used by the state builder.
+    independent rewrite of the closed sum in :func:`ass_params`.
     """
     if m < 0:
         raise ValidationError("m must be a nonnegative integer")

@@ -10,7 +10,9 @@ intensity correlations, which is exact for ideal photodetectors:
   polynomial of degree ``n`` in the oscillator phase whose Fourier
   coefficients are triangular combinations of the moments
   ``<a^dag^k a^l>`` — so scanning the phase and inverting recovers the
-  moments order by order.
+  moments order by order.  A :class:`FourierRecord` holds only the phase
+  samples; its Fourier coefficients are derived from them, one FFT per
+  order, so a record cannot carry coefficients of some other scan.
 * **Scheme B** — an eight-port layout with four detectors seeing
   ``(a + i alpha)/2``, ``(a - i alpha)/2``, ``(a + alpha)/2`` and
   ``(a - alpha)/2``.  Mean counts and pairwise coincidences reproduce the
@@ -44,7 +46,7 @@ import cmath
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 import numpy as np
@@ -123,20 +125,25 @@ class DetectionRecord:
 
 @dataclass(frozen=True)
 class FourierRecord:
-    """Phase-scanned coincidence sums of scheme A and their Fourier data.
+    """Phase-scanned coincidence sums of scheme A.
 
     ``samples[(n, j)]`` is the sum over all ``n``-detector subsets of the
-    coincidence rate at oscillator phase ``2 pi j / (2n + 2)``;
-    ``coefficients[(n, m)]`` are the discrete Fourier coefficients in the
-    kernel ``exp(i m (phi + arg(alpha) - pi/2))``, exact because each scan
-    uses more phases than the trigonometric degree of the signal.
+    coincidence rate at oscillator phase ``2 pi j / (2n + 2)``.  The record
+    is its samples: ``coefficients[(n, m)]`` is derived from them, not
+    given, as the discrete Fourier coefficients in the kernel
+    ``exp(i m (phi + arg(alpha r0)))`` — one FFT per order, exact because
+    each scan uses more phases than the trigonometric degree of the signal.
+    A real scan makes ``coefficients[(n, -m)]`` the conjugate of
+    ``coefficients[(n, m)]``.
     """
 
     depth: int
     lo: LOConfig
     n_max: int
     samples: Mapping[tuple[int, int], float]
-    coefficients: Mapping[tuple[int, int], complex]
+    coefficients: Mapping[tuple[int, int], complex] = field(
+        init=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.depth < 0:
@@ -153,52 +160,20 @@ class FourierRecord:
         }
         if set(self.samples) != expected:
             raise ValidationError("phase samples are incomplete for n_max")
-        exp_coeff = {
-            (n, m) for n in range(1, self.n_max + 1) for m in range(-n, n + 1)
-        }
-        if set(self.coefficients) != exp_coeff:
-            raise ValidationError("Fourier coefficients are incomplete for n_max")
-        object.__setattr__(
-            self,
-            "samples",
-            {key: float(self.samples[key]) for key in sorted(self.samples)},
-        )
-        object.__setattr__(
-            self,
-            "coefficients",
-            {
-                key: complex(self.coefficients[key])
-                for key in sorted(self.coefficients)
-            },
-        )
-
-    @classmethod
-    def from_samples(
-        cls,
-        depth: int,
-        lo: LOConfig,
-        n_max: int,
-        samples: Mapping[tuple[int, int], float],
-    ) -> FourierRecord:
-        """Build the record, computing the Fourier coefficients by DFT."""
-        offset = cmath.phase(lo.alpha * lo.r0)
+        samples = {key: float(self.samples[key]) for key in sorted(self.samples)}
+        offset = cmath.phase(self.lo.alpha * self.lo.r0)
         coefficients: dict[tuple[int, int], complex] = {}
-        for n in range(1, n_max + 1):
+        for n in range(1, self.n_max + 1):
             count = 2 * n + 2
-            phases = scheme_a_phases(n)
-            values = np.array([samples[(n, j)] for j in range(count)], dtype=float)
-            kernel_arg = phases + offset
-            for m in range(n + 1):
-                coeff = complex(
-                    np.sum(values * np.exp(-1j * m * kernel_arg)) / count
-                )
-                coefficients[(n, m)] = coeff
-                # Real phase scans force conjugate-symmetric coefficients.
-                coefficients[(n, -m)] = np.conj(coeff)
-        return cls(
-            depth=depth, lo=lo, n_max=n_max, samples=dict(samples),
-            coefficients=coefficients,
-        )
+            scan = [samples[(n, j)] for j in range(count)]
+            ms = np.arange(n + 1)
+            harmonics = np.fft.fft(scan)[ms] * np.exp(-1j * ms * offset) / count
+            # m = -n..n; the negative harmonics are the conjugates
+            row = np.concatenate([harmonics[:0:-1].conj(), harmonics])
+            keys = [(n, m) for m in range(-n, n + 1)]
+            coefficients.update(zip(keys, row.tolist()))
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "coefficients", coefficients)
 
 
 def scheme_a_phases(n: int) -> np.ndarray:
@@ -281,15 +256,15 @@ def scheme_a_sample_and_fourier(
     """Scan the oscillator phase for every order and Fourier-transform.
 
     For each ``n`` up to ``n_max`` the coincidence sum is evaluated at the
-    ``2n + 2`` phases of :func:`scheme_a_phases` in one kernel call and the
-    scan is reduced to its Fourier coefficients.
+    ``2n + 2`` phases of :func:`scheme_a_phases` in one kernel call; the
+    record derives the scan's Fourier coefficients.
     """
     table = resolve_table(source, n_max)
     samples: dict[tuple[int, int], float] = {}
     for n in range(1, n_max + 1):
         scan = _scheme_a_scan(table, n, scheme_a_phases(n), lo, depth)
         samples.update({(n, j): float(value) for j, value in enumerate(scan)})
-    return FourierRecord.from_samples(depth, lo, n_max, samples)
+    return FourierRecord(depth=depth, lo=lo, n_max=n_max, samples=samples)
 
 
 def scheme_a_invert(record: FourierRecord) -> MomentTable:
@@ -490,8 +465,8 @@ def add_shot_noise(record, samples: float, seed: int = 0):
     Each stored value ``v`` becomes ``v + g * max(|v|, 1e-6) / sqrt(samples)``
     with independent standard normals ``g`` drawn in a fixed canonical order
     (sorted gamma keys, or phase samples sorted by ``(n, j)``), so equal
-    seeds give reproducible noise.  Fourier coefficients of a phase-scan
-    record are recomputed from the noisy samples.
+    seeds give reproducible noise.  A phase-scan record derives its Fourier
+    coefficients from the noisy samples.
     """
     if samples <= 0:
         raise ValidationError("samples must be positive")
@@ -502,8 +477,8 @@ def add_shot_noise(record, samples: float, seed: int = 0):
         return DetectionRecord(scheme=record.scheme, lo=record.lo, gammas=noisy)
     if isinstance(record, FourierRecord):
         noisy = _perturbed(record.samples, rng, scale)
-        return FourierRecord.from_samples(
-            record.depth, record.lo, record.n_max, noisy
+        return FourierRecord(
+            depth=record.depth, lo=record.lo, n_max=record.n_max, samples=noisy
         )
     raise ValidationError(
         f"expected a DetectionRecord or FourierRecord, got {type(record).__name__}"

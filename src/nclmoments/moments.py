@@ -30,6 +30,8 @@ Conventions
 from __future__ import annotations
 
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
@@ -51,6 +53,22 @@ _IMAG_TOL = 1e-8
 
 MomentSource = Union["MomentTable", FockState, DensityState]
 
+# Every module of the package is loaded from this directory, so its code
+# objects carry file names with this prefix.
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
+
+
+def _warn_at_caller(message: str, category: type[Warning]) -> None:
+    """Warn at the first stack frame outside this package.
+
+    A fixed ``stacklevel`` is right for one call depth only; the kernels
+    that warn are reached from many entry points at different depths.
+    """
+    frame, level = sys._getframe(1), 2
+    while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, category, stacklevel=level)
+
 
 def _normal_moments(state: State, ks, ls) -> Array:
     """``<a^dag^k a^l>`` at every pair of the broadcast order arrays ``ks, ls``.
@@ -66,11 +84,10 @@ def _normal_moments(state: State, ks, ls) -> Array:
     dim = state.dim
     order = int((ks + ls).max())
     if order > dim / 2:
-        warnings.warn(
+        _warn_at_caller(
             f"moment order k+l={order} exceeds half the truncation dim={dim}; "
             "the result may be dominated by truncation error",
             OrderAccuracyWarning,
-            stacklevel=3,
         )
     hi, lo = np.maximum(ks, ls), np.minimum(ks, ls)
     top = int(hi.max())
@@ -371,11 +388,10 @@ def char_values(state: State, betas: Sequence[complex]) -> Array:
     dim = state.dim
     x = np.abs(pts) ** 2
     if pts.size and x.max() >= dim / 4.0:
-        warnings.warn(
+        _warn_at_caller(
             f"displacement |beta|^2 = {x.max():.3g} is large for "
             f"dim {dim}; characteristic-function values may be inaccurate",
             OrderAccuracyWarning,
-            stacklevel=2,
         )
     offsets, diagonals = _offset_diagonals(state, dim)
     x = x[:, None]

@@ -67,22 +67,3 @@ def displacement_matrix(beta: complex, dim: int) -> Array:
     gen = beta * adag - np.conj(beta) * a
     return expm(gen)
 
-
-def lowered(amplitudes: Array, j: int) -> Array:
-    """Amplitudes of ``a^j |psi>`` for a pure state given in the Fock basis.
-
-    The result keeps the input length; the top ``j`` slots are zero.
-    """
-    if j == 0:
-        return np.asarray(amplitudes, dtype=complex).copy()
-    dim = len(amplitudes)
-    out = np.zeros(dim, dtype=complex)
-    if j >= dim:
-        return out
-    ns = np.arange(dim - j)
-    # sqrt((n+j)! / n!) accumulated as a product of the j ladder factors
-    coeff = np.ones(dim - j)
-    for i in range(1, j + 1):
-        coeff = coeff * (ns + i)
-    out[: dim - j] = np.sqrt(coeff) * np.asarray(amplitudes)[j:]
-    return out

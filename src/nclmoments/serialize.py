@@ -253,7 +253,7 @@ def fourier_record_from_json(doc: Mapping[str, Any]) -> FourierRecord:
             (int(item["n"]), int(item["j"])): float(item["value"])
             for item in doc["samples"]
         }
-        return FourierRecord.from_samples(
+        return FourierRecord(
             depth=int(doc["depth"]),
             lo=lo_from_json(doc["lo"]),
             n_max=int(doc["n_max"]),

@@ -113,8 +113,9 @@ class AssParams:
     beta:
         Eigenvalue of ``X + i lam Y`` on the constructed state.
     c_m_sq:
-        Squared normalization constant ``|c_m|^2``, obtained numerically as
-        ``1 / ||H_m(i gamma a^dag)|0>||^2``.
+        Squared normalization constant ``|c_m|^2 = 1 / ||H_m(i gamma a^dag)|0>||^2``,
+        from its closed sum over the Hermite coefficients; ``make_ass_state``
+        checks the numeric seed norm against it.
     mu, nu:
         Bogoliubov coefficients of the squeezing actually applied to the
         seed: the constructed state is ``U H_m(i gamma a^dag)|0>`` (up to
@@ -267,8 +268,6 @@ def ass_params(m: int, lam: float) -> AssParams:
     z = r * np.exp(1j * phi_z)
     mu = math.cosh(r)
     nu = np.exp(1j * phi_z) * math.sinh(r)
-    # |c_m|^2 is filled in by make_ass_state; use the exact closed sum here
-    # so the params object is complete even without a Fock-space build.
     norm_sq = 0.0
     for k in range(m // 2 + 1):
         norm_sq += (4.0 * abs(gamma) ** 2) ** (m - 2 * k) / (
@@ -284,10 +283,11 @@ def ass_params(m: int, lam: float) -> AssParams:
 def make_ass_state(m: int, lam: float, dim: int) -> tuple[FockState, AssParams]:
     """Amplitude-squared squeezed state of order ``m`` at parameter ``lam``.
 
-    The seed ``H_m(i gamma a^dag)|0>`` is normalized numerically (which fixes
-    ``|c_m|^2``) and then squeezed by the Bogoliubov map
-    ``a -> cosh(r) a + e^{i phi} sinh(r) a^dag`` — realized here as
-    ``apply_squeeze(seed, -z)`` given this module's squeeze sign convention.
+    The seed ``H_m(i gamma a^dag)|0>`` is normalized numerically, its norm
+    is checked against the closed-form ``|c_m|^2``, and it is then squeezed
+    by the Bogoliubov map ``a -> cosh(r) a + e^{i phi} sinh(r) a^dag`` —
+    realized here as ``apply_squeeze(seed, -z)`` given this module's squeeze
+    sign convention.  The returned parameters are ``ass_params(m, lam)``.
     """
     params = ass_params(m, lam)
     seed, c_m_sq = _hermite_seed(m, params.gamma, dim)
@@ -297,10 +297,6 @@ def make_ass_state(m: int, lam: float, dim: int) -> tuple[FockState, AssParams]:
             "numeric seed normalization disagrees with its closed form; "
             f"got {c_m_sq!r}, expected {params.c_m_sq!r}"
         )
-    params = AssParams(
-        m=params.m, lam=params.lam, gamma=params.gamma, z=params.z,
-        beta=params.beta, c_m_sq=c_m_sq, mu=params.mu, nu=params.nu,
-    )
     return state, params
 
 

@@ -101,6 +101,17 @@ def test_oracle_cache_is_bounded():
     )
 
 
+def test_ass_state_carries_the_analytic_params():
+    """One ``|c_m|^2`` per ``(m, lam)``: the state and the oracle share a key."""
+    params = ass_params(3, 1.7)
+    _, built = make_ass_state(3, 1.7, 64)
+    assert built == params
+    hermite._ORACLE_CACHE.clear()
+    ass_moment_analytic(params, 2, 2)
+    ass_moment_analytic(built, 2, 2)
+    assert len(hermite._ORACLE_CACHE) == 1
+
+
 def test_recursion_agrees_with_direct_quartic():
     """<a^dag^2 a^2> of the squeezed vacuum from operator algebra.
 

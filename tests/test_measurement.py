@@ -16,6 +16,7 @@ from nclmoments import (
     ValidationError,
     WeakOscillatorWarning,
     add_shot_noise,
+    make_fock,
     make_thermal,
     moment_aa,
     moment_table,
@@ -32,6 +33,7 @@ from nclmoments import (
 )
 from nclmoments.measurement import GAMMA_KEYS
 from nclmoments.operators import destroy
+from nclmoments.serialize import fourier_record_from_json, fourier_record_to_json
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +79,34 @@ def test_fourier_record_detector_count_bound():
         FourierRecord(
             depth=2, lo=LOConfig(3.0), n_max=1,
             samples={(1, 0): 1.0},  # needs 2n+2 = 4 phases
-            coefficients={(1, m): 0.0 for m in (-1, 0, 1)},
+        )
+
+
+def test_fourier_record_is_its_samples():
+    """Coefficients are derived from the samples, never given beside them,
+    so a record inverts exactly like its JSON round trip."""
+    lo = LOConfig(3.0)
+    one = scheme_a_sample_and_fourier(make_fock(1, 8), 2, lo, 1)
+    half = scheme_a_sample_and_fourier(make_thermal(0.5, 48), 2, lo, 1)
+    with pytest.raises(TypeError):
+        FourierRecord(
+            depth=1, lo=lo, n_max=2, samples=one.samples,
+            coefficients=half.coefficients,
+        )
+    records = [
+        one,
+        FourierRecord(depth=1, lo=lo, n_max=2, samples=dict(one.samples)),
+        add_shot_noise(one, 1e4, seed=3),
+        scheme_a_sample_and_fourier(
+            random_density_state(24, 4), 4, LOConfig(2.0 + 1.0j), 3
+        ),
+    ]
+    for record in records:
+        back = fourier_record_from_json(fourier_record_to_json(record))
+        assert back == record
+        assert back.coefficients == record.coefficients
+        assert np.array_equal(
+            scheme_a_invert(back).values, scheme_a_invert(record).values
         )
 
 

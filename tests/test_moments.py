@@ -5,7 +5,8 @@ Oracles used here:
   * the coherent-state eigenvalue property (normally ordered expectations
     of coherent states are the classical monomials in alpha),
   * closed forms for Fock and thermal factorial moments,
-  * Laguerre / Gaussian characteristic functions.
+  * Laguerre / Gaussian characteristic functions, and the dense matrix
+    exponential of the displacement generator.
 """
 
 import math
@@ -19,6 +20,7 @@ from helpers import dense_moment, random_density_state, random_pure_state
 from nclmoments import (
     DensityState,
     InsufficientOrderError,
+    LOConfig,
     MomentTable,
     NormalPolynomial,
     NumericConsistencyError,
@@ -26,8 +28,10 @@ from nclmoments import (
     ValidationError,
     apply_squeeze,
     as_real,
+    bochner_det,
     char_function,
     char_values,
+    determinant_hierarchy,
     make_coherent,
     make_fock,
     make_thermal,
@@ -35,8 +39,11 @@ from nclmoments import (
     moment_table,
     quad_moment,
     resolve_table,
+    s3,
+    scheme_a_forward,
     xn_moment,
 )
+from nclmoments.operators import displacement_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -119,6 +126,29 @@ def test_moment_table_warns_once_past_half_dim():
         moment_table(state, 7)
     assert [w.category for w in caught] == [OrderAccuracyWarning]
     assert caught[0].filename == __file__
+
+
+ORDER_WARNING_CALLS = {
+    "quad_moment": lambda: quad_moment(make_fock(1, 6), 2, 2, 0.3),
+    "xn_moment": lambda: xn_moment(make_fock(1, 6), 2, 1),
+    "char_function": lambda: char_function(make_fock(0, 16), 2.5),
+    "bochner_det": lambda: bochner_det(make_fock(0, 16), [0.0, 2.5]),
+    "determinant_hierarchy": lambda: determinant_hierarchy(make_fock(1, 6), "aa", 2),
+    "s3": lambda: s3(make_fock(1, 6)),
+    "scheme_a_forward": lambda: scheme_a_forward(
+        make_fock(1, 12), 4, 0.0, LOConfig(3.0), 2
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORDER_WARNING_CALLS))
+def test_order_warning_points_at_the_caller(name):
+    """Every entry point attributes ``OrderAccuracyWarning`` to its caller."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ORDER_WARNING_CALLS[name]()
+    assert caught and all(w.category is OrderAccuracyWarning for w in caught)
+    assert [w.filename for w in caught] == [__file__] * len(caught)
 
 
 def test_moment_table_conjugate_symmetry_enforced():
@@ -318,13 +348,16 @@ def test_char_function_warns_for_large_displacement():
         char_function(state, 0.5)
 
 
+def density_matrix(state) -> np.ndarray:
+    if isinstance(state, DensityState):
+        return state.matrix
+    return np.outer(state.amplitudes, state.amplitudes.conj())
+
+
 def laguerre_char(state, beta: complex) -> complex:
     """``e^{|beta|^2/2} Tr(rho D(beta))`` with every element of ``D`` from
     ``sqrt(n!/m!) beta^{m-n} e^{-|beta|^2/2} L_n^{(m-n)}(|beta|^2)``."""
-    if isinstance(state, DensityState):
-        rho = state.matrix
-    else:
-        rho = np.outer(state.amplitudes, state.amplitudes.conj())
+    rho = density_matrix(state)
     dim = rho.shape[0]
     x = abs(beta) ** 2
     m = np.arange(dim)[:, None]
@@ -367,6 +400,35 @@ def test_char_function_matches_laguerre_elements(name):
     bound = 1e-12 * np.maximum(1.0, np.abs(want))
     assert np.all(np.abs(batch - want) <= bound)
     assert np.all(np.abs(single - want) <= bound)
+
+
+def _padded_density(sub_dim: int, dim: int, seed: int) -> DensityState:
+    rho = np.zeros((dim, dim), dtype=complex)
+    rho[:sub_dim, :sub_dim] = random_density_state(sub_dim, seed).matrix
+    return DensityState(rho)
+
+
+# Support well below the cutoff: the truncated generator's exponential is
+# exact to roundoff only on levels far from the top of the basis.
+DENSE_D_STATES = {
+    "thermal nbar 0.7": lambda: make_thermal(0.7, 40),
+    "rank-3 rho on 20 levels": lambda: _padded_density(20, 40, 7),
+    "fock 3": lambda: make_fock(3, 40),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DENSE_D_STATES))
+def test_char_function_matches_dense_displacement(name):
+    """Phi against ``e^{|beta|^2/2} Tr(rho D(beta))`` with the dense
+    ``displacement_matrix`` reference, at dim 40 and ``|beta| <= 1.8``."""
+    state = DENSE_D_STATES[name]()
+    rho = density_matrix(state)
+    rng = np.random.default_rng(4)
+    radii = np.concatenate([[1.8, 0.05], 1.8 * np.sqrt(rng.random(10))])
+    for beta in radii * np.exp(2j * np.pi * rng.random(radii.size)):
+        dense = displacement_matrix(beta, state.dim)
+        want = np.exp(abs(beta) ** 2 / 2) * np.trace(rho @ dense)
+        assert abs(char_function(state, beta) - want) <= 1e-12 * max(1.0, abs(want))
 
 
 def test_char_values_edge_points():
