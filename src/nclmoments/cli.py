@@ -369,21 +369,18 @@ def verb_invert(config: RunConfig) -> int:
     scheme = doc["scheme"]
     if scheme == "a":
         table = scheme_a_invert(fourier_record_from_json(doc))
-        write_json(config.out, table_to_json(table))
-        print(f"wrote {config.out}")
-        print(f"n_mean = {table.entry(1, 1).real:.12g}")
+        out, n_mean = table_to_json(table), table.entry(1, 1).real
     elif scheme == "b":
-        moments = scheme_b_extract(*_detection_records(doc, ("record",)))
-        write_json(config.out, moments)
-        print(f"wrote {config.out}")
-        print(f"n_mean = {moments['n']:.12g}")
+        out = scheme_b_extract(*_detection_records(doc, ("record",)))
+        n_mean = out["n"]
     elif scheme == "c":
-        moments = scheme_c_extract(*_detection_records(doc, ("record", "blocked")))
-        write_json(config.out, moments)
-        print(f"wrote {config.out}")
-        print(f"n_mean = {moments['n']:.12g}")
+        out = scheme_c_extract(*_detection_records(doc, ("record", "blocked")))
+        n_mean = out["n"]
     else:
         raise ValidationError(f"unknown scheme tag {scheme!r} in record")
+    write_json(config.out, out)
+    print(f"wrote {config.out}")
+    print(f"n_mean = {n_mean:.12g}")
     return 0
 
 

@@ -15,16 +15,12 @@ intensity correlations, which is exact for ideal photodetectors:
   order, so a record cannot carry coefficients of some other scan.
 * **Scheme B** — an eight-port layout with four detectors seeing
   ``(a + i alpha)/2``, ``(a - i alpha)/2``, ``(a + alpha)/2`` and
-  ``(a - alpha)/2``.  Mean counts and pairwise coincidences reproduce the
-  first and second normally ordered moments of the quadratures
-  ``x_theta``/``p_theta`` at ``theta = arg(alpha)``.
-* **Scheme C** — intensity cross-correlation between the two outputs of a
-  single unbalanced beam splitter fed by signal and oscillator.  Each
-  output intensity mixes the photon number with the quadrature
-  ``x_theta`` at ``theta = arg(conj(t0) r0 alpha)``; the mean counts,
-  within-arm and cross-arm correlations, together with one
-  oscillator-blocked run, recover ``<n>``, ``<x>``, ``<:n^2:>``,
-  ``<:n x:>`` and ``<:x^2:>``.
+  ``(a - alpha)/2``; its counts fix the first and second normally ordered
+  moments of ``x_theta``/``p_theta`` at ``theta = arg(alpha)``.
+* **Scheme C** — intensity cross-correlation between the two outputs of an
+  unbalanced beam splitter fed by signal and oscillator, plus one
+  oscillator-blocked run; the counts fix ``<n>``, ``<x>``, ``<:n^2:>``,
+  ``<:n x:>`` and ``<:x^2:>`` at ``theta = arg(conj(t0) r0 alpha)``.
 
 All three share one forward model.  Each detector sees a linear mode
 ``b_i = u_i a + v_i`` of the signal, where ``v_i`` carries the oscillator.
@@ -32,9 +28,11 @@ The normally ordered correlation of a detector subset is
 ``<:Q^dag Q:>`` with ``Q = prod_i b_i = sum_k c_k a^k``, which is the
 quadratic form ``c^H T c`` of the moment table ``T[k, l] = <a^dag^k a^l>``
 over ``{1, a, ..., a^n}``.  One kernel evaluates it for a stack of
-coefficient rows: scheme A's rows are the binomial expansion of ``M^n`` for
-the tree mode ``M`` at every scanned phase, and the B and C rows are the
-``[v, u]`` rows of single detectors and their pairwise convolutions.
+coefficient rows: scheme A's are the binomial expansion of ``M^n`` for the
+tree mode ``M`` at every scanned phase, B's and C's the ``[v, u]`` rows of
+single detectors and their pairwise convolutions.  Scheme A is inverted
+order by order through the triangular structure of its rows; B and C by
+one least-squares solve of the same rows for the order-2 table.
 
 ``add_shot_noise`` perturbs any record by a seeded Gaussian of relative
 size ``1/sqrt(samples)``, emulating finite counting statistics.
@@ -45,18 +43,14 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 import numpy as np
 
-from .errors import (
-    SingularInversionError,
-    ValidationError,
-    WeakOscillatorWarning,
-)
-from .moments import MomentSource, MomentTable, as_real, resolve_table
+from .criteria import MonomialBasis, build_matrix
+from .errors import SingularInversionError, ValidationError, WeakOscillatorWarning
+from .moments import MomentSource, MomentTable, _warn_at_caller, as_real, resolve_table
 from .operators import Array
 
 _WEAK_LO = 0.5
@@ -86,6 +80,8 @@ class LOConfig:
         if r0 is None:
             r0 = -1j * math.sqrt(1.0 - self.t0**2)
         r0 = complex(r0)
+        if not (cmath.isfinite(self.alpha) and cmath.isfinite(r0)):
+            raise ValidationError("oscillator amplitude and r0 must be finite")
         if abs(self.t0**2 + abs(r0) ** 2 - 1.0) > 1e-12:
             raise ValidationError("beam splitter must be lossless: t0^2 + |r0|^2 = 1")
         object.__setattr__(self, "alpha", complex(self.alpha))
@@ -118,9 +114,10 @@ class DetectionRecord:
                 f"gamma keys mismatch: missing {sorted(missing)}, "
                 f"unexpected {sorted(extra)}"
             )
-        object.__setattr__(
-            self, "gammas", {k: float(self.gammas[k]) for k in GAMMA_KEYS}
-        )
+        gammas = {k: float(self.gammas[k]) for k in GAMMA_KEYS}
+        if not all(map(math.isfinite, gammas.values())):
+            raise ValidationError("detector counts must be finite")
+        object.__setattr__(self, "gammas", gammas)
 
 
 @dataclass(frozen=True)
@@ -161,6 +158,8 @@ class FourierRecord:
         if set(self.samples) != expected:
             raise ValidationError("phase samples are incomplete for n_max")
         samples = {key: float(self.samples[key]) for key in sorted(self.samples)}
+        if not all(map(math.isfinite, samples.values())):
+            raise ValidationError("phase samples must be finite")
         offset = cmath.phase(self.lo.alpha * self.lo.r0)
         coefficients: dict[tuple[int, int], complex] = {}
         for n in range(1, self.n_max + 1):
@@ -182,6 +181,12 @@ def scheme_a_phases(n: int) -> np.ndarray:
     return 2.0 * math.pi * np.arange(count) / count
 
 
+def _quadratic_forms(rows: Array, matrices: Array) -> Array:
+    """``c^H T c`` for every row ``c``, broadcast over a stack of matrices ``T``."""
+    size = rows.shape[1]
+    return np.sum((rows.conj() @ matrices[..., :size, :size]) * rows, axis=-1)
+
+
 def _coincidences(table: MomentTable, rows: Array, context: str) -> Array:
     """Normally ordered counts ``<:Q^dag Q:> = c^H T c``, one per row ``c``.
 
@@ -189,10 +194,23 @@ def _coincidences(table: MomentTable, rows: Array, context: str) -> Array:
     detector modes, and ``T[k, l] = <a^dag^k a^l>``.  Every value passes the
     imaginary-residue check of :func:`as_real` under ``context``.
     """
-    rows = np.atleast_2d(rows)
-    size = rows.shape[1]
-    values = np.sum((rows.conj() @ table.values[:size, :size]) * rows, axis=1)
+    values = _quadratic_forms(np.atleast_2d(rows), table.values)
     return np.array([as_real(complex(v), context) for v in values])
+
+
+def _check_oscillator(amp: float, action: str) -> None:
+    """Refuse a blocked oscillator and warn on a weak one.
+
+    ``amp`` is the oscillator amplitude the inversion divides by.
+    """
+    if amp < 1e-12:
+        raise SingularInversionError(f"{action} with a blocked oscillator")
+    if amp < _WEAK_LO:
+        _warn_at_caller(
+            f"oscillator amplitude {amp:.3g} is small; inversion amplifies "
+            f"noise by ~{1.0 / amp:.3g}",
+            WeakOscillatorWarning,
+        )
 
 
 def _tree_rows(n: int, lo: LOConfig, depth: int, phases) -> Array:
@@ -280,18 +298,9 @@ def scheme_a_invert(record: FourierRecord) -> MomentTable:
     moments slightly negative.
     """
     lo = record.lo
-    amp = abs(lo.r0 * lo.alpha)
-    if amp < 1e-12:
-        raise SingularInversionError(
-            "phase scans carry no moment information with a blocked oscillator"
-        )
-    if amp < _WEAK_LO:
-        warnings.warn(
-            f"|r0 alpha| = {amp:.3g} is small; inversion amplifies noise by "
-            f"~{1.0 / max(amp, 1e-300):.3g} per harmonic",
-            WeakOscillatorWarning,
-            stacklevel=2,
-        )
+    _check_oscillator(
+        abs(lo.r0 * lo.alpha), "phase scans carry no moment information"
+    )
     size = record.n_max + 1
     vals = np.zeros((size, size), dtype=complex)
     vals[0, 0] = 1.0
@@ -311,24 +320,68 @@ def scheme_a_invert(record: FourierRecord) -> MomentTable:
 # -- schemes B and C: four detectors ---------------------------------------
 
 
-def _detector_record(
-    scheme: str, lo: LOConfig, modes, source: MomentSource
-) -> DetectionRecord:
-    """Mean counts and pairwise coincidences of detectors seeing ``u a + v``.
+def _detector_rows(scheme: str, lo: LOConfig) -> Array:
+    """Rows ``c`` of the ten counts, in ``GAMMA_KEYS`` order, for both directions.
 
-    ``modes`` lists ``(u, v)`` for detectors 1..4; the count of a detector
-    subset is the kernel value of the product of its modes, whose
-    coefficient row is the convolution of the ``[v, u]`` rows.
+    Detector ``i`` sees ``u_i a + v_i``: a single count's row is ``[v, u, 0]``
+    and a pair's is the convolution of the two single rows.
     """
-    table = resolve_table(source, 2)
+    if scheme == "b":
+        alpha = lo.alpha
+        modes = [(0.5, 0.5j * alpha), (0.5, -0.5j * alpha),
+                 (0.5, 0.5 * alpha), (0.5, -0.5 * alpha)]
+    else:
+        half = math.sqrt(0.5)
+        first = (lo.t0 * half, lo.r0 * lo.alpha * half)
+        second = (-np.conj(lo.r0) * half, lo.t0 * lo.alpha * half)
+        modes = [first, first, second, second]
     singles = [np.array([v, u], dtype=complex) for u, v in modes]
-    # GAMMA_KEYS lists the singles, then the pairs in combinations order
     pairs = [np.convolve(b, c) for b, c in itertools.combinations(singles, 2)]
-    rows = np.array([np.append(b, 0.0) for b in singles] + pairs)
-    values = _coincidences(table, rows, f"scheme {scheme.upper()} count")
-    return DetectionRecord(
-        scheme=scheme, lo=lo, gammas=dict(zip(GAMMA_KEYS, values))
-    )
+    return np.array([np.append(b, 0.0) for b in singles] + pairs)
+
+
+def _detector_record(
+    scheme: str, lo: LOConfig, source: MomentSource
+) -> DetectionRecord:
+    """Mean counts and pairwise coincidences: the kernel over the scheme's rows."""
+    rows, context = _detector_rows(scheme, lo), f"scheme {scheme.upper()} count"
+    values = _coincidences(resolve_table(source, 2), rows, context)
+    return DetectionRecord(scheme=scheme, lo=lo, gammas=dict(zip(GAMMA_KEYS, values)))
+
+
+def _solve_table(
+    rows: Array, counts: Array, known: MomentTable, unknown
+) -> MomentTable:
+    """Least-squares moment table whose counts ``c^H T c`` match ``counts``.
+
+    ``known`` holds the fixed entries and zeros at the ``unknown`` pairs
+    ``(k, l)``, ``k <= l``.  Each unknown contributes the Hermitian unit
+    matrices of its real and (off the diagonal) imaginary part; their kernel
+    values against the rows form the design, which is solved against the
+    counts minus ``c^H T_known c`` with every design row scaled to unit norm.
+    Directions the counts do not fix come out at minimum norm.
+    """
+    eye = np.eye(known.max_order + 1)
+    units = []
+    for k, l in unknown:
+        unit = np.outer(eye[k], eye[l])
+        units += [unit] if k == l else [unit + unit.T, 1j * (unit - unit.T)]
+    units = np.array(units)
+    design = _quadratic_forms(rows, units).real.T
+    residual = counts - _quadratic_forms(rows, known.values).real
+    norms = np.linalg.norm(design, axis=1)
+    params = np.linalg.lstsq(design / norms[:, None], residual / norms, rcond=None)[0]
+    values = known.values + np.tensordot(params, units, axes=1)
+    return MomentTable(max_order=known.max_order, values=values, validate=False)
+
+
+def _order_two_table(*records: DetectionRecord) -> MomentTable:
+    """The order-2 table that best reproduces the records' counts together."""
+    rows = np.vstack([_detector_rows(r.scheme, r.lo) for r in records])
+    counts = [r.gammas[key] for r in records for key in GAMMA_KEYS]
+    known = MomentTable(max_order=2, values=np.diag([1.0, 0.0, 0.0]))
+    unknown = [(k, l) for k in range(3) for l in range(k, 3) if (k, l) != (0, 0)]
+    return _solve_table(rows, np.array(counts), known, unknown)
 
 
 def scheme_b_forward(source: MomentSource, lo: LOConfig) -> DetectionRecord:
@@ -337,43 +390,26 @@ def scheme_b_forward(source: MomentSource, lo: LOConfig) -> DetectionRecord:
     The detectors see ``(a + i alpha)/2``, ``(a - i alpha)/2``,
     ``(a + alpha)/2`` and ``(a - alpha)/2``.
     """
-    alpha = lo.alpha
-    modes = [(0.5, 0.5j * alpha), (0.5, -0.5j * alpha),
-             (0.5, 0.5 * alpha), (0.5, -0.5 * alpha)]
-    return _detector_record("b", lo, modes, source)
+    return _detector_record("b", lo, source)
 
 
 def scheme_b_extract(record: DetectionRecord) -> dict[str, float]:
     """Quadrature moments at ``theta = arg(alpha)`` from an eight-port record.
 
-    Returns ``n``, the means ``x``/``p``, and the normally ordered second
-    moments ``xx``/``pp``/``xp`` of ``x_theta`` and ``p_theta``.
+    The order-2 table solves the ten counts by least squares.  ``n`` is its
+    ``<a^dag a>``; the means ``x``/``p`` and normally ordered second moments
+    ``xx``/``pp``/``xp`` of ``x_theta``/``p_theta`` are read from its
+    quadrature moment matrix over ``{1, x, p}``.
     """
     if record.scheme != "b":
         raise ValidationError(f"expected a scheme-b record, got {record.scheme!r}")
-    alpha = record.lo.alpha
-    mag = abs(alpha)
-    if mag < 1e-12:
-        raise SingularInversionError(
-            "quadratures cannot be extracted with a blocked oscillator"
-        )
-    if mag < _WEAK_LO:
-        warnings.warn(
-            f"|alpha| = {mag:.3g} is small; extracted quadratures amplify "
-            "noise strongly",
-            WeakOscillatorWarning,
-            stacklevel=2,
-        )
-    g = record.gammas
-    n = g["g1"] + g["g2"] + g["g3"] + g["g4"] - mag**2
-    x = 2.0 * (g["g3"] - g["g4"]) / mag
-    p = 2.0 * (g["g1"] - g["g2"]) / mag
-    xx = 8.0 * (g["g12"] - g["g34"]) / mag**2 + 2.0 * n
-    pp = 8.0 * (g["g34"] - g["g12"]) / mag**2 + 2.0 * n
-    xp = 8.0 * (g["g13"] + g["g24"] - g["g12"] - g["g34"]) / mag**2 - 2.0 * n
+    _check_oscillator(abs(record.lo.alpha), "quadratures cannot be extracted")
+    table = _order_two_table(record)
+    theta = cmath.phase(record.lo.alpha)
+    m = build_matrix(table, MonomialBasis.graded("quad", 3), theta).values.real
     return {
-        "n": n, "x": x, "p": p, "xx": xx, "pp": pp, "xp": xp,
-        "theta": cmath.phase(alpha),
+        "n": table.entry(1, 1).real, "x": m[0, 1], "p": m[0, 2],
+        "xx": m[1, 1], "pp": m[2, 2], "xp": m[1, 2], "theta": theta,
     }
 
 
@@ -386,10 +422,7 @@ def scheme_c_forward(source: MomentSource, lo: LOConfig) -> DetectionRecord:
     intensity ``t0^2 n + |G| x_theta + |r0 alpha|^2`` and output 2 the
     complementary combination, where ``G = conj(t0) r0 alpha``.
     """
-    half = math.sqrt(0.5)
-    first = (lo.t0 * half, lo.r0 * lo.alpha * half)
-    second = (-np.conj(lo.r0) * half, lo.t0 * lo.alpha * half)
-    return _detector_record("c", lo, [first, first, second, second], source)
+    return _detector_record("c", lo, source)
 
 
 def scheme_c_extract(
@@ -399,10 +432,11 @@ def scheme_c_extract(
     """Photon-number and quadrature moments from a cross-correlation pair.
 
     ``record`` is a run with the oscillator on, ``blocked`` the same
-    splitter with the oscillator off.  The blocked coincidences depend only
-    on ``<:n^2:>``; with that in hand the phase-bearing differences of the
-    main run yield ``<x_theta>``, ``<:n x_theta:>`` and ``<:x_theta^2:>``
-    at ``theta = arg(conj(t0) r0 alpha)``.
+    splitter with the oscillator off.  Their twenty counts, solved together
+    by least squares, fix five of the order-2 table's eight real parameters:
+    ``<n>`` and, from the x–n moment matrix over ``{1, x, n}``,
+    ``<x_theta>``, ``<:n^2:>``, ``<:n x_theta:>`` and ``<:x_theta^2:>`` at
+    ``theta = arg(conj(t0) r0 alpha)``.
     """
     if record.scheme != "c" or blocked.scheme != "c":
         raise ValidationError("both records must come from scheme c")
@@ -411,48 +445,14 @@ def scheme_c_extract(
         raise ValidationError("the blocked record must have alpha = 0")
     if abs(blocked.lo.t0 - lo.t0) > 1e-12:
         raise ValidationError("records use different beam splitters")
-    g_mag = abs(np.conj(lo.t0) * lo.r0 * lo.alpha)
-    if g_mag < 1e-12:
-        raise SingularInversionError(
-            "quadratures cannot be extracted with a blocked oscillator"
-        )
-    if abs(lo.alpha) < _WEAK_LO:
-        warnings.warn(
-            f"|alpha| = {abs(lo.alpha):.3g} is small; extraction amplifies "
-            "noise strongly",
-            WeakOscillatorWarning,
-            stacklevel=2,
-        )
-    t_sq = lo.t0**2
-    r_sq = abs(lo.r0) ** 2
-    mag_sq = abs(lo.alpha) ** 2
-    g = record.gammas
-    gb = blocked.gammas
-
-    n = g["g1"] + g["g2"] + g["g3"] + g["g4"] - mag_sq
-    blocked_pairs = sum(gb[key] for key in GAMMA_KEYS[4:])
-    kappa = (t_sq**2 + r_sq**2 + 4.0 * t_sq * r_sq) / 4.0
-    nn = blocked_pairs / kappa
-    x = (
-        g["g1"] + g["g2"] - g["g3"] - g["g4"] - (t_sq - r_sq) * (n - mag_sq)
-    ) / (2.0 * g_mag)
-    nx = (
-        4.0 * (g["g12"] - g["g34"])
-        - (t_sq**2 - r_sq**2) * (nn - mag_sq**2)
-        - 2.0 * mag_sq * g_mag * x
-    ) / (2.0 * g_mag)
-    cross_sum = g["g13"] + g["g14"] + g["g23"] + g["g24"]
-    xx = (
-        t_sq * r_sq * nn
-        + (r_sq - t_sq) * g_mag * nx
-        + (t_sq**2 + r_sq**2) * mag_sq * n
-        + (t_sq - r_sq) * mag_sq * g_mag * x
-        + t_sq * r_sq * mag_sq**2
-        - cross_sum
-    ) / g_mag**2
+    gain = np.conj(lo.t0) * lo.r0 * lo.alpha
+    _check_oscillator(abs(gain), "quadratures cannot be extracted")
+    table = _order_two_table(record, blocked)
+    theta = cmath.phase(gain)
+    m = build_matrix(table, MonomialBasis.graded("xn", 3), theta).values.real
     return {
-        "n": n, "x": x, "nn": nn, "nx": nx, "xx": xx,
-        "theta": cmath.phase(np.conj(lo.t0) * lo.r0 * lo.alpha),
+        "n": table.entry(1, 1).real, "x": m[0, 1], "nn": m[2, 2],
+        "nx": m[1, 2], "xx": m[1, 1], "theta": theta,
     }
 
 

@@ -221,6 +221,39 @@ def test_invert_rejects_record_file_without_record(tmp_path, capsys):
     assert "lacks ['record']" in capsys.readouterr().err
 
 
+def _set_sample(doc):
+    doc["samples"][0]["value"] = math.nan
+
+
+def _set_gamma(doc):
+    doc["record"]["gammas"][0]["value"] = math.inf
+
+
+def _set_alpha(doc):
+    doc["record"]["lo"]["alpha"] = [math.nan, 0.0]
+
+
+@pytest.mark.parametrize("scheme, corrupt", [
+    ("a", _set_sample), ("b", _set_gamma), ("c", _set_alpha),
+])
+def test_invert_rejects_non_finite_record_values(tmp_path, capsys, scheme, corrupt):
+    """JSON admits NaN and Infinity; a record carrying them is invalid input."""
+    record = tmp_path / "rec.json"
+    rc = main([
+        "simulate", "--state", THERMAL, "--scheme", scheme, "--nmax", "2",
+        "--out", str(record),
+    ])
+    assert rc == 0
+    doc = read_json(record)
+    corrupt(doc)
+    record.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = main(["invert", "--record", str(record), "--out", str(tmp_path / "i.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "must be finite" in err and "Traceback" not in err
+
+
 VERB_ARGV = {
     "moments": ["--state", THERMAL],
     "criteria": ["--state", THERMAL],

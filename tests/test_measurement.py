@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_density_state, random_pure_state
 from nclmoments import (
@@ -12,6 +14,7 @@ from nclmoments import (
     FockState,
     FourierRecord,
     LOConfig,
+    MomentTable,
     SingularInversionError,
     ValidationError,
     WeakOscillatorWarning,
@@ -31,9 +34,14 @@ from nclmoments import (
     scheme_c_forward,
     xn_moment,
 )
+from nclmoments.cli import main
 from nclmoments.measurement import GAMMA_KEYS
 from nclmoments.operators import destroy
-from nclmoments.serialize import fourier_record_from_json, fourier_record_to_json
+from nclmoments.serialize import (
+    fourier_record_from_json,
+    fourier_record_to_json,
+    write_json,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +75,23 @@ def test_detection_record_validation():
         DetectionRecord(scheme="a", lo=lo, gammas=gammas)
     with pytest.raises(ValidationError):
         DetectionRecord(scheme="b", lo=lo, gammas={"g1": 0.0})
+
+
+def test_records_reject_non_finite_values():
+    with pytest.raises(ValidationError):
+        LOConfig(alpha=complex(math.nan, 0.0))
+    with pytest.raises(ValidationError):
+        LOConfig(alpha=1.0, t0=0.6, r0=complex(math.inf, 0.0))
+    record = scheme_b_forward(make_thermal(0.5, 32), LOConfig(2.0))
+    with pytest.raises(ValidationError):
+        DetectionRecord(
+            scheme="b", lo=record.lo, gammas=dict(record.gammas, g13=math.inf)
+        )
+    scan = scheme_a_sample_and_fourier(make_thermal(0.5, 32), 2, LOConfig(2.0), 1)
+    with pytest.raises(ValidationError):
+        FourierRecord(
+            depth=1, lo=scan.lo, n_max=2, samples={**scan.samples, (2, 3): math.nan}
+        )
 
 
 def test_fourier_record_detector_count_bound():
@@ -348,6 +373,137 @@ def test_scheme_c_extract_validation():
     weak = scheme_c_forward(state, LOConfig(alpha=0.3, t0=0.8))
     with pytest.warns(WeakOscillatorWarning):
         scheme_c_extract(weak, scheme_c_forward(state, lo.blocked()))
+
+
+# ---------------------------------------------------------------------------
+# schemes B and C: least-squares inversion
+
+
+def four_detector_records(source, scheme, lo):
+    if scheme == "b":
+        return [scheme_b_forward(source, lo)]
+    return [scheme_c_forward(source, lo), scheme_c_forward(source, lo.blocked())]
+
+
+def extract(scheme, records):
+    return (scheme_b_extract if scheme == "b" else scheme_c_extract)(*records)
+
+
+def stacked_counts(records):
+    return np.array([r.gammas[key] for r in records for key in GAMMA_KEYS])
+
+
+def reference_moments(table, scheme, theta):
+    """The extracted keys from a moment table through the public moment routines."""
+    if scheme == "b":
+        pairs = {"x": (1, 0), "p": (0, 1), "xx": (2, 0), "pp": (0, 2), "xp": (1, 1)}
+        ref = {k: quad_moment(table, *xp, theta) for k, xp in pairs.items()}
+    else:
+        pairs = {"x": (1, 0), "nn": (0, 2), "nx": (1, 1), "xx": (2, 0)}
+        ref = {k: xn_moment(table, *xn, theta) for k, xn in pairs.items()}
+    return dict(ref, n=table.entry(1, 1).real)
+
+
+@pytest.mark.parametrize("scheme", ["b", "c"])
+def test_extraction_is_the_least_squares_inverse(scheme):
+    """Counts moved within the left null space of the row-scaled design leave
+    the extracted moments unchanged.
+
+    The design ``A`` is read off the public forward model: column ``j`` is
+    the count change caused by the ``j``-th real parameter of the order-2
+    table.  With ``D`` its row norms, a perturbation ``D u`` with
+    ``u^T D^-1 A = 0`` is invisible to the row-scaled least-squares solve,
+    whereas a left inverse other than that one moves the answer.
+    """
+    lo = LOConfig(alpha=2.0 + 1.0j, t0=0.8)
+    base = np.diag([1.0, 0.0, 0.0]).astype(complex)
+    origin = stacked_counts(four_detector_records(MomentTable(2, base), scheme, lo))
+    columns = []
+    for k, l in [(0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]:
+        for part in (1.0,) if k == l else (1.0, 1.0j):
+            unit = np.zeros((3, 3), dtype=complex)
+            unit[k, l], unit[l, k] = part, np.conj(part)
+            records = four_detector_records(MomentTable(2, base + unit), scheme, lo)
+            columns.append(stacked_counts(records) - origin)
+    design = np.array(columns).T
+    norms = np.linalg.norm(design, axis=1)
+    left, sing, _ = np.linalg.svd(design / norms[:, None])
+    null = left[:, np.sum(sing > 1e-10 * sing[0]):]
+    assert null.shape[1] == (2 if scheme == "b" else 15)
+
+    records = four_detector_records(random_pure_state(24, 61), scheme, lo)
+    want = extract(scheme, records)
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        shift = norms * (null @ rng.standard_normal(null.shape[1]))
+        moved, offset = [], 0
+        for record in records:
+            gammas = {k: record.gammas[k] + shift[offset + i]
+                      for i, k in enumerate(GAMMA_KEYS)}
+            moved.append(DetectionRecord(scheme=scheme, lo=record.lo, gammas=gammas))
+            offset += len(GAMMA_KEYS)
+        got = extract(scheme, moved)
+        for key, value in want.items():
+            assert abs(got[key] - value) <= 1e-12 * max(1.0, abs(value)), key
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    scheme=st.sampled_from(["b", "c"]),
+    parts=st.lists(st.floats(-2.0, 2.0), min_size=8, max_size=8),
+    magnitude=st.floats(0.5, 5.0),
+    phase=st.floats(0.0, 2.0 * math.pi),
+    t0=st.floats(0.2, 0.95),
+)
+def test_four_detector_round_trip_over_oscillators(scheme, parts, magnitude, phase, t0):
+    """Any Hermitian order-2 table survives forward model and extraction."""
+    values = np.zeros((3, 3), dtype=complex)
+    values[0, 0], values[1, 1], values[2, 2] = 1.0, parts[0], parts[1]
+    values[0, 1] = complex(parts[2], parts[3])
+    values[0, 2] = complex(parts[4], parts[5])
+    values[1, 2] = complex(parts[6], parts[7])
+    values += np.triu(values, 1).conj().T
+    table = MomentTable(2, values, validate=False)
+    lo = LOConfig(alpha=magnitude * np.exp(1j * phase), t0=t0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", WeakOscillatorWarning)
+        out = extract(scheme, four_detector_records(table, scheme, lo))
+    ref = reference_moments(table, scheme, out["theta"])
+    assert set(out) == set(ref) | {"theta"}
+    for key, value in ref.items():
+        assert abs(out[key] - value) <= 1e-9 * max(1.0, abs(value)), key
+
+
+def _invert_weak_record_file(tmp_path):
+    record = scheme_a_sample_and_fourier(make_fock(1, 16), 2, LOConfig(0.3), 1)
+    path = tmp_path / "weak.json"
+    write_json(path, fourier_record_to_json(record))
+    assert main(["invert", "--record", str(path), "--out", str(tmp_path / "i.json")]) == 0
+
+
+WEAK_OSCILLATOR_CALLS = {
+    "scheme_a_invert": lambda tmp_path: scheme_a_invert(
+        scheme_a_sample_and_fourier(make_fock(1, 16), 2, LOConfig(0.3), 1)
+    ),
+    "scheme_b_extract": lambda tmp_path: scheme_b_extract(
+        scheme_b_forward(make_fock(1, 16), LOConfig(0.3))
+    ),
+    # |t0 r0 alpha| = 0.48: the amplitude scheme C divides by is weak
+    "scheme_c_extract": lambda tmp_path: scheme_c_extract(
+        *four_detector_records(make_fock(1, 16), "c", LOConfig(1.0, t0=0.8))
+    ),
+    "cli_invert": _invert_weak_record_file,
+}
+
+
+@pytest.mark.parametrize("name", sorted(WEAK_OSCILLATOR_CALLS))
+def test_weak_oscillator_warning_points_at_the_caller(name, tmp_path):
+    """Every inversion attributes ``WeakOscillatorWarning`` to its caller."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        WEAK_OSCILLATOR_CALLS[name](tmp_path)
+    assert caught and all(w.category is WeakOscillatorWarning for w in caught)
+    assert [w.filename for w in caught] == [__file__] * len(caught)
 
 
 # ---------------------------------------------------------------------------
