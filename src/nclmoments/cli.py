@@ -5,7 +5,9 @@ One verb produces one artifact; verbs compose through files:
 * ``moments``  — moment table of a state (JSON).
 * ``criteria`` — determinant hierarchies and witnesses (JSON report).
 * ``sweep``    — amplitude-squared squeezing witnesses over an
-  ``(m, lambda)`` grid (CSV).
+  ``(m, lambda)`` grid (CSV), read from exact moment tables
+  (:func:`~nclmoments.moments.ass_moment_table`); it accepts ``--dim`` but
+  uses no Fock truncation.
 * ``qfunc``    — Husimi distribution on a square grid (CSV).
 * ``simulate`` — forward measurement record for scheme a, b or c (JSON),
   optionally with seeded shot noise.
@@ -15,8 +17,8 @@ One verb produces one artifact; verbs compose through files:
 Exit codes: 0 success; 2 invalid input; 3 truncation or insufficient
 moment order; 4 singular inversion; 10 (``criteria`` only) nonclassicality
 witnessed by a negative classified determinant.  The default truncation
-dimension is 64, overridable by the ``NCL_DEFAULT_DIM`` environment
-variable or ``--dim``.
+dimension of the verbs that build a state is 64, overridable by the
+``NCL_DEFAULT_DIM`` environment variable or ``--dim``.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from .measurement import (
     scheme_c_extract,
     scheme_c_forward,
 )
-from .moments import moment_table
+from .moments import ass_moment_table, moment_table
 from .serialize import (
     detection_record_from_json,
     detection_record_to_json,
@@ -68,7 +70,6 @@ from .serialize import (
     write_csv,
     write_json,
 )
-from .states import make_ass_state
 
 _DEFAULT_OUT = {
     "moments": "moments.json",
@@ -175,7 +176,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add_verb(name: str, summary: str, state: bool = True) -> argparse.ArgumentParser:
+    def add_verb(
+        name: str, summary: str, state: bool = True, dim_help: str = "Fock truncation"
+    ) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
         if state:
             p.add_argument(
@@ -183,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
                 required=True,
                 help="state spec: inline JSON or path to a JSON file",
             )
-        p.add_argument("--dim", type=int, help="Fock truncation")
+        p.add_argument("--dim", type=int, help=dim_help)
         p.add_argument("--out", help="output file path")
         p.add_argument(
             "--tolerance", type=float,
@@ -199,7 +202,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nmax", type=int, help="largest hierarchy order")
     p.add_argument("--phi", type=float, help="quadrature angle")
 
-    p = add_verb("sweep", "witness sweep over (m, lambda)", state=False)
+    p = add_verb(
+        "sweep", "witness sweep over (m, lambda)", state=False,
+        dim_help="accepted and unused: the sweep's moment tables are exact "
+        "and need no Fock truncation",
+    )
     p.add_argument("--m-list", help="comma-separated orders m")
     p.add_argument("--lambda-range", help="'start,stop,step' grid for lambda")
 
@@ -293,8 +300,7 @@ def verb_sweep(config: RunConfig) -> int:
     rows = []
     for m in sorted(config.m_list):
         for lam in lambdas:
-            state, _ = make_ass_state(m, lam, config.dim)
-            table = moment_table(state, 4)
+            table = ass_moment_table(m, lam)
             amin, amax = asq_min_max(table)
             rows.append(
                 (lam, float(m), s3(table), amin, amax, table.entry(1, 1).real)

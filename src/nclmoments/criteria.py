@@ -33,6 +33,7 @@ determinants of the normally ordered characteristic function.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Optional, Sequence, Union
@@ -168,20 +169,13 @@ class MomentMatrix:
         return as_real(complex(np.linalg.det(block)), f"leading {n}x{n} determinant")
 
 
-def build_matrix(
-    source: MomentSource,
-    basis: MonomialBasis,
-    phi: float = 0.0,
-) -> MomentMatrix:
-    """Moment matrix ``M[i, j] = <:f_i^dag w f_j:>`` over the basis ``f``.
+@functools.lru_cache(maxsize=128)
+def _expansion(basis: MonomialBasis, phi: float) -> tuple[Array, ...]:
+    """Gather indices, weights, ``C^H`` and ``C`` of :func:`build_matrix`.
 
-    Each monomial is expanded once into terms ``a^dag^p a^q``: ``f_j = sum_t
-    C[t, j] a^dag^{p_t} a^{q_t}``.  One gather from the table forms
-    ``A_w[s, t] = sum_kl w_kl <a^dag^{q_s + p_t + k} a^{p_s + q_t + l}>`` and
-    ``M = C^H A_w C``.  ``w = :p_phi^2:`` for ``XN_WEIGHTED`` (since
-    ``:x_phi^2 + p_phi^2: = 4 n``), and ``w = 1`` otherwise.
+    They depend on the basis and the angle only, so each ``(basis, phi)`` is
+    expanded once; the arrays are shared by every caller and read-only.
     """
-    table = resolve_table(source, basis.required_order())
     if basis.kind is BasisKind.AA:
         polys = [NormalPolynomial({pair: 1.0}) for pair in basis.pairs]
     else:
@@ -200,9 +194,36 @@ def build_matrix(
     p, q = np.array(terms).T
     wp, wq = np.array(list(weight.terms)).T[:, :, None, None]
     w = np.array(list(weight.terms.values()))[:, None, None]
-    gathered = table.values[q[:, None] + p[None, :] + wp, p[:, None] + q[None, :] + wq]
-    a_w = (w * gathered).sum(axis=0)
-    vals = coeffs.conj().T @ a_w @ coeffs
+    arrays = (
+        q[:, None] + p[None, :] + wp,
+        p[:, None] + q[None, :] + wq,
+        w,
+        coeffs.conj().T,
+        coeffs,
+    )
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
+
+
+def build_matrix(
+    source: MomentSource,
+    basis: MonomialBasis,
+    phi: float = 0.0,
+) -> MomentMatrix:
+    """Moment matrix ``M[i, j] = <:f_i^dag w f_j:>`` over the basis ``f``.
+
+    Each monomial is expanded into terms ``a^dag^p a^q``: ``f_j = sum_t
+    C[t, j] a^dag^{p_t} a^{q_t}``.  One gather from the table forms
+    ``A_w[s, t] = sum_kl w_kl <a^dag^{q_s + p_t + k} a^{p_s + q_t + l}>`` and
+    ``M = C^H A_w C``.  ``w = :p_phi^2:`` for ``XN_WEIGHTED`` (since
+    ``:x_phi^2 + p_phi^2: = 4 n``), and ``w = 1`` otherwise.  The expansion
+    is computed once per ``(basis, phi)`` and reused.
+    """
+    table = resolve_table(source, basis.required_order())
+    rows, cols, w, coeffs_h, coeffs = _expansion(basis, phi)
+    a_w = (w * table.values[rows, cols]).sum(axis=0)
+    vals = coeffs_h @ a_w @ coeffs
     return MomentMatrix(basis=basis, phi=phi, values=0.5 * (vals + vals.conj().T))
 
 

@@ -7,7 +7,8 @@ cross-correlations, moment matrices, witnesses — is a finite linear
 combination of these entries, expressed through :class:`NormalPolynomial`;
 each hierarchy and witness is a matrix ``C^H A_w C`` over the one table (see
 :mod:`nclmoments.criteria`), and one kernel fills the table from the offset
-diagonals ``rho[m, m+d]``.
+diagonals ``rho[m, m+d]``.  :func:`ass_moment_table` gives the table of an
+amplitude-squared squeezed state exactly, with no truncated state.
 
 Conventions
 -----------
@@ -44,8 +45,8 @@ from .errors import (
     OrderAccuracyWarning,
     ValidationError,
 )
-from .operators import Array
-from .states import DensityState, FockState, State
+from .operators import Array, destroy
+from .states import DensityState, FockState, State, _hermite_seed, ass_params
 
 _SYMMETRY_TOL = 1e-10
 _DIAGONAL_TOL = 1e-12
@@ -176,6 +177,31 @@ def moment_table(state: State, max_order: int) -> MomentTable:
     orders = np.arange(max_order + 1)
     values = _normal_moments(state, orders[:, None], orders[None, :])
     return MomentTable(max_order=max_order, values=values)
+
+
+def ass_moment_table(m: int, lam: float, max_order: int = 4) -> MomentTable:
+    """Exact moment table of the amplitude-squared squeezed state ``(m, lam)``.
+
+    The state is ``U s`` for the seed ``s = H_m(i gamma a^dag)|0>`` (see
+    :func:`nclmoments.states.make_ass_state`), and ``U^dag a U = b`` with
+    ``b = mu a + nu a^dag``, so ``<a^dag^k a^l> = <b^k s|b^l s>``.  The seed
+    lives on ``m + 1`` levels and each ``b`` raises the top level by one, so
+    the Gram matrix of ``v_l = b^l s`` on ``m + 1 + max_order`` levels is the
+    table with no truncation: there is no ``dim``, no matrix exponential and
+    no :class:`~nclmoments.errors.TruncationError`.
+    """
+    if max_order < 0:
+        raise ValidationError("max_order must be nonnegative")
+    params = ass_params(m, lam)
+    dim = m + 1 + max_order
+    a = destroy(dim)
+    b = params.mu * a + params.nu * a.conj().T
+    vectors = [_hermite_seed(params, dim)]
+    for _ in range(max_order):
+        vectors.append(b @ vectors[-1])
+    v = np.array(vectors)
+    gram = v.conj() @ v.T
+    return MomentTable(max_order=max_order, values=0.5 * (gram + gram.conj().T))
 
 
 @dataclass(frozen=True)

@@ -43,23 +43,28 @@ def complex_to_json(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
+def _is_number(value: Any) -> bool:
+    """JSON numbers only: ``true`` decodes to a ``bool``, an ``int`` subclass."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _number(value: Any, context: str) -> float:
+    """A decoded JSON number as a float; booleans and strings are refused."""
+    if not _is_number(value):
+        raise ValidationError(f"{context} must be a number, got {value!r}")
+    return float(value)
+
+
 def complex_from_json(value: Any, context: str) -> complex:
-    if isinstance(value, (int, float)):
+    if _is_number(value):
         return complex(value)
     if (
         isinstance(value, (list, tuple))
         and len(value) == 2
-        and all(isinstance(v, (int, float)) for v in value)
+        and all(_is_number(v) for v in value)
     ):
         return complex(value[0], value[1])
     raise ValidationError(f"{context} must be a number or an [re, im] pair")
-
-
-def _require_number(spec: Mapping[str, Any], key: str) -> float:
-    value = spec.get(key)
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ValidationError(f"state spec field {key!r} must be a number")
-    return float(value)
 
 
 def state_from_spec(spec: Mapping[str, Any], default_dim: int = 64) -> State:
@@ -89,14 +94,14 @@ def state_from_spec(spec: Mapping[str, Any], default_dim: int = 64) -> State:
         alpha = complex_from_json(spec.get("alpha"), "coherent alpha")
         return make_coherent(alpha, dim)
     if kind == "thermal":
-        return make_thermal(_require_number(spec, "nbar"), dim)
+        return make_thermal(_number(spec.get("nbar"), "state spec field 'nbar'"), dim)
     if kind == "squeezed_vacuum":
         z = complex_from_json(spec.get("z"), "squeeze parameter z")
         return apply_squeeze(make_fock(0, dim), z)
     m = spec.get("m")
     if not isinstance(m, int) or isinstance(m, bool):
         raise ValidationError("ass spec needs an integer m")
-    lam = _require_number(spec, "lambda")
+    lam = _number(spec.get("lambda"), "state spec field 'lambda'")
     state, _ = make_ass_state(m, lam, dim)
     return state
 
@@ -146,7 +151,10 @@ def table_from_json(doc: Mapping[str, Any]) -> MomentTable:
             if (k, l) in seen:
                 raise ValidationError(f"duplicate table entry ({k}, {l})")
             seen.add((k, l))
-            vals[k, l] = complex(float(item["re"]), float(item["im"]))
+            vals[k, l] = complex(
+                _number(item["re"], f"table entry ({k}, {l}) re"),
+                _number(item["im"], f"table entry ({k}, {l}) im"),
+            )
             vals[l, k] = np.conj(vals[k, l])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed moment-table document: {exc!r}") from exc
@@ -186,7 +194,7 @@ def lo_from_json(doc: Mapping[str, Any]) -> LOConfig:
     try:
         return LOConfig(
             alpha=complex_from_json(doc["alpha"], "lo alpha"),
-            t0=float(doc["t0"]),
+            t0=_number(doc["t0"], "lo t0"),
             r0=complex_from_json(doc["r0"], "lo r0"),
         )
     except KeyError as exc:
@@ -215,13 +223,13 @@ def detection_record_to_json(record: DetectionRecord) -> dict[str, Any]:
 def detection_record_from_json(doc: Mapping[str, Any]) -> DetectionRecord:
     try:
         gammas = {
-            _key_of_subset(item["subset"]): float(item["value"])
+            _key_of_subset(item["subset"]): _number(item["value"], "detection count")
             for item in doc["gammas"]
         }
         return DetectionRecord(
             scheme=str(doc["scheme"]), lo=lo_from_json(doc["lo"]), gammas=gammas
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ValidationError) as exc:
         raise ValidationError(f"malformed detection record: {exc}") from exc
 
 
@@ -250,7 +258,7 @@ def fourier_record_to_json(record: FourierRecord) -> dict[str, Any]:
 def fourier_record_from_json(doc: Mapping[str, Any]) -> FourierRecord:
     try:
         samples = {
-            (int(item["n"]), int(item["j"])): float(item["value"])
+            (int(item["n"]), int(item["j"])): _number(item["value"], "phase-scan sample")
             for item in doc["samples"]
         }
         return FourierRecord(
@@ -259,7 +267,7 @@ def fourier_record_from_json(doc: Mapping[str, Any]) -> FourierRecord:
             n_max=int(doc["n_max"]),
             samples=samples,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ValidationError) as exc:
         raise ValidationError(f"malformed phase-scan record: {exc}") from exc
 
 

@@ -221,13 +221,15 @@ def apply_squeeze(state: FockState, z: complex) -> FockState:
     return FockState(out / math.sqrt(norm_sq))
 
 
-def _hermite_seed(m: int, gamma: complex, dim: int) -> tuple[Array, float]:
-    """Normalized Fock amplitudes of ``H_m(i gamma a^dag)|0>`` and ``|c_m|^2``.
+def _hermite_seed(params: AssParams, dim: int) -> Array:
+    """Normalized Fock amplitudes of the seed ``H_m(i gamma a^dag)|0>`` on ``dim`` levels.
 
     ``H_m`` is the physicists' Hermite polynomial; the monomial
     ``(i gamma a^dag)^k`` contributes ``(i gamma)^k sqrt(k!)`` to ``|k>``.
-    The seed only populates photon numbers with the parity of ``m``.
+    The seed only populates photon numbers with the parity of ``m``.  Its
+    numeric norm is checked against the closed-form ``params.c_m_sq``.
     """
+    m, gamma = params.m, params.gamma
     if m >= dim:
         raise DimensionError(f"seed order m={m} does not fit in dim {dim}")
     basis = np.zeros(m + 1)
@@ -239,7 +241,12 @@ def _hermite_seed(m: int, gamma: complex, dim: int) -> tuple[Array, float]:
             continue
         amps[k] = h_k * (1j * gamma) ** k * math.sqrt(math.factorial(k))
     norm_sq = float(np.vdot(amps, amps).real)
-    return amps / math.sqrt(norm_sq), 1.0 / norm_sq
+    if abs(1.0 / norm_sq - params.c_m_sq) > 1e-8 * params.c_m_sq:
+        raise ValidationError(
+            "numeric seed normalization disagrees with its closed form; "
+            f"got {1.0 / norm_sq!r}, expected {params.c_m_sq!r}"
+        )
+    return amps / math.sqrt(norm_sq)
 
 
 def ass_params(m: int, lam: float) -> AssParams:
@@ -290,14 +297,8 @@ def make_ass_state(m: int, lam: float, dim: int) -> tuple[FockState, AssParams]:
     sign convention.  The returned parameters are ``ass_params(m, lam)``.
     """
     params = ass_params(m, lam)
-    seed, c_m_sq = _hermite_seed(m, params.gamma, dim)
-    state = apply_squeeze(FockState(seed), -params.z)
-    if abs(c_m_sq - params.c_m_sq) > 1e-8 * params.c_m_sq:
-        raise ValidationError(
-            "numeric seed normalization disagrees with its closed form; "
-            f"got {c_m_sq!r}, expected {params.c_m_sq!r}"
-        )
-    return state, params
+    seed = _hermite_seed(params, dim)
+    return apply_squeeze(FockState(seed), -params.z), params
 
 
 def q_function(state: State, grid: Array) -> Array:

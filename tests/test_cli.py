@@ -5,8 +5,10 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from nclmoments import asq_min_max, make_ass_state, moment_table, s3
 from nclmoments.cli import build_parser, config_from_args, main
 from nclmoments.serialize import read_json
 
@@ -65,6 +67,48 @@ def test_sweep_verb_single_point_closed_form(tmp_path):
     assert float(row["lambda"]) == 2.0
     assert float(row["s3"]) == pytest.approx(-2.0, abs=1e-9)
     assert float(row["asq_min"]) < 0.0 < float(row["asq_max"])
+
+
+def test_sweep_tables_need_no_truncation(tmp_path, capsys):
+    """At lambda 0.2 the squeezed Fock state overflows dim 96; the exact table does not."""
+    out = tmp_path / "sweep.csv"
+    rc = main([
+        "sweep", "--m-list", "2", "--lambda-range", "0.2,0.2,0.1",
+        "--dim", "96", "--out", str(out),
+    ])
+    assert rc == 0, capsys.readouterr().err
+    header, row = out.read_text().splitlines()
+    assert float(dict(zip(header.split(","), row.split(",")))["s3"]) < 0.0
+
+
+def test_sweep_equals_fock_route_on_acceptance_grid(tmp_path):
+    """Criterion 7's grid, row by row against the dim-96 squeezed Fock states."""
+    out = tmp_path / "sweep.csv"
+    rc = main([
+        "sweep", "--m-list", "2,3,4", "--lambda-range", "1.05,2.0,0.05",
+        "--dim", "96", "--out", str(out),
+    ])
+    assert rc == 0
+    rows = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert rows.shape == (60, 6)
+    for lam, m, *values in rows:
+        table = moment_table(make_ass_state(int(m), lam, 96)[0], 4)
+        want = (s3(table), *asq_min_max(table), table.entry(1, 1).real)
+        for got, exp in zip(values, want):
+            assert abs(got - exp) <= 1e-12 * max(1.0, abs(exp)), (m, lam)
+
+
+def test_sweep_runs_without_scipy(tmp_path):
+    script = (
+        "import sys; sys.modules['scipy'] = None; "
+        "from nclmoments.cli import main; "
+        f"sys.exit(main(['sweep', '--m-list', '2,5', '--out', {str(tmp_path / 's.csv')!r}]))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    assert "(40 rows)" in result.stdout
 
 
 def test_sweep_rejects_classical_lambda(tmp_path):
@@ -252,6 +296,30 @@ def test_invert_rejects_non_finite_record_values(tmp_path, capsys, scheme, corru
     assert rc == 2
     err = capsys.readouterr().err
     assert "must be finite" in err and "Traceback" not in err
+
+
+def _set_alpha_true(doc):
+    doc["record"]["lo"]["alpha"] = True
+
+
+def _set_count_string(doc):
+    doc["record"]["gammas"][0]["value"] = "0.5"
+
+
+@pytest.mark.parametrize("corrupt", [_set_alpha_true, _set_count_string])
+def test_invert_rejects_json_non_numbers(tmp_path, capsys, corrupt):
+    """JSON ``true`` and numeric strings are not numbers."""
+    record = tmp_path / "rec.json"
+    assert main([
+        "simulate", "--state", THERMAL, "--scheme", "b", "--out", str(record),
+    ]) == 0
+    doc = read_json(record)
+    corrupt(doc)
+    record.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = main(["invert", "--record", str(record), "--out", str(tmp_path / "i.json")])
+    assert rc == 2
+    assert "must be a number" in capsys.readouterr().err
 
 
 VERB_ARGV = {

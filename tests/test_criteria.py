@@ -208,6 +208,19 @@ def test_build_matrix_matches_per_entry_formulas(seed, basis):
     assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
+def test_build_matrix_expansion_follows_the_angle():
+    """One basis at alternating angles: the cached expansion is keyed on phi."""
+    basis = MonomialBasis.graded(BasisKind.QUAD, 10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", OrderAccuracyWarning)
+        table = moment_table(random_density_state(32, 5), basis.required_order())
+    for phi in (0.0, 0.37, 0.0):
+        got = build_matrix(table, basis, phi)
+        want = long_hand_matrix(table, basis, phi)
+        assert got.phi == phi
+        assert np.max(np.abs(got.values - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_witnesses_match_long_hand_formulas(seed):
     phi = 0.37

@@ -2,7 +2,8 @@
 
 The oracle is validated three independent ways: hand-derived low-order
 values, operator (Bogoliubov) algebra for the m=1 member, and direct
-Fock-space numerics at higher orders.
+Fock-space numerics at higher orders.  It in turn checks the exact
+Bogoliubov-image tables of ``ass_moment_table``.
 """
 
 import math
@@ -11,12 +12,15 @@ import numpy as np
 import pytest
 
 from nclmoments import (
+    TruncationError,
     ass_moment_analytic,
+    ass_moment_table,
     ass_oracle,
     ass_params,
     gegenbauer_c_m_sq,
     make_ass_state,
     moment_aa,
+    moment_table,
 )
 from nclmoments import hermite
 from nclmoments.hermite import HermiteOracle
@@ -124,3 +128,45 @@ def test_recursion_agrees_with_direct_quartic():
     want = mu**2 * nu**2 + 2 * nu**4
     got = oracle.value(0, 0, 2, 2)
     assert got == pytest.approx(want, rel=1e-12)
+
+
+TABLE_LAMBDAS = (0.1, 0.2, 0.6, 0.9, 1.05, 1.5, 3.0)
+
+
+def _relative_error(got, want):
+    return float(np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))))
+
+
+@pytest.mark.parametrize("m", range(6))
+def test_ass_moment_table_matches_oracle(m):
+    for lam in TABLE_LAMBDAS:
+        params = ass_params(m, lam)
+        want = np.array(
+            [[ass_moment_analytic(params, k, l) for l in range(5)] for k in range(5)]
+        )
+        got = ass_moment_table(m, lam).values
+        assert _relative_error(got, want) <= 1e-13, (m, lam)
+        assert np.array_equal(got, got.conj().T)
+
+
+@pytest.mark.parametrize("m", range(6))
+def test_ass_moment_table_matches_fock_route(m):
+    """Equal to the squeezed Fock state's table wherever truncation is negligible.
+
+    The dim-96 route passes its tail check at some points while its order-4
+    moments still carry truncation error (5e-6 relative at m 0, lambda 0.2);
+    there the dim-192 route, which has converged, is the reference, and the
+    exact table must sit no farther from the dim-96 table than it does.
+    """
+    for lam in TABLE_LAMBDAS:
+        try:
+            coarse = moment_table(make_ass_state(m, lam, 96)[0], 4).values
+        except TruncationError:
+            continue
+        fine = moment_table(make_ass_state(m, lam, 192)[0], 4).values
+        exact = ass_moment_table(m, lam).values
+        assert _relative_error(exact, fine) <= 1e-12, (m, lam)
+        truncation = _relative_error(coarse, fine)
+        assert _relative_error(exact, coarse) <= 1e-12 + 1.01 * truncation, (m, lam)
+        if truncation <= 1e-13:
+            assert _relative_error(exact, coarse) <= 1e-12, (m, lam)
