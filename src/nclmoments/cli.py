@@ -14,11 +14,15 @@ One verb produces one artifact; verbs compose through files:
 * ``invert``   — moment table (scheme a) or extracted moments (b, c)
   from a record produced by ``simulate``.
 
+Each verb accepts only the options it reads: ``--tolerance`` is
+``criteria``'s, and ``--dim`` is taken by the verbs that build a state
+(``moments``, ``criteria``, ``qfunc``, ``simulate``), whose default of 64
+the ``NCL_DEFAULT_DIM`` environment variable overrides.  Record files are
+:func:`~nclmoments.serialize.records_to_json` documents.
+
 Exit codes: 0 success; 2 invalid input; 3 truncation or insufficient
 moment order; 4 singular inversion; 10 (``criteria`` only) nonclassicality
-witnessed by a negative classified determinant.  The default truncation
-dimension of the verbs that build a state is 64, overridable by the
-``NCL_DEFAULT_DIM`` environment variable or ``--dim``.
+witnessed by a negative classified determinant.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -48,6 +51,7 @@ from .errors import (
     ValidationError,
 )
 from .measurement import (
+    FourierRecord,
     LOConfig,
     add_shot_noise,
     scheme_a_invert,
@@ -59,12 +63,10 @@ from .measurement import (
 )
 from .moments import ass_moment_table, moment_table
 from .serialize import (
-    detection_record_from_json,
-    detection_record_to_json,
-    fourier_record_from_json,
-    fourier_record_to_json,
     parse_state_argument,
     read_json,
+    records_from_json,
+    records_to_json,
     report_to_json,
     table_to_json,
     write_csv,
@@ -81,30 +83,7 @@ _DEFAULT_OUT = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated settings of one CLI invocation."""
-
-    verb: str
-    state: Optional[str]
-    dim: int
-    order: int
-    phi: float
-    kind: str
-    nmax: int
-    scheme: str
-    depth: int
-    lo_alpha: complex
-    t0: float
-    samples: Optional[float]
-    seed: int
-    out: str
-    tolerance: float
-    record: Optional[str]
-    m_list: tuple[int, ...]
-    lambda_range: tuple[float, float, float]
-    grid_bound: float
-    grid_n: int
+_STATE_VERBS = ("moments", "criteria", "qfunc", "simulate")
 
 
 def default_dim() -> int:
@@ -160,8 +139,8 @@ def build_parser() -> argparse.ArgumentParser:
     """The argument parser; every option's default is declared once, here.
 
     The defaults sit on the top-level parser and the verb parsers suppress
-    their own, so every verb's namespace carries every :class:`RunConfig`
-    field, whether or not the verb takes the option.
+    their own, so every verb's namespace carries every option, whether or
+    not the verb takes it.
     """
     parser = argparse.ArgumentParser(
         prog="nclmoments",
@@ -176,22 +155,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add_verb(
-        name: str, summary: str, state: bool = True, dim_help: str = "Fock truncation"
-    ) -> argparse.ArgumentParser:
+    def add_verb(name: str, summary: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
-        if state:
+        if name in _STATE_VERBS:
             p.add_argument(
                 "--state",
                 required=True,
                 help="state spec: inline JSON or path to a JSON file",
             )
-        p.add_argument("--dim", type=int, help=dim_help)
+            p.add_argument("--dim", type=int, help="Fock truncation")
         p.add_argument("--out", help="output file path")
-        p.add_argument(
-            "--tolerance", type=float,
-            help="negativity threshold (scaled by matrix magnitude)",
-        )
         return p
 
     p = add_verb("moments", "tabulate <a^dag^k a^l>")
@@ -201,11 +174,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=["aa", "quad", "xn", "d2", "all"])
     p.add_argument("--nmax", type=int, help="largest hierarchy order")
     p.add_argument("--phi", type=float, help="quadrature angle")
+    p.add_argument(
+        "--tolerance", type=float,
+        help="negativity threshold (scaled by matrix magnitude)",
+    )
 
-    p = add_verb(
-        "sweep", "witness sweep over (m, lambda)", state=False,
-        dim_help="accepted and unused: the sweep's moment tables are exact "
-        "and need no Fock truncation",
+    p = add_verb("sweep", "witness sweep over (m, lambda)")
+    p.add_argument(
+        "--dim", type=int, help="accepted and unused: the sweep's moment "
+        "tables are exact and need no Fock truncation",
     )
     p.add_argument("--m-list", help="comma-separated orders m")
     p.add_argument("--lambda-range", help="'start,stop,step' grid for lambda")
@@ -223,62 +200,60 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=float, help="shot-noise samples")
     p.add_argument("--seed", type=int)
 
-    p = add_verb("invert", "recover moments from a record", state=False)
+    p = add_verb("invert", "recover moments from a record")
     p.add_argument("--record", required=True, help="record JSON from 'simulate'")
 
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    values = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
-    if values["dim"] is None:
-        values["dim"] = default_dim()
-    if values["dim"] < 1:
+def config_from_args(args: argparse.Namespace) -> argparse.Namespace:
+    """Check and parse the options of ``args`` in place; the verbs read it."""
+    if args.verb in _STATE_VERBS and args.dim is None:
+        args.dim = default_dim()
+    if args.dim is not None and args.dim < 1:
         raise ValidationError("--dim must be positive")
-    if values["out"] is None:
-        values["out"] = _DEFAULT_OUT[args.verb]
+    if args.out is None:
+        args.out = _DEFAULT_OUT[args.verb]
     if args.samples is not None and args.samples < 1:
         raise ValidationError("--samples must be at least 1")
     if args.tolerance <= 0:
         raise ValidationError("--tolerance must be positive")
-    values.update(
-        lo_alpha=_parse_complex_pair(args.lo_alpha, "--lo-alpha"),
-        m_list=_parse_int_list(args.m_list, "--m-list"),
-        lambda_range=_parse_range(args.lambda_range, "--lambda-range"),
-    )
-    return RunConfig(**values)
+    args.lo_alpha = _parse_complex_pair(args.lo_alpha, "--lo-alpha")
+    args.m_list = _parse_int_list(args.m_list, "--m-list")
+    args.lambda_range = _parse_range(args.lambda_range, "--lambda-range")
+    return args
 
 
-def verb_moments(config: RunConfig) -> int:
-    state = parse_state_argument(config.state, config.dim)
-    table = moment_table(state, config.order)
-    write_json(config.out, table_to_json(table))
+def verb_moments(args: argparse.Namespace) -> int:
+    state = parse_state_argument(args.state, args.dim)
+    table = moment_table(state, args.order)
+    write_json(args.out, table_to_json(table))
     n_mean = table.entry(1, 1).real
     a_mean = table.entry(0, 1)
-    print(f"wrote {config.out}")
+    print(f"wrote {args.out}")
     print(f"n_mean = {n_mean:.12g}")
     print(f"a_mean = {a_mean.real:.12g}{a_mean.imag:+.12g}j")
     return 0
 
 
-def verb_criteria(config: RunConfig) -> int:
-    state = parse_state_argument(config.state, config.dim)
+def verb_criteria(args: argparse.Namespace) -> int:
+    state = parse_state_argument(args.state, args.dim)
     kinds = (
         [BasisKind.AA, BasisKind.QUAD, BasisKind.XN, BasisKind.XN_WEIGHTED]
-        if config.kind == "all"
-        else [BasisKind(config.kind)]
+        if args.kind == "all"
+        else [BasisKind(args.kind)]
     )
     reports = [
         determinant_hierarchy(
-            state, kind, config.nmax, phi=config.phi, tolerance=config.tolerance
+            state, kind, args.nmax, phi=args.phi, tolerance=args.tolerance
         )
         for kind in kinds
     ]
     doc = report_to_json(reports[0]) if len(reports) == 1 else [
         report_to_json(r) for r in reports
     ]
-    write_json(config.out, doc)
-    print(f"wrote {config.out}")
+    write_json(args.out, doc)
+    print(f"wrote {args.out}")
     verdict = False
     for report in reports:
         mark = (
@@ -291,14 +266,14 @@ def verb_criteria(config: RunConfig) -> int:
     return 10 if verdict else 0
 
 
-def verb_sweep(config: RunConfig) -> int:
-    start, stop, step = config.lambda_range
+def verb_sweep(args: argparse.Namespace) -> int:
+    start, stop, step = args.lambda_range
     count = int(round((stop - start) / step)) + 1
     lambdas = [start + i * step for i in range(count) if start + i * step <= stop + 1e-12]
     if any(lam <= 0 or abs(lam - 1.0) < 1e-12 for lam in lambdas):
         raise ValidationError("lambda grid must avoid 0 and the classical point 1")
     rows = []
-    for m in sorted(config.m_list):
+    for m in sorted(args.m_list):
         for lam in lambdas:
             table = ass_moment_table(m, lam)
             amin, amax = asq_min_max(table)
@@ -307,85 +282,61 @@ def verb_sweep(config: RunConfig) -> int:
             )
     rows.sort(key=lambda row: (row[1], row[0]))
     write_csv(
-        config.out,
+        args.out,
         ["lambda", "m", "s3", "asq_min", "asq_max", "n_mean"],
         rows,
     )
-    print(f"wrote {config.out} ({len(rows)} rows)")
+    print(f"wrote {args.out} ({len(rows)} rows)")
     return 0
 
 
-def verb_qfunc(config: RunConfig) -> int:
+def verb_qfunc(args: argparse.Namespace) -> int:
     from .states import q_function
 
-    state = parse_state_argument(config.state, config.dim)
-    axis = np.linspace(-config.grid_bound, config.grid_bound, config.grid_n)
+    state = parse_state_argument(args.state, args.dim)
+    axis = np.linspace(-args.grid_bound, args.grid_bound, args.grid_n)
     grid = axis[:, None] + 1j * axis[None, :]
     values = q_function(state, grid)
     rows = [
         (float(axis[i]), float(axis[j]), float(values[i, j]))
-        for i in range(config.grid_n)
-        for j in range(config.grid_n)
+        for i in range(args.grid_n)
+        for j in range(args.grid_n)
     ]
-    write_csv(config.out, ["re_alpha", "im_alpha", "q_value"], rows)
-    print(f"wrote {config.out} ({len(rows)} rows)")
+    write_csv(args.out, ["re_alpha", "im_alpha", "q_value"], rows)
+    print(f"wrote {args.out} ({len(rows)} rows)")
     return 0
 
 
-def verb_simulate(config: RunConfig) -> int:
-    state = parse_state_argument(config.state, config.dim)
-    lo = LOConfig(alpha=config.lo_alpha, t0=config.t0)
-    if config.scheme == "a":
-        record = scheme_a_sample_and_fourier(state, config.nmax, lo, config.depth)
-        if config.samples is not None:
-            record = add_shot_noise(record, config.samples, config.seed)
-        doc = fourier_record_to_json(record)
-    elif config.scheme == "b":
-        record = scheme_b_forward(state, lo)
-        if config.samples is not None:
-            record = add_shot_noise(record, config.samples, config.seed)
-        doc = {"scheme": "b", "record": detection_record_to_json(record)}
+def verb_simulate(args: argparse.Namespace) -> int:
+    state = parse_state_argument(args.state, args.dim)
+    lo = LOConfig(alpha=args.lo_alpha, t0=args.t0)
+    if args.scheme == "a":
+        records = [scheme_a_sample_and_fourier(state, args.nmax, lo, args.depth)]
+    elif args.scheme == "b":
+        records = [scheme_b_forward(state, lo)]
     else:
-        record = scheme_c_forward(state, lo)
-        blocked = scheme_c_forward(state, lo.blocked())
-        if config.samples is not None:
-            record = add_shot_noise(record, config.samples, config.seed)
-            blocked = add_shot_noise(blocked, config.samples, config.seed + 1)
-        doc = {
-            "scheme": "c",
-            "record": detection_record_to_json(record),
-            "blocked": detection_record_to_json(blocked),
-        }
-    write_json(config.out, doc)
-    print(f"wrote {config.out}")
+        records = [scheme_c_forward(state, lo), scheme_c_forward(state, lo.blocked())]
+    if args.samples is not None:
+        records = [
+            add_shot_noise(record, args.samples, args.seed + i)
+            for i, record in enumerate(records)
+        ]
+    write_json(args.out, records_to_json(records))
+    print(f"wrote {args.out}")
     return 0
 
 
-def _detection_records(doc: dict, keys: tuple[str, ...]) -> list:
-    missing = [key for key in keys if key not in doc]
-    if missing:
-        raise ValidationError(f"scheme-{doc['scheme']} record file lacks {missing}")
-    return [detection_record_from_json(doc[key]) for key in keys]
-
-
-def verb_invert(config: RunConfig) -> int:
-    doc = read_json(config.record)
-    if not isinstance(doc, dict) or "scheme" not in doc:
-        raise ValidationError("record file lacks a scheme tag")
-    scheme = doc["scheme"]
-    if scheme == "a":
-        table = scheme_a_invert(fourier_record_from_json(doc))
+def verb_invert(args: argparse.Namespace) -> int:
+    records = records_from_json(read_json(args.record))
+    if isinstance(records[0], FourierRecord):
+        table = scheme_a_invert(*records)
         out, n_mean = table_to_json(table), table.entry(1, 1).real
-    elif scheme == "b":
-        out = scheme_b_extract(*_detection_records(doc, ("record",)))
-        n_mean = out["n"]
-    elif scheme == "c":
-        out = scheme_c_extract(*_detection_records(doc, ("record", "blocked")))
-        n_mean = out["n"]
     else:
-        raise ValidationError(f"unknown scheme tag {scheme!r} in record")
-    write_json(config.out, out)
-    print(f"wrote {config.out}")
+        extract = scheme_b_extract if records[0].scheme == "b" else scheme_c_extract
+        out = extract(*records)
+        n_mean = out["n"]
+    write_json(args.out, out)
+    print(f"wrote {args.out}")
     print(f"n_mean = {n_mean:.12g}")
     return 0
 
@@ -405,7 +356,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = config_from_args(args)
-        return _VERBS[config.verb](config)
+        return _VERBS[args.verb](config)
     except SingularInversionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

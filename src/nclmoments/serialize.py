@@ -55,6 +55,15 @@ def _number(value: Any, context: str) -> float:
     return float(value)
 
 
+def _integer(value: Any, context: str) -> int:
+    """A decoded JSON integer; booleans, strings and fractions are refused."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{context} must be an integer, got {value!r}")
+    return value
+
+
 def complex_from_json(value: Any, context: str) -> complex:
     if _is_number(value):
         return complex(value)
@@ -82,14 +91,11 @@ def state_from_spec(spec: Mapping[str, Any], default_dim: int = 64) -> State:
         raise ValidationError(
             f"state spec type must be one of {STATE_TYPES}, got {kind!r}"
         )
-    dim = spec.get("dim", default_dim)
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+    dim = _integer(spec.get("dim", default_dim), "state spec field 'dim'")
+    if dim < 1:
         raise ValidationError("state spec dim must be a positive integer")
     if kind == "fock":
-        n = spec.get("n")
-        if not isinstance(n, int) or isinstance(n, bool):
-            raise ValidationError("fock spec needs an integer n")
-        return make_fock(n, dim)
+        return make_fock(_integer(spec.get("n"), "state spec field 'n'"), dim)
     if kind == "coherent":
         alpha = complex_from_json(spec.get("alpha"), "coherent alpha")
         return make_coherent(alpha, dim)
@@ -98,9 +104,7 @@ def state_from_spec(spec: Mapping[str, Any], default_dim: int = 64) -> State:
     if kind == "squeezed_vacuum":
         z = complex_from_json(spec.get("z"), "squeeze parameter z")
         return apply_squeeze(make_fock(0, dim), z)
-    m = spec.get("m")
-    if not isinstance(m, int) or isinstance(m, bool):
-        raise ValidationError("ass spec needs an integer m")
+    m = _integer(spec.get("m"), "state spec field 'm'")
     lam = _number(spec.get("lambda"), "state spec field 'lambda'")
     state, _ = make_ass_state(m, lam, dim)
     return state
@@ -137,13 +141,14 @@ def table_to_json(table: MomentTable) -> dict[str, Any]:
 
 def table_from_json(doc: Mapping[str, Any]) -> MomentTable:
     try:
-        max_order = int(doc["max_order"])
+        max_order = _integer(doc["max_order"], "moment-table max_order")
         if max_order < 0:
             raise ValidationError("moment-table max_order must be nonnegative")
         vals = np.zeros((max_order + 1, max_order + 1), dtype=complex)
         seen = set()
         for item in doc["entries"]:
-            k, l = int(item["k"]), int(item["l"])
+            k = _integer(item["k"], "table entry k")
+            l = _integer(item["l"], "table entry l")
             if not 0 <= l <= k <= max_order:
                 raise ValidationError(
                     f"table entry ({k}, {l}) is outside 0 <= l <= k <= max_order"
@@ -206,7 +211,7 @@ def _subset_of_key(key: str) -> list[int]:
 
 
 def _key_of_subset(subset: Sequence[int]) -> str:
-    key = "g" + "".join(str(int(i)) for i in subset)
+    key = "g" + "".join(str(_integer(i, "detector index")) for i in subset)
     if key not in GAMMA_KEYS:
         raise ValidationError(f"unknown detector subset {list(subset)!r}")
     return key
@@ -258,17 +263,56 @@ def fourier_record_to_json(record: FourierRecord) -> dict[str, Any]:
 def fourier_record_from_json(doc: Mapping[str, Any]) -> FourierRecord:
     try:
         samples = {
-            (int(item["n"]), int(item["j"])): _number(item["value"], "phase-scan sample")
+            (_integer(item["n"], "sample n"), _integer(item["j"], "sample j")):
+                _number(item["value"], "phase-scan sample")
             for item in doc["samples"]
         }
         return FourierRecord(
-            depth=int(doc["depth"]),
+            depth=_integer(doc["depth"], "record depth"),
             lo=lo_from_json(doc["lo"]),
-            n_max=int(doc["n_max"]),
+            n_max=_integer(doc["n_max"], "record n_max"),
             samples=samples,
         )
     except (KeyError, TypeError, ValueError, ValidationError) as exc:
         raise ValidationError(f"malformed phase-scan record: {exc}") from exc
+
+
+_RECORD_KEYS = {"b": ("record",), "c": ("record", "blocked")}
+Record = Union[FourierRecord, DetectionRecord]
+
+
+def records_to_json(records: Sequence[Record]) -> dict[str, Any]:
+    """The record file of one simulated measurement.
+
+    A scheme-A scan is its one :class:`FourierRecord`.  Schemes B and C wrap
+    their detection records as ``{"scheme": "b", "record": ...}`` and
+    ``{"scheme": "c", "record": ..., "blocked": ...}``, the blocked pass
+    second.
+    """
+    first = records[0]
+    if isinstance(first, FourierRecord):
+        (scan,) = records
+        return fourier_record_to_json(scan)
+    keys = _RECORD_KEYS[first.scheme]
+    doc: dict[str, Any] = {"scheme": first.scheme}
+    for key, record in zip(keys, records, strict=True):
+        doc[key] = detection_record_to_json(record)
+    return doc
+
+
+def records_from_json(doc: Any) -> list[Record]:
+    """The records of a file written by :func:`records_to_json`."""
+    if not isinstance(doc, Mapping) or "scheme" not in doc:
+        raise ValidationError("record file lacks a scheme tag")
+    scheme = doc["scheme"]
+    if scheme == "a":
+        return [fourier_record_from_json(doc)]
+    if scheme not in ("b", "c"):
+        raise ValidationError(f"unknown scheme tag {scheme!r} in record")
+    missing = [key for key in _RECORD_KEYS[scheme] if key not in doc]
+    if missing:
+        raise ValidationError(f"scheme-{scheme} record file lacks {missing}")
+    return [detection_record_from_json(doc[key]) for key in _RECORD_KEYS[scheme]]
 
 
 # -- files -------------------------------------------------------------------

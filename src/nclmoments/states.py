@@ -261,26 +261,33 @@ def ass_params(m: int, lam: float) -> AssParams:
         raise ValidationError("m must be a nonnegative integer")
     if not (lam > 0.0) or lam == 1.0:
         raise ValidationError("lam must be positive and different from 1")
-    r = math.atanh(math.sqrt(abs(lam - 1.0) / (lam + 1.0)))
-    if lam > 1.0:
-        phi_z = 0.0
-        gamma = complex(math.sqrt(math.sqrt(lam**2 - 1.0) / (2.0 * lam)))
-        beta = complex(math.sqrt(lam**2 - 1.0) * (2 * m + 1))
-    else:
-        phi_z = math.pi / 2.0
-        gamma = np.exp(1j * math.pi / 4.0) * math.sqrt(
-            math.sqrt(1.0 - lam**2) / 2.0
-        )
-        beta = 1j * math.sqrt(1.0 - lam**2) * (2 * m + 1)
-    z = r * np.exp(1j * phi_z)
-    mu = math.cosh(r)
-    nu = np.exp(1j * phi_z) * math.sinh(r)
-    norm_sq = 0.0
-    for k in range(m // 2 + 1):
-        norm_sq += (4.0 * abs(gamma) ** 2) ** (m - 2 * k) / (
-            math.factorial(k) ** 2 * math.factorial(m - 2 * k)
-        )
-    c_m_sq = 1.0 / (math.factorial(m) ** 2 * norm_sq)
+    try:
+        r = math.atanh(math.sqrt(abs(lam - 1.0) / (lam + 1.0)))
+        if lam > 1.0:
+            phi_z = 0.0
+            gamma = complex(math.sqrt(math.sqrt(lam**2 - 1.0) / (2.0 * lam)))
+            beta = complex(math.sqrt(lam**2 - 1.0) * (2 * m + 1))
+        else:
+            phi_z = math.pi / 2.0
+            gamma = np.exp(1j * math.pi / 4.0) * math.sqrt(
+                math.sqrt(1.0 - lam**2) / 2.0
+            )
+            beta = 1j * math.sqrt(1.0 - lam**2) * (2 * m + 1)
+        z = r * np.exp(1j * phi_z)
+        mu = math.cosh(r)
+        nu = np.exp(1j * phi_z) * math.sinh(r)
+        norm_sq = 0.0
+        for k in range(m // 2 + 1):
+            norm_sq += (4.0 * abs(gamma) ** 2) ** (m - 2 * k) / (
+                math.factorial(k) ** 2 * math.factorial(m - 2 * k)
+            )
+        c_m_sq = 1.0 / (math.factorial(m) ** 2 * norm_sq)
+    except (OverflowError, ValueError) as exc:
+        # m! ** 2 leaves the float range from m = 99 on, and atanh reaches its
+        # pole once (lam - 1) / (lam + 1) rounds to 1.
+        raise ValidationError(
+            f"ass parameters for m={m}, lam={lam!r} leave the float range: {exc}"
+        ) from None
     return AssParams(
         m=m, lam=lam, gamma=complex(gamma), z=complex(z), beta=complex(beta),
         c_m_sq=c_m_sq, mu=mu, nu=complex(nu),

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: verbs, file composition, exit codes."""
 
+import argparse
 import json
 import math
 import subprocess
@@ -8,9 +9,24 @@ import sys
 import numpy as np
 import pytest
 
-from nclmoments import asq_min_max, make_ass_state, moment_table, s3
+from nclmoments import (
+    LOConfig,
+    add_shot_noise,
+    asq_min_max,
+    make_ass_state,
+    moment_table,
+    s3,
+    scheme_a_sample_and_fourier,
+    scheme_b_forward,
+    scheme_c_forward,
+)
 from nclmoments.cli import build_parser, config_from_args, main
-from nclmoments.serialize import read_json
+from nclmoments.serialize import (
+    read_json,
+    records_from_json,
+    records_to_json,
+    state_from_spec,
+)
 
 SQUEEZED = '{"type": "squeezed_vacuum", "z": 0.5}'
 THERMAL = '{"type": "thermal", "nbar": 1.0}'
@@ -183,6 +199,27 @@ def test_simulate_then_invert_scheme_c(tmp_path):
     assert got["nn"] == pytest.approx(2.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("scheme", ["a", "b", "c"])
+def test_record_file_round_trip(scheme, tmp_path):
+    """A simulated file reads back as its records; record i has the noise of seed + i."""
+    path = tmp_path / "rec.json"
+    assert main([
+        "simulate", "--state", THERMAL, "--scheme", scheme, "--nmax", "2",
+        "--samples", "1e4", "--seed", "7", "--out", str(path),
+    ]) == 0
+    doc = read_json(path)
+    records = records_from_json(doc)
+    assert records_to_json(records) == doc
+    state, lo = state_from_spec(json.loads(THERMAL)), LOConfig(alpha=3.0)
+    clean = {
+        "a": [scheme_a_sample_and_fourier(state, 2, lo, 2)],
+        "b": [scheme_b_forward(state, lo)],
+        "c": [scheme_c_forward(state, lo), scheme_c_forward(state, lo.blocked())],
+    }[scheme]
+    noisy = [add_shot_noise(r, 1e4, 7 + i) for i, r in enumerate(clean)]
+    assert records_to_json(noisy) == doc
+
+
 def test_simulate_with_noise_is_deterministic(tmp_path):
     args = [
         "simulate", "--state", '{"type": "coherent", "alpha": 1.0}',
@@ -265,6 +302,22 @@ def test_invert_rejects_record_file_without_record(tmp_path, capsys):
     assert "lacks ['record']" in capsys.readouterr().err
 
 
+def test_invert_rejects_fractional_and_string_integers(tmp_path, capsys):
+    record = tmp_path / "rec.json"
+    assert main([
+        "simulate", "--state", THERMAL, "--scheme", "a", "--nmax", "2",
+        "--out", str(record),
+    ]) == 0
+    doc = read_json(record)
+    doc["depth"] = 2.7
+    doc["samples"][0]["j"] = "0"
+    record.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = main(["invert", "--record", str(record), "--out", str(tmp_path / "i.json")])
+    assert rc == 2
+    assert "must be an integer" in capsys.readouterr().err
+
+
 def _set_sample(doc):
     doc["samples"][0]["value"] = math.nan
 
@@ -322,6 +375,8 @@ def test_invert_rejects_json_non_numbers(tmp_path, capsys, corrupt):
     assert "must be a number" in capsys.readouterr().err
 
 
+STATE_VERBS = ("moments", "criteria", "qfunc", "simulate")
+
 VERB_ARGV = {
     "moments": ["--state", THERMAL],
     "criteria": ["--state", THERMAL],
@@ -347,12 +402,73 @@ def test_config_carries_parser_defaults(verb, monkeypatch):
                  "grid_n"):
         if name not in given:
             assert getattr(config, name) == default(name), name
-    assert config.dim == 64
+    assert config.dim == (64 if verb in STATE_VERBS else None)
     assert config.lo_alpha == complex(*map(float, default("lo_alpha").split(",")))
     assert config.m_list == tuple(map(int, default("m_list").split(",")))
     assert config.lambda_range == tuple(
         map(float, default("lambda_range").split(","))
     )
+
+
+def test_each_verb_accepts_only_the_options_it_reads():
+    parser = build_parser()
+    verbs = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+    accepted = {
+        verb: sorted(
+            opt for a in p._actions for opt in a.option_strings
+            if opt not in ("-h", "--help")
+        )
+        for verb, p in verbs.items()
+    }
+    assert accepted == {
+        "moments": ["--dim", "--order", "--out", "--state"],
+        "criteria": ["--dim", "--kind", "--nmax", "--out", "--phi", "--state",
+                     "--tolerance"],
+        "sweep": ["--dim", "--lambda-range", "--m-list", "--out"],
+        "qfunc": ["--dim", "--grid-bound", "--grid-n", "--out", "--state"],
+        "simulate": ["--depth", "--dim", "--lo-alpha", "--nmax", "--out",
+                     "--samples", "--scheme", "--seed", "--state", "--t0"],
+        "invert": ["--out", "--record"],
+    }
+    assert sum(map(len, accepted.values())) == 32
+
+
+@pytest.mark.parametrize("argv", [
+    ["moments", "--state", THERMAL, "--tolerance", "1e-3"],
+    ["invert", "--record", "rec.json", "--dim", "8"],
+])
+def test_verbs_refuse_options_they_do_not_read(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_verbs_without_a_state_ignore_default_dim(tmp_path, monkeypatch, capsys):
+    record = tmp_path / "rec.json"
+    assert main(["simulate", "--state", THERMAL, "--scheme", "b",
+                 "--out", str(record)]) == 0
+    monkeypatch.setenv("NCL_DEFAULT_DIM", "abc")
+    assert main(["invert", "--record", str(record),
+                 "--out", str(tmp_path / "i.json")]) == 0
+    assert main(["sweep", "--m-list", "1", "--lambda-range", "1.5,1.5,0.1",
+                 "--out", str(tmp_path / "s.csv")]) == 0
+    assert main(["sweep", "--m-list", "1", "--dim", "0",
+                 "--out", str(tmp_path / "s.csv")]) == 2
+    assert "--dim must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--m-list", "100", "--lambda-range", "1.5,1.5,0.1"],
+    ["moments", "--state", '{"type": "ass", "m": 100, "lambda": 1.5, "dim": 128}'],
+])
+def test_large_ass_order_is_invalid_input(argv, tmp_path, capsys):
+    """``m!^2`` overflows a float from m = 99 on; that is exit 2, not a traceback."""
+    assert main(argv + ["--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "float range" in err
 
 
 def test_config_takes_given_options():

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from nclmoments.serialize import (
     lo_to_json,
     parse_state_argument,
     read_json,
+    records_from_json,
     report_to_json,
     state_from_spec,
     table_from_json,
@@ -120,6 +122,39 @@ def test_table_from_json_rejects_order_beyond_max_order():
         table_from_json(doc)
 
 
+def _integer_field_docs():
+    """Decoders and documents whose named integer field holds 1."""
+    scan = scheme_a_sample_and_fourier(random_pure_state(16, 13), 1, LOConfig(3.0), 1)
+    return {
+        "table": (table_from_json, table_to_json(moment_table(random_pure_state(16, 13), 1))),
+        "scan": (fourier_record_from_json, fourier_record_to_json(scan)),
+        "fock": (state_from_spec, {"type": "fock", "n": 1, "dim": 16}),
+        "thermal": (state_from_spec, {"type": "thermal", "nbar": 0.0, "dim": 1}),
+        "ass": (state_from_spec, {"type": "ass", "m": 1, "lambda": 1.5, "dim": 32}),
+    }
+
+
+@pytest.mark.parametrize("name, path", [
+    ("table", ("max_order",)), ("table", ("entries", 2, "k")),
+    ("table", ("entries", 2, "l")), ("scan", ("depth",)), ("scan", ("n_max",)),
+    ("scan", ("samples", 1, "n")), ("scan", ("samples", 1, "j")),
+    ("fock", ("n",)), ("thermal", ("dim",)), ("ass", ("m",)),
+], ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else v)
+def test_integer_fields_refuse_bools_strings_and_fractions(name, path):
+    decode, doc = _integer_field_docs()[name]
+    item = doc
+    for key in path[:-1]:
+        item = item[key]
+    assert item[path[-1]] == 1
+    decode(doc)
+    item[path[-1]] = 1.0  # an integral JSON float is the integer
+    decode(doc)
+    for bad in (True, "1", 1.9):
+        item[path[-1]] = bad
+        with pytest.raises(ValidationError, match="must be an integer"):
+            decode(doc)
+
+
 def test_report_to_json_schema():
     report = determinant_hierarchy(make_thermal(0.5, 64), "aa", 3)
     doc = report_to_json(report)
@@ -155,6 +190,18 @@ def test_fourier_record_round_trip_preserves_inversion():
     for k in range(4):
         for l in range(4):
             assert t1.entry(k, l) == pytest.approx(t2.entry(k, l), abs=1e-12)
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([], "lacks a scheme tag"),
+    ({"record": {}}, "lacks a scheme tag"),
+    ({"scheme": "d"}, "unknown scheme tag 'd'"),
+    ({"scheme": ["b"]}, "unknown scheme tag"),
+    ({"scheme": "c", "record": {}}, "lacks ['blocked']"),
+])
+def test_records_from_json_rejects_malformed_files(doc, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        records_from_json(doc)
 
 
 def test_write_json_deterministic(tmp_path):
