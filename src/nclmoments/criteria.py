@@ -54,6 +54,10 @@ from .states import State
 
 DEFAULT_TOLERANCE = 1e-9
 _WITNESS_ORDER = 4
+# Bochner points closer than this coincide.
+_MIN_SEPARATION = 1e-12
+# Refinement-walk proposals scored per char_values call.
+_WALK_BLOCK = 16
 
 
 class BasisKind(str, Enum):
@@ -480,7 +484,7 @@ def bochner_det(
         raise ValidationError("need at least one point")
     for i in range(k):
         for j in range(i + 1, k):
-            if abs(pts[i] - pts[j]) < 1e-12:
+            if abs(pts[i] - pts[j]) < _MIN_SEPARATION:
                 raise DuplicatePointError(
                     f"points {i} and {j} coincide at {pts[i]!r}"
                 )
@@ -497,12 +501,73 @@ class BochnerResult:
     """Most negative Bochner determinant found and the points achieving it.
 
     ``value`` is ``bochner_det(state, points)``; ``evaluations`` is the
-    number of distinct ``Phi`` arguments computed during the search.
+    number of distinct ``Phi`` arguments computed during the search,
+    including those of walk proposals scored in a block after the one it
+    accepted (each pair ``±beta`` counts once).
     """
 
     value: float
     points: tuple[complex, ...]
     evaluations: int
+
+
+def _check_count(value: object, name: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise ValidationError(f"{name} must be a nonnegative integer, got {value!r}")
+
+
+def _refine(
+    state: State,
+    best_points: list[complex],
+    radius: float,
+    seed: int,
+    refine_iters: int,
+    cache: dict[complex, complex],
+) -> tuple[float, list[complex]]:
+    """Greedy Gaussian walk from the lattice minimum ``best_points``, in blocks.
+
+    Step ``it`` moves every point but the origin by ``0.25 radius 0.97**it``
+    times a complex standard normal, skips the proposal if a point leaves
+    the disc or two points coincide, and accepts it if it lowers the
+    determinant.  The next ``_WALK_BLOCK`` proposals from the current points
+    are scored in one :func:`char_values` call and one stack of
+    determinants; the first that improves is accepted and the walk resumes
+    at the step after it.  This accepts exactly what a walk scored one step
+    at a time accepts; the proposals scored behind an accepted one only add
+    to ``cache``.
+    """
+    k = len(best_points)
+    best_value = bochner_det(state, best_points, cache=cache)
+    rng = np.random.default_rng(seed + 1)
+    # (real, imag) per free point per step, in the order of one-at-a-time draws
+    noise = rng.standard_normal((refine_iters, k - 1, 2)).view(complex)[..., 0]
+    # Python's float power: ``0.97 ** np.arange(...)`` differs in the last ulp
+    scales = np.array([0.25 * radius * 0.97**it for it in range(refine_iters)])
+    upper, lower = np.triu_indices(k, 1)
+    start = 0
+    while start < refine_iters:
+        stop = min(start + _WALK_BLOCK, refine_iters)
+        proposals = np.zeros((stop - start, k), dtype=complex)
+        proposals[:, 1:] = (
+            np.array(best_points[1:]) + scales[start:stop, None] * noise[start:stop]
+        )
+        diffs = proposals[:, upper] - proposals[:, lower]
+        steps = np.flatnonzero(
+            (np.abs(proposals) <= radius).all(axis=1)
+            & (np.abs(diffs) >= _MIN_SEPARATION).all(axis=1)
+        )
+        if steps.size:
+            values = _cached_char_values(state, diffs[steps], cache)
+            dets = np.linalg.det(_bochner_matrices(values, k))
+            for step, det in zip(steps, dets):
+                value = as_real(complex(det), "Bochner determinant")
+                if value < best_value:
+                    best_value = value
+                    best_points = [complex(b) for b in proposals[step]]
+                    stop = start + int(step) + 1
+                    break
+        start = stop
+    return best_value, best_points
 
 
 def bochner_search(
@@ -520,14 +585,20 @@ def bochner_search(
     ``|beta| <= radius`` seeds the search with tuples of lattice points:
     every tuple for ``k <= 3``, seeded random tuples beyond.  ``Phi`` is
     computed for all their differences in one :func:`char_values` call and
-    the tuples are scored as one stack of determinants.  A Gaussian
-    refinement walk with a shrinking step follows, rejecting moves that
-    leave the disc.  ``Phi`` values are cached per distinct argument.
+    the tuples are scored as one stack of determinants.  A greedy Gaussian
+    refinement walk of ``refine_iters`` steps with a shrinking step follows,
+    skipping moves that leave the disc.  It is scored in blocks of
+    proposals, one :func:`char_values` call each, and accepts exactly what
+    the walk scored one step at a time accepts.  ``Phi`` values are cached
+    per distinct argument.  ``seed`` and ``refine_iters`` are nonnegative
+    integers.
     """
     if k < 2:
         raise ValidationError("Bochner search needs at least two points")
     if radius <= 0.0 or grid_n < 2:
         raise ValidationError("radius must be positive and grid_n at least 2")
+    _check_count(seed, "seed")
+    _check_count(refine_iters, "refine_iters")
     cache: dict[complex, complex] = {}
     axis = np.linspace(-radius, radius, grid_n)
     lattice = [0.0 + 0.0j] + [
@@ -558,25 +629,9 @@ def bochner_search(
     values = _cached_char_values(state, points[:, upper] - points[:, lower], cache)
     dets = np.linalg.det(_bochner_matrices(values, k)).real
     best_points = [complex(b) for b in points[int(np.argmin(dets))]]
-    best_value = bochner_det(state, best_points, cache=cache)
-
-    rng = np.random.default_rng(seed + 1)
-    step = 0.25 * radius
-    for it in range(refine_iters):
-        scale = step * 0.97**it
-        proposal = [0.0 + 0.0j]
-        for b in best_points[1:]:
-            proposal.append(
-                b + scale * complex(rng.standard_normal(), rng.standard_normal())
-            )
-        if any(abs(b) > radius for b in proposal):
-            continue
-        try:
-            value = bochner_det(state, proposal, cache=cache)
-        except DuplicatePointError:
-            continue
-        if value < best_value:
-            best_value, best_points = value, proposal
+    best_value, best_points = _refine(
+        state, best_points, radius, seed, refine_iters, cache
+    )
     return BochnerResult(
         value=best_value,
         points=tuple(best_points),

@@ -43,6 +43,7 @@ from nclmoments import (
     s3,
     xn_moment,
 )
+from nclmoments import criteria
 from nclmoments.criteria import MomentMatrix
 
 
@@ -454,6 +455,12 @@ def test_bochner_search_validates():
     # the 2x2 lattice has its four corners outside the disc
     with pytest.raises(ValidationError):
         bochner_search(state, grid_n=2)
+    for bad in (-5, 2.5, True):
+        with pytest.raises(ValidationError, match="refine_iters"):
+            bochner_search(state, refine_iters=bad)
+    for bad in (-2, 1.0, None):
+        with pytest.raises(ValidationError, match="seed"):
+            bochner_search(state, seed=bad)
 
 
 def seeding_lattice(radius: float, grid_n: int) -> list[complex]:
@@ -504,8 +511,10 @@ def test_bochner_search_counts_distinct_arguments():
     # {beta, -beta} of arguments is computed once.
     seeded = bochner_search(state, k=2, radius=1.0, grid_n=5, refine_iters=0)
     assert seeded.evaluations == len(lattice) // 2
+    # The walk scores proposals in blocks: step i is scored at most once per
+    # block starting at or before it, so 10 steps add at most 10*11/2 = 55.
     refined = bochner_search(state, k=2, radius=1.0, grid_n=5, refine_iters=10)
-    assert len(lattice) // 2 < refined.evaluations <= len(lattice) // 2 + 10
+    assert len(lattice) // 2 < refined.evaluations <= len(lattice) // 2 + 55
 
 
 def test_bochner_search_warns_once_per_batched_call():
@@ -516,3 +525,115 @@ def test_bochner_search_warns_once_per_batched_call():
         # of the minimum reads the cache and computes nothing
         bochner_search(state, k=2, radius=2.0, grid_n=5, refine_iters=0)
     assert [w.category for w in caught] == [OrderAccuracyWarning]
+
+
+def sequential_walk(state, k, radius, grid_n, seed, refine_iters):
+    """The refinement walk scored one step at a time (reference oracle).
+
+    Starts from the lattice minimum and proposes, skips and accepts as the
+    greedy walk does, with one public ``bochner_det`` call per scored step.
+    Returns the value, the points, the steps whose proposal left the disc
+    and the accepted steps.
+    """
+    seeded = bochner_search(
+        state, k=k, radius=radius, grid_n=grid_n, seed=seed, refine_iters=0
+    )
+    best_value, best_points = seeded.value, list(seeded.points)
+    rng = np.random.default_rng(seed + 1)
+    outside, accepted = [], []
+    for it in range(refine_iters):
+        scale = 0.25 * radius * 0.97**it
+        proposal = [0.0 + 0.0j] + [
+            b + scale * complex(rng.standard_normal(), rng.standard_normal())
+            for b in best_points[1:]
+        ]
+        if any(abs(b) > radius for b in proposal):
+            outside.append(it)
+            continue
+        try:
+            value = bochner_det(state, proposal)
+        except DuplicatePointError:
+            continue
+        if value < best_value:
+            best_value, best_points = value, proposal
+            accepted.append(it)
+    return best_value, tuple(best_points), outside, accepted
+
+
+def unscored_blocks(refine_iters, outside, accepted):
+    """First steps of the walk's blocks in which every proposal left the disc."""
+    block, start, found = criteria._WALK_BLOCK, 0, []
+    while start < refine_iters:
+        stop = min(start + block, refine_iters)
+        steps = range(start, stop)
+        if all(it in outside for it in steps):
+            found.append(start)
+        hits = [it for it in steps if it in accepted]
+        start = hits[0] + 1 if hits else stop
+    return found
+
+
+WALK_STATES = {
+    **SEEDING_STATES,
+    "fock 1": lambda: make_fock(1, 40),
+    "thermal": lambda: make_thermal(0.5, 40),
+}
+WALK_GRID = {2: 9, 3: 5, 4: 5}
+
+
+@pytest.mark.parametrize("name", sorted(WALK_STATES))
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("refine_iters", [0, 1, 10, 120, 300])
+def test_bochner_walk_replays_sequential_walk(name, k, refine_iters):
+    """The blocked walk returns the one-at-a-time walk's value and points bit for bit.
+
+    At seed 0 several walks accept a step whose ``0.97**it`` differs in the
+    last ulp from ``0.97 ** np.arange(...)``, and the difference reaches the
+    result, so the step scale must be computed as the oracle does.
+    """
+    state = WALK_STATES[name]()
+    want_value, want_points, _, _ = sequential_walk(
+        state, k, 1.5, WALK_GRID[k], 0, refine_iters
+    )
+    got = bochner_search(
+        state, k=k, radius=1.5, grid_n=WALK_GRID[k], seed=0, refine_iters=refine_iters
+    )
+    assert got.value == want_value
+    assert got.points == want_points
+
+
+def test_bochner_walk_replays_skipped_blocks():
+    """Fock |1> pins all three free points to the rim: most proposals leave
+    the disc, whole blocks go unscored, and nothing is accepted."""
+    state = make_fock(1, 40)
+    value, points, outside, accepted = sequential_walk(state, 4, 1.5, 5, 0, 120)
+    assert len(outside) > 100 and not accepted
+    assert unscored_blocks(120, outside, accepted)
+    got = bochner_search(state, k=4, radius=1.5, grid_n=5, seed=0, refine_iters=120)
+    assert (got.value, got.points) == (value, points)
+
+
+@pytest.mark.parametrize(
+    "make, k, grid_n",
+    [
+        (lambda: apply_squeeze(make_fock(0, 64), 0.5), 2, 16),
+        (lambda: make_thermal(0.5, 64), 2, 16),
+        (lambda: make_coherent(0.7, 48), 3, 9),
+    ],
+    ids=["squeezed", "thermal", "coherent"],
+)
+def test_bochner_search_scores_walk_in_blocks(monkeypatch, make, k, grid_n):
+    """Far fewer char_values calls than the 120 walk steps: one per block."""
+    state = make()
+    calls = []
+    real = criteria.char_values
+
+    def counted(state, betas):
+        calls.append(len(betas))
+        return real(state, betas)
+
+    monkeypatch.setattr(criteria, "char_values", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", OrderAccuracyWarning)
+        bochner_search(state, k=k, radius=2.0, grid_n=grid_n)
+    assert len(calls) <= 20
