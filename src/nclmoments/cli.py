@@ -6,8 +6,8 @@ One verb produces one artifact; verbs compose through files:
 * ``criteria`` — determinant hierarchies and witnesses (JSON report).
 * ``sweep``    — amplitude-squared squeezing witnesses over an
   ``(m, lambda)`` grid (CSV), read from exact moment tables
-  (:func:`~nclmoments.moments.ass_moment_table`); it accepts ``--dim`` but
-  uses no Fock truncation.
+  (:func:`~nclmoments.moments.ass_moment_tables`, one batched call per
+  ``m``); it accepts ``--dim`` but uses no Fock truncation.
 * ``qfunc``    — Husimi distribution on a square grid (CSV).
 * ``simulate`` — forward measurement record for scheme a, b or c (JSON),
   optionally with seeded shot noise.
@@ -61,7 +61,7 @@ from .measurement import (
     scheme_c_extract,
     scheme_c_forward,
 )
-from .moments import ass_moment_table, moment_table
+from .moments import ass_moment_tables, moment_table
 from .serialize import (
     parse_state_argument,
     read_json,
@@ -221,6 +221,10 @@ def config_from_args(args: argparse.Namespace) -> argparse.Namespace:
     args.lo_alpha = _parse_complex_pair(args.lo_alpha, "--lo-alpha")
     args.m_list = _parse_int_list(args.m_list, "--m-list")
     args.lambda_range = _parse_range(args.lambda_range, "--lambda-range")
+    if args.grid_n < 1:
+        raise ValidationError("--grid-n must be at least 1")
+    if not (math.isfinite(args.grid_bound) and args.grid_bound > 0):
+        raise ValidationError("--grid-bound must be finite and positive")
     return args
 
 
@@ -274,17 +278,15 @@ def verb_sweep(args: argparse.Namespace) -> int:
         raise ValidationError("lambda grid must avoid 0 and the classical point 1")
     rows = []
     for m in sorted(args.m_list):
-        for lam in lambdas:
-            table = ass_moment_table(m, lam)
+        for lam, table in zip(lambdas, ass_moment_tables(m, lambdas)):
             amin, amax = asq_min_max(table)
             rows.append(
                 (lam, float(m), s3(table), amin, amax, table.entry(1, 1).real)
             )
-    rows.sort(key=lambda row: (row[1], row[0]))
     write_csv(
         args.out,
         ["lambda", "m", "s3", "asq_min", "asq_max", "n_mean"],
-        rows,
+        np.array(rows),
     )
     print(f"wrote {args.out} ({len(rows)} rows)")
     return 0
@@ -297,13 +299,11 @@ def verb_qfunc(args: argparse.Namespace) -> int:
     axis = np.linspace(-args.grid_bound, args.grid_bound, args.grid_n)
     grid = axis[:, None] + 1j * axis[None, :]
     values = q_function(state, grid)
-    rows = [
-        (float(axis[i]), float(axis[j]), float(values[i, j]))
-        for i in range(args.grid_n)
-        for j in range(args.grid_n)
-    ]
-    write_csv(args.out, ["re_alpha", "im_alpha", "q_value"], rows)
-    print(f"wrote {args.out} ({len(rows)} rows)")
+    columns = np.column_stack([
+        np.repeat(axis, args.grid_n), np.tile(axis, args.grid_n), values.reshape(-1)
+    ])
+    write_csv(args.out, ["re_alpha", "im_alpha", "q_value"], columns)
+    print(f"wrote {args.out} ({len(columns)} rows)")
     return 0
 
 

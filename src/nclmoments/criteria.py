@@ -590,9 +590,11 @@ def bochner_search(
     skipping moves that leave the disc.  It is scored in blocks of
     proposals, one :func:`char_values` call each, and accepts exactly what
     the walk scored one step at a time accepts.  ``Phi`` values are cached
-    per distinct argument.  ``seed`` and ``refine_iters`` are nonnegative
-    integers.
+    per distinct argument.  ``k``, ``grid_n``, ``seed`` and ``refine_iters``
+    are integers (``k >= 2``, ``grid_n >= 2``, the others ``>= 0``).
     """
+    _check_count(k, "k")
+    _check_count(grid_n, "grid_n")
     if k < 2:
         raise ValidationError("Bochner search needs at least two points")
     if radius <= 0.0 or grid_n < 2:

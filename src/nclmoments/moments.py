@@ -7,8 +7,8 @@ cross-correlations, moment matrices, witnesses — is a finite linear
 combination of these entries, expressed through :class:`NormalPolynomial`;
 each hierarchy and witness is a matrix ``C^H A_w C`` over the one table (see
 :mod:`nclmoments.criteria`), and one kernel fills the table from the offset
-diagonals ``rho[m, m+d]``.  :func:`ass_moment_table` gives the table of an
-amplitude-squared squeezed state exactly, with no truncated state.
+diagonals ``rho[m, m+d]``.  :func:`ass_moment_tables` gives the tables of
+amplitude-squared squeezed states exactly, with no truncated state.
 
 Conventions
 -----------
@@ -46,7 +46,7 @@ from .errors import (
     ValidationError,
 )
 from .operators import Array, destroy
-from .states import DensityState, FockState, State, _hermite_seed, ass_params
+from .states import DensityState, FockState, State, _hermite_seeds, ass_params
 
 _SYMMETRY_TOL = 1e-10
 _DIAGONAL_TOL = 1e-12
@@ -179,29 +179,50 @@ def moment_table(state: State, max_order: int) -> MomentTable:
     return MomentTable(max_order=max_order, values=values)
 
 
-def ass_moment_table(m: int, lam: float, max_order: int = 4) -> MomentTable:
-    """Exact moment table of the amplitude-squared squeezed state ``(m, lam)``.
+def ass_moment_tables(
+    m: int, lams: Sequence[float], max_order: int = 4
+) -> list[MomentTable]:
+    """Exact moment tables of the amplitude-squared squeezed states ``(m, lam)``.
 
-    The state is ``U s`` for the seed ``s = H_m(i gamma a^dag)|0>`` (see
+    One table per ``lam``, all computed in one batched pass.  Each state is
+    ``U s`` for the seed ``s = H_m(i gamma a^dag)|0>`` (see
     :func:`nclmoments.states.make_ass_state`), and ``U^dag a U = b`` with
     ``b = mu a + nu a^dag``, so ``<a^dag^k a^l> = <b^k s|b^l s>``.  The seed
     lives on ``m + 1`` levels and each ``b`` raises the top level by one, so
     the Gram matrix of ``v_l = b^l s`` on ``m + 1 + max_order`` levels is the
     table with no truncation: there is no ``dim``, no matrix exponential and
-    no :class:`~nclmoments.errors.TruncationError`.
+    no :class:`~nclmoments.errors.TruncationError`.  The Hermite expansion of
+    the seed is done once for all ``lam``; the seeds are stacked, ``b`` is
+    applied to the whole stack and the Gram matrices come from one batched
+    product.  Each seed's norm is checked against its closed-form
+    ``|c_m|^2``.
     """
     if max_order < 0:
         raise ValidationError("max_order must be nonnegative")
-    params = ass_params(m, lam)
+    params = [ass_params(m, lam) for lam in lams]
     dim = m + 1 + max_order
     a = destroy(dim)
-    b = params.mu * a + params.nu * a.conj().T
-    vectors = [_hermite_seed(params, dim)]
+    mu = np.array([p.mu for p in params], dtype=complex)[:, None]
+    nu = np.array([p.nu for p in params], dtype=complex)[:, None]
+    # Each row of a stack is one lam's vector: ``v @ a.T`` applies ``a`` and
+    # ``v @ a.conj()`` applies ``a^dag`` to every row.
+    vectors = [_hermite_seeds(m, params, dim)]
     for _ in range(max_order):
-        vectors.append(b @ vectors[-1])
-    v = np.array(vectors)
-    gram = v.conj() @ v.T
-    return MomentTable(max_order=max_order, values=0.5 * (gram + gram.conj().T))
+        v = vectors[-1]
+        vectors.append(mu * (v @ a.T) + nu * (v @ a.conj()))
+    v = np.stack(vectors, axis=1)
+    gram = v.conj() @ v.transpose(0, 2, 1)
+    values = 0.5 * (gram + gram.conj().transpose(0, 2, 1))
+    return [MomentTable(max_order=max_order, values=table) for table in values]
+
+
+def ass_moment_table(m: int, lam: float, max_order: int = 4) -> MomentTable:
+    """Exact moment table of the amplitude-squared squeezed state ``(m, lam)``.
+
+    The one-``lam`` call of :func:`ass_moment_tables`; exact for every
+    ``lam``, with no truncation.
+    """
+    return ass_moment_tables(m, [lam], max_order)[0]
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ significant digits (enough for a lossless float round trip).
 from __future__ import annotations
 
 import json
-import math
 from pathlib import Path
 from typing import Any, Mapping, Sequence, Union
 
@@ -331,24 +330,27 @@ def read_json(path: Union[str, Path]) -> Any:
         raise ValidationError(f"cannot read JSON from {path}: {exc}") from exc
 
 
-def format_float(value: float) -> str:
-    """17-significant-digit decimal form, losslessly round-trippable."""
-    if not math.isfinite(value):
-        raise ValidationError(f"cannot serialize non-finite value {value!r}")
-    return format(float(value), ".17g")
-
-
 def write_csv(
     path: Union[str, Path],
     header: Sequence[str],
-    rows: Sequence[Sequence[float]],
+    rows: Any,
 ) -> None:
-    """Comma-separated table with a header and 17-significant-digit floats."""
-    lines = [",".join(header)]
-    for row in rows:
-        if len(row) != len(header):
-            raise ValidationError(
-                f"CSV row has {len(row)} fields, expected {len(header)}"
-            )
-        lines.append(",".join(format_float(v) for v in row))
+    """Comma-separated table with a header and 17-significant-digit floats.
+
+    ``rows`` is a 2-D array of floats with one column per header field.
+    Every value is written as ``format(v, ".17g")`` would write it, which
+    round-trips losslessly; non-finite values are refused.
+    """
+    try:
+        values = np.asarray(rows, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"CSV rows are not a table of floats: {exc}") from None
+    if values.ndim != 2 or values.shape[1] != len(header):
+        raise ValidationError(
+            f"CSV rows have shape {values.shape}, expected {len(header)} fields a row"
+        )
+    if not np.isfinite(values).all():
+        raise ValidationError("cannot serialize non-finite values to CSV")
+    line = ",".join(["%.17g"] * len(header))
+    lines = [",".join(header)] + [line % tuple(row) for row in values.tolist()]
     Path(path).write_text("\n".join(lines) + "\n")

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 from numpy.polynomial import hermite as np_hermite
@@ -36,6 +36,12 @@ _TRACE_TOL = 1e-10
 _EIG_TOL = 1e-10
 _TRUNCATION_LOSS_TOL = 1e-10
 _SQUEEZE_TAIL_TOL = 1e-8
+# q_function's overlap recurrence: exp(-x) and its square are normal floats
+# for x up to _EXP_SAFE; scaled values are renormalized every _Q_BLOCK levels,
+# and their growth over a block stays finite while |alpha|^2/2 <= _Q_FAR.
+_EXP_SAFE = 256.0
+_Q_BLOCK = 32
+_Q_FAR = 1e12
 
 
 @dataclass(frozen=True)
@@ -221,32 +227,34 @@ def apply_squeeze(state: FockState, z: complex) -> FockState:
     return FockState(out / math.sqrt(norm_sq))
 
 
-def _hermite_seed(params: AssParams, dim: int) -> Array:
-    """Normalized Fock amplitudes of the seed ``H_m(i gamma a^dag)|0>`` on ``dim`` levels.
+def _hermite_seeds(m: int, params: Sequence[AssParams], dim: int) -> Array:
+    """Normalized Fock amplitudes of the seeds ``H_m(i gamma a^dag)|0>`` on ``dim`` levels.
 
-    ``H_m`` is the physicists' Hermite polynomial; the monomial
-    ``(i gamma a^dag)^k`` contributes ``(i gamma)^k sqrt(k!)`` to ``|k>``.
-    The seed only populates photon numbers with the parity of ``m``.  Its
-    numeric norm is checked against the closed-form ``params.c_m_sq``.
+    One row per parameter set, all of order ``m``.  ``H_m`` is the
+    physicists' Hermite polynomial, expanded into monomials once for the
+    whole stack; the monomial ``(i gamma a^dag)^k`` contributes
+    ``(i gamma)^k sqrt(k!)`` to ``|k>``.  The seeds only populate photon
+    numbers with the parity of ``m``.  Each row's numeric norm is checked
+    against its closed-form ``c_m_sq``.
     """
-    m, gamma = params.m, params.gamma
     if m >= dim:
         raise DimensionError(f"seed order m={m} does not fit in dim {dim}")
     basis = np.zeros(m + 1)
     basis[m] = 1.0
     power_coeffs = np_hermite.herm2poly(basis)  # coefficient of x^k at index k
-    amps = np.zeros(dim, dtype=complex)
-    for k, h_k in enumerate(power_coeffs):
-        if h_k == 0.0:
-            continue
-        amps[k] = h_k * (1j * gamma) ** k * math.sqrt(math.factorial(k))
-    norm_sq = float(np.vdot(amps, amps).real)
-    if abs(1.0 / norm_sq - params.c_m_sq) > 1e-8 * params.c_m_sq:
-        raise ValidationError(
-            "numeric seed normalization disagrees with its closed form; "
-            f"got {1.0 / norm_sq!r}, expected {params.c_m_sq!r}"
-        )
-    return amps / math.sqrt(norm_sq)
+    ks = np.arange(m + 1)
+    sqrt_fact = np.sqrt([float(math.factorial(k)) for k in ks])
+    gammas = np.array([p.gamma for p in params], dtype=complex).reshape(-1, 1)
+    amps = np.zeros((len(params), dim), dtype=complex)
+    amps[:, : m + 1] = power_coeffs * (1j * gammas) ** ks * sqrt_fact
+    norm_sq = np.sum(np.abs(amps) ** 2, axis=1)
+    for p, seed_norm_sq in zip(params, norm_sq):
+        if abs(1.0 / seed_norm_sq - p.c_m_sq) > 1e-8 * p.c_m_sq:
+            raise ValidationError(
+                "numeric seed normalization disagrees with its closed form at "
+                f"lam={p.lam!r}; got {1.0 / seed_norm_sq!r}, expected {p.c_m_sq!r}"
+            )
+    return amps / np.sqrt(norm_sq)[:, None]
 
 
 def ass_params(m: int, lam: float) -> AssParams:
@@ -304,8 +312,53 @@ def make_ass_state(m: int, lam: float, dim: int) -> tuple[FockState, AssParams]:
     sign convention.  The returned parameters are ``ass_params(m, lam)``.
     """
     params = ass_params(m, lam)
-    seed = _hermite_seed(params, dim)
+    seed = _hermite_seeds(m, [params], dim)[0]
     return apply_squeeze(FockState(seed), -params.z), params
+
+
+def _coherent_overlaps(alphas: Array, dim: int) -> Array:
+    """``<n|alpha_p>`` for ``n < dim`` as a ``(dim, len(alphas))`` array.
+
+    Built one level at a time by the recurrence
+    ``<n|alpha> = <n-1|alpha> alpha / sqrt(n)``, one vector product per
+    level for all points.  Where ``exp(-|alpha|^2/2)`` is a normal float the
+    recurrence starts from it directly.  Where it underflows (``|alpha|``
+    above about 37.6) a point's values are carried as ``v * 2**e``: the start
+    is ``exp(-|alpha|^2 / 2^(k+1))`` squared ``k`` times, ``v`` is brought
+    back to ``[0.5, 1)`` by an exact power of two after each squaring and
+    every ``_Q_BLOCK`` levels, and each block is scaled by ``2**e`` when
+    written.  So a basis long enough to reach such a point's peak near
+    ``n = |alpha|^2`` gets its overlaps at full precision.  Points with
+    ``|alpha|^2/2`` above ``_Q_FAR`` get zero overlaps, which is what they
+    round to on any basis of fewer than about ``1e10`` levels.
+    """
+    mag_sq = np.abs(alphas) ** 2
+    far = mag_sq > 2.0 * _Q_FAR
+    alphas = np.where(far, 0.0, alphas)
+    half = np.where(far, 0.0, 0.5 * mag_sq)
+    squarings = np.ceil(np.log2(np.maximum(half, _EXP_SAFE) / _EXP_SAFE)).astype(int)
+    start = np.exp(-np.ldexp(half, -squarings))
+    exps = np.zeros(alphas.size, dtype=np.int64)
+    for j in range(int(squarings.max(initial=0))):
+        sel = squarings > j
+        start[sel], shift = np.frexp(start[sel] ** 2)
+        exps[sel] = 2 * exps[sel] + shift
+    row = np.where(far, 0.0, start).astype(complex)
+    coh = np.empty((dim, alphas.size), dtype=complex)
+    for n in range(dim):
+        if n:
+            row *= alphas
+            row *= 1.0 / math.sqrt(n)
+        coh[n] = row
+        if n % _Q_BLOCK == _Q_BLOCK - 1 or n == dim - 1:
+            scaled = exps != 0
+            if scaled.any():
+                block = slice(n - n % _Q_BLOCK, n + 1)
+                coh[block, scaled] *= np.ldexp(1.0, exps[scaled])
+                _, shift = np.frexp(np.abs(row[scaled]))
+                row[scaled] *= np.ldexp(1.0, -shift)
+                exps[scaled] += shift
+    return coh
 
 
 def q_function(state: State, grid: Array) -> Array:
@@ -315,24 +368,20 @@ def q_function(state: State, grid: Array) -> Array:
     shape and holds values in ``[0, 1/pi]``.  Coherent projectors are used in
     their truncated (non-renormalized) form, so deeply truncated corners of
     the grid underestimate Q rather than overshooting ``1/pi``.
+
+    The overlaps ``<n|alpha>`` come from the recurrence of
+    :func:`_coherent_overlaps`, which keeps full precision where
+    ``exp(-|alpha|^2/2)`` underflows.  A pure state is contracted with one
+    vector-matrix product, a density matrix with one matrix product and a
+    column-wise dot.
     """
     pts = np.asarray(grid, dtype=complex)
-    flat = pts.reshape(-1)
-    dim = state.dim
-    ns = np.arange(dim)
-    log_fact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, dim)))))
-    # coh[p, n] = <n|alpha_p>, via logs to stay finite at large n
-    mag_flat = np.abs(flat)
-    safe = np.where(mag_flat > 0.0, mag_flat, 1.0)
-    log_mag = ns[None, :] * np.log(safe)[:, None]
-    mag = np.exp(log_mag - 0.5 * log_fact[None, :] - 0.5 * (mag_flat**2)[:, None])
-    mag[(mag_flat == 0.0)[:, None] & (ns > 0)[None, :]] = 0.0
-    phase = np.exp(1j * ns[None, :] * np.angle(flat)[:, None])
-    coh = mag * phase
+    if not np.isfinite(pts).all():
+        raise ValidationError("q_function grid points must be finite")
+    coh = _coherent_overlaps(pts.reshape(-1), state.dim)
     if isinstance(state, FockState):
-        overlap = coh.conj() @ state.amplitudes
-        vals = np.abs(overlap) ** 2 / math.pi
+        vals = np.abs(state.amplitudes.conj() @ coh) ** 2 / math.pi
     else:
-        vals = np.einsum("pn,nm,pm->p", coh.conj(), state.matrix, coh).real / math.pi
+        vals = np.sum(coh.conj() * (state.matrix @ coh), axis=0).real / math.pi
     vals = np.maximum(vals, 0.0)
     return vals.reshape(pts.shape)

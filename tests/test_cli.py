@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -13,8 +14,11 @@ from nclmoments import (
     LOConfig,
     add_shot_noise,
     asq_min_max,
+    ass_moment_table,
     make_ass_state,
+    make_thermal,
     moment_table,
+    q_function,
     s3,
     scheme_a_sample_and_fourier,
     scheme_b_forward,
@@ -147,6 +151,64 @@ def test_qfunc_verb_vacuum_peak(tmp_path):
     assert len(lines) == 1 + 121
     values = [float(line.split(",")[2]) for line in lines[1:]]
     assert max(values) == pytest.approx(1.0 / math.pi, rel=1e-12)
+
+
+def _csv_text(header, rows):
+    """The CSV a per-value ``format(v, ".17g")`` writer produces."""
+    lines = [",".join(header)]
+    lines += [",".join(format(float(v), ".17g") for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def test_qfunc_csv_lists_the_grid_row_by_row(tmp_path):
+    """A thermal state (density-matrix path): rows (re, im, Q) with re outer, byte for byte."""
+    out = tmp_path / "q.csv"
+    rc = main([
+        "qfunc", "--state", '{"type": "thermal", "nbar": 0.7}', "--dim", "48",
+        "--grid-bound", "2.5", "--grid-n", "9", "--out", str(out),
+    ])
+    assert rc == 0
+    axis = np.linspace(-2.5, 2.5, 9)
+    values = q_function(make_thermal(0.7, 48), axis[:, None] + 1j * axis[None, :])
+    rows = [(axis[i], axis[j], values[i, j]) for i in range(9) for j in range(9)]
+    assert out.read_text() == _csv_text(["re_alpha", "im_alpha", "q_value"], rows)
+
+
+def test_sweep_rows_equal_the_one_lambda_tables(tmp_path):
+    out = tmp_path / "sweep.csv"
+    rc = main([
+        "sweep", "--m-list", "3,1", "--lambda-range", "0.5,1.7,0.3",
+        "--out", str(out),
+    ])
+    assert rc == 0
+    rows = []
+    for m in (1, 3):
+        for lam in (0.5 + i * 0.3 for i in range(5)):
+            table = ass_moment_table(m, lam)
+            rows.append((lam, m, s3(table), *asq_min_max(table), table.entry(1, 1).real))
+    header = ["lambda", "m", "s3", "asq_min", "asq_max", "n_mean"]
+    assert out.read_text() == _csv_text(header, rows)
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--grid-n", "-1"),
+    ("--grid-n", "0"),
+    ("--grid-bound", "inf"),
+    ("--grid-bound", "nan"),
+    ("--grid-bound", "0"),
+    ("--grid-bound", "-2"),
+])
+def test_qfunc_refuses_bad_grid_before_any_work(option, value, tmp_path, capsys):
+    out = tmp_path / "q.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main([
+            "qfunc", "--state", '{"type": "fock", "n": 1}', option, value,
+            "--out", str(out),
+        ])
+    assert rc == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith(f"error: {option} must")
 
 
 def test_simulate_then_invert_scheme_a(tmp_path, capsys):

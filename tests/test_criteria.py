@@ -461,6 +461,12 @@ def test_bochner_search_validates():
     for bad in (-2, 1.0, None):
         with pytest.raises(ValidationError, match="seed"):
             bochner_search(state, seed=bad)
+    for bad in (2.5, 3.0, True):
+        with pytest.raises(ValidationError, match="k must"):
+            bochner_search(state, k=bad)
+    for bad in (5.5, 9.0):
+        with pytest.raises(ValidationError, match="grid_n must"):
+            bochner_search(state, grid_n=bad)
 
 
 def seeding_lattice(radius: float, grid_n: int) -> list[complex]:

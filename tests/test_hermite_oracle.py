@@ -6,6 +6,7 @@ Fock-space numerics at higher orders.  It in turn checks the exact
 Bogoliubov-image tables of ``ass_moment_table``.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,8 +14,10 @@ import pytest
 
 from nclmoments import (
     TruncationError,
+    ValidationError,
     ass_moment_analytic,
     ass_moment_table,
+    ass_moment_tables,
     ass_oracle,
     ass_params,
     gegenbauer_c_m_sq,
@@ -147,6 +150,40 @@ def test_ass_moment_table_matches_oracle(m):
         got = ass_moment_table(m, lam).values
         assert _relative_error(got, want) <= 1e-13, (m, lam)
         assert np.array_equal(got, got.conj().T)
+
+
+# The default sweep grids of the command line, below and above lambda = 1.
+SWEEP_LAMBDAS = tuple(np.round(np.arange(0.1, 0.951, 0.05), 10)) + tuple(
+    np.round(np.arange(1.05, 2.001, 0.05), 10)
+)
+
+
+@pytest.mark.parametrize("m", (0, 1, 2, 3, 4, 5, 9))
+def test_ass_moment_tables_batch_matches_oracle(m):
+    """Every lambda slice of one batched call against the closed-form recursion."""
+    tables = ass_moment_tables(m, SWEEP_LAMBDAS)
+    assert len(tables) == len(SWEEP_LAMBDAS)
+    for lam, table in zip(SWEEP_LAMBDAS, tables):
+        params = ass_params(m, lam)
+        want = np.array(
+            [[ass_moment_analytic(params, k, l) for l in range(5)] for k in range(5)]
+        )
+        assert _relative_error(table.values, want) <= 1e-13, (m, lam)
+        assert np.array_equal(table.values, ass_moment_table(m, lam).values), (m, lam)
+
+
+def test_ass_moment_tables_checks_each_seed_norm(monkeypatch):
+    """A closed-form |c_m|^2 that disagrees with one seed's norm is refused for that lambda."""
+    def skewed(m, lam):
+        params = ass_params(m, lam)
+        if lam == 1.5:
+            params = dataclasses.replace(params, c_m_sq=params.c_m_sq * (1 + 1e-6))
+        return params
+
+    monkeypatch.setattr("nclmoments.moments.ass_params", skewed)
+    assert len(ass_moment_tables(2, [1.2, 1.4])) == 2
+    with pytest.raises(ValidationError, match="lam=1.5"):
+        ass_moment_tables(2, [1.2, 1.5, 1.8])
 
 
 @pytest.mark.parametrize("m", range(6))

@@ -26,7 +26,6 @@ from nclmoments.serialize import (
     complex_to_json,
     detection_record_from_json,
     detection_record_to_json,
-    format_float,
     fourier_record_from_json,
     fourier_record_to_json,
     lo_from_json,
@@ -215,11 +214,38 @@ def test_write_json_deterministic(tmp_path):
         write_json(path, {"x": float("nan")})
 
 
-def test_format_float_round_trips_exactly():
-    for v in (0.1, -1.0 / 3.0, 2.0**-40, 12345.678):
-        assert float(format_float(v)) == v
-    with pytest.raises(ValidationError):
-        format_float(float("inf"))
+CSV_EDGE_VALUES = (
+    -0.0, 0.0, 1e-300, 5e-324, 2.5e-310, -2.2250738585072014e-308,
+    0.1, -1.0 / 3.0, 2.0**-40, 12345.678, 1.7976931348623157e308,
+    9007199254740993.0, 0.30000000000000004, 1.0 / math.pi,
+)
+
+
+def test_write_csv_bytes_equal_per_value_format(tmp_path):
+    """Row-at-a-time formatting writes what ``format(v, ".17g")`` writes, value by value."""
+    rows = np.array(CSV_EDGE_VALUES[:12]).reshape(4, 3)
+    rows = np.vstack([rows, [CSV_EDGE_VALUES[12:] + (-5e-324,)]])
+    path = tmp_path / "edge.csv"
+    write_csv(path, ["a", "b", "c"], rows)
+    want = "a,b,c\n" + "".join(
+        ",".join(format(float(v), ".17g") for v in row) + "\n" for row in rows
+    )
+    assert path.read_bytes() == want.encode()
+    read_back = np.loadtxt(path, delimiter=",", skiprows=1)
+    assert np.array_equal(read_back, rows)
+    assert np.array_equal(np.signbit(read_back), np.signbit(rows))
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([[1.0, float("inf")]], "non-finite"),
+    ([[float("nan"), 0.0]], "non-finite"),
+    ([[1.0, 2.0, 3.0]], "expected 2 fields"),
+    ([1.0, 2.0], "expected 2 fields"),
+    ([[1.0, 2.0], [3.0]], "not a table of floats"),
+])
+def test_write_csv_refuses_non_finite_and_misshapen_rows(tmp_path, rows, message):
+    with pytest.raises(ValidationError, match=message):
+        write_csv(tmp_path / "bad.csv", ["x", "y"], rows)
 
 
 def test_write_csv(tmp_path):

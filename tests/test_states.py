@@ -1,9 +1,12 @@
 """State constructors, invariants and the Husimi distribution."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+
+from helpers import random_density_state
 
 from nclmoments import (
     DensityState,
@@ -20,6 +23,7 @@ from nclmoments import (
     q_function,
 )
 from nclmoments.operators import create, destroy, number, squeeze_matrix
+from nclmoments.states import State
 
 
 def test_fock_state_is_unit_vector():
@@ -212,3 +216,128 @@ def test_q_function_density_matches_pure():
     rho = DensityState(np.outer(pure.amplitudes, pure.amplitudes.conj()))
     pts = np.array([0.0, 0.5 + 0.5j, -1.0j])
     assert np.allclose(q_function(pure, pts), q_function(rho, pts), atol=1e-13)
+
+
+def log_domain_q(state: State, grid) -> np.ndarray:
+    """Reference Husimi function in the log-domain form.
+
+    Every ``<n|alpha>`` is ``exp(n log|alpha| - log(n!)/2 - |alpha|^2/2)``
+    times ``exp(i n arg alpha)``, evaluated independently, and a density
+    matrix is contracted by one three-operand ``einsum``.
+    """
+    pts = np.asarray(grid, dtype=complex)
+    flat = pts.reshape(-1)
+    ns = np.arange(state.dim)
+    log_fact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, state.dim)))))
+    mag_flat = np.abs(flat)
+    safe = np.where(mag_flat > 0.0, mag_flat, 1.0)
+    log_mag = ns[None, :] * np.log(safe)[:, None]
+    mag = np.exp(log_mag - 0.5 * log_fact[None, :] - 0.5 * (mag_flat**2)[:, None])
+    mag[(mag_flat == 0.0)[:, None] & (ns > 0)[None, :]] = 0.0
+    coh = mag * np.exp(1j * ns[None, :] * np.angle(flat)[:, None])
+    if isinstance(state, FockState):
+        vals = np.abs(coh.conj() @ state.amplitudes) ** 2 / math.pi
+    else:
+        vals = np.einsum("pn,nm,pm->p", coh.conj(), state.matrix, coh).real / math.pi
+    return np.maximum(vals, 0.0).reshape(pts.shape)
+
+
+def exact_q(kets, weights, beta: complex) -> float:
+    """``sum_k w_k |<beta|ket_k>|^2 / pi`` in 40-digit decimal arithmetic.
+
+    The float amplitudes and ``beta`` are taken exactly; ``<n|beta>`` runs
+    the recurrence from ``exp(-|beta|^2/2)``, which decimal numbers hold
+    without underflow.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 40
+        b_re, b_im = Decimal(beta.real), Decimal(beta.imag)
+        total = Decimal(0)
+        for ket, weight in zip(kets, weights):
+            t_re, t_im = (-(b_re * b_re + b_im * b_im) / 2).exp(), Decimal(0)
+            s_re = s_im = Decimal(0)
+            for n, amp in enumerate(ket):
+                if n:
+                    root = Decimal(n).sqrt()
+                    t_re, t_im = (t_re * b_re - t_im * b_im) / root, (
+                        t_re * b_im + t_im * b_re
+                    ) / root
+                a_re, a_im = Decimal(float(amp.real)), Decimal(float(amp.imag))
+                s_re += t_re * a_re + t_im * a_im
+                s_im += t_re * a_im - t_im * a_re
+            total += Decimal(weight) * (s_re * s_re + s_im * s_im)
+        return float(total / Decimal(math.pi))
+
+
+Q_STATES = {
+    "coherent": lambda: make_coherent(1.2 - 0.7j, 64),
+    "squeezed": lambda: apply_squeeze(make_fock(0, 64), 0.5j),
+    "ass": lambda: make_ass_state(3, 1.4, 96)[0],
+    "fock-7": lambda: make_fock(7, 200),
+    "thermal": lambda: make_thermal(1.5, 128),
+    "rank-3 rho": lambda: random_density_state(40, 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(Q_STATES))
+def test_q_function_matches_log_domain_reference(name):
+    state = Q_STATES[name]()
+    axis = np.linspace(-6.0, 6.0, 25)
+    grid = axis[:, None] + 1j * axis[None, :]
+    got = q_function(state, grid)
+    assert np.max(np.abs(got - log_domain_q(state, grid))) <= 1e-13
+
+
+def _coherent_amplitudes(alpha: complex, dim: int) -> np.ndarray:
+    """Normalized ``<n|alpha>`` from the log-domain formula (no underflow)."""
+    ns = np.arange(dim)
+    log_fact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, dim)))))
+    amps = np.exp(
+        ns * np.log(abs(alpha)) - 0.5 * log_fact - 0.5 * abs(alpha) ** 2
+        + 1j * ns * np.angle(alpha)
+    )
+    return amps / np.linalg.norm(amps)
+
+
+# |beta|^2/2 runs from 741 to 800 at these points, so exp(-|beta|^2/2)
+# underflows to a subnormal or to zero.
+FAR_POINTS = np.array([36 + 15j, 36.5 + 14.5j, 35 + 16.5j, 38.5 + 4j, 15 + 36j, 40j])
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["pure", "density"])
+def test_q_function_keeps_precision_where_the_gaussian_underflows(mixed):
+    """|alpha| about 39 on dim 1800: exact to 1e-13 where exp(-|alpha|^2/2) underflows.
+
+    The log-domain reference rounds its exponent (terms up to 1e4) and is
+    itself about 3e-12 off here, so it is required to agree only to within
+    its own distance from the exact value, plus 1e-13.
+    """
+    dim = 1800
+    kets = [_coherent_amplitudes(36 + 15j, dim)]
+    weights = [1.0]
+    if mixed:
+        kets.append(_coherent_amplitudes(39j, dim))
+        weights = [0.6, 0.4]
+        state = DensityState(sum(w * np.outer(k, k.conj()) for w, k in zip(weights, kets)))
+    else:
+        state = FockState(kets[0])
+    got = q_function(state, FAR_POINTS)
+    reference = log_domain_q(state, FAR_POINTS)
+    exact = np.array([exact_q(kets, weights, complex(b)) for b in FAR_POINTS])
+    assert exact.max() > 0.1
+    assert np.max(np.abs(got - exact)) <= 1e-13
+    assert np.all(np.abs(got - reference) <= np.abs(reference - exact) + 1e-13)
+
+
+def test_q_function_is_zero_far_beyond_the_basis():
+    """No overflow into NaN where |alpha|^n/sqrt(n!) leaves the float range."""
+    points = np.array([100.0, -3e4j, 1e7 + 1e7j, 1e13, 1e150])
+    for state in (make_fock(5, 64), FockState(_coherent_amplitudes(36 + 15j, 1800))):
+        with np.errstate(over="ignore"):
+            assert np.array_equal(q_function(state, points), np.zeros(5))
+
+
+def test_q_function_refuses_non_finite_points():
+    for bad in (np.inf, np.nan, complex(0.0, -np.inf)):
+        with pytest.raises(ValidationError, match="finite"):
+            q_function(make_fock(0, 8), np.array([0.0, bad]))
