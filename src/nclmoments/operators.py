@@ -9,16 +9,23 @@ Conventions
   ``z = r`` real positive it reduces the variance of ``x = a + a^dag``.
 * The displacement operator is ``D(beta) = exp(beta a^dag - conj(beta) a)``.
 
-Both matrices here are dense matrix exponentials of the truncated generator.
-The generators are exactly anti-Hermitian on the truncated space, so the
-resulting matrices are unitary to machine precision; truncation instead shows
-up as corrupted amplitudes near the top of the basis, which callers control by
-choosing ``dim`` with headroom.  ``apply_squeeze`` uses ``squeeze_matrix``.
-Both import ``scipy.linalg`` on call: it is most of the package import time.
-The library never exponentiates the displacement generator: characteristic
-functions come from the closed-form Laguerre elements of ``D(beta)`` in
-:mod:`nclmoments.moments`, and ``displacement_matrix`` remains as a dense
-reference for tests.
+The library builds neither matrix at run time.  ``apply_squeeze`` in
+:mod:`nclmoments.states` exponentiates the same truncated generator on its
+two parity blocks: ``i (conj(z) a^2 - z a^dag^2) / 2`` restricted to the
+levels ``p, p+2, ...`` is a Hermitian tridiagonal matrix, so the map comes
+from two ``numpy.linalg.eigh`` calls of about ``dim/2`` levels each.
+Characteristic functions come from the closed-form Laguerre elements of
+``D(beta)`` in :mod:`nclmoments.moments`.
+
+``squeeze_matrix`` and ``displacement_matrix`` remain as dense references
+for the tests: matrix exponentials of the truncated generators, computed by
+``scipy.linalg.expm``, which they import on call.  SciPy is a test
+dependency only.  They stay public because the benchmark's tracer wraps
+them by name (its ``LAYERS`` table).  The generators are exactly
+anti-Hermitian on the truncated space, so both matrices are unitary to
+machine precision; truncation instead shows up as corrupted amplitudes near
+the top of the basis, which callers control by choosing ``dim`` with
+headroom.
 """
 
 from __future__ import annotations
@@ -49,7 +56,7 @@ def number(dim: int) -> Array:
 
 
 def squeeze_matrix(z: complex, dim: int) -> Array:
-    """Dense squeeze operator ``exp((conj(z) a^2 - z a^dag^2) / 2)``."""
+    """Dense squeeze operator ``exp((conj(z) a^2 - z a^dag^2) / 2)`` (reference)."""
     from scipy.linalg import expm
 
     a = destroy(dim)

@@ -9,6 +9,11 @@ Conventions
   ``p_phi = x_{phi + pi/2}``, so the vacuum has ``<x^2> = 1``.
 * The squeeze operator is ``S(z) = exp((conj(z) a^2 - z a^dag^2)/2)``
   (see :mod:`nclmoments.operators`); ``apply_squeeze`` exposes it directly.
+  It exponentiates the truncated generator one parity block at a time:
+  ``S(z)`` couples only levels of equal parity, and on each block ``i``
+  times the generator is a Hermitian tridiagonal matrix, diagonalized by
+  ``numpy.linalg.eigh``.  No SciPy is needed; the dense
+  ``operators.squeeze_matrix`` remains as the tests' reference.
 * ``make_ass_state`` builds the minimum-uncertainty amplitude-squared
   squeezed states: normalized eigenstates of ``X + i lam Y`` with
   ``X = a^2 + a^dag^2`` and ``Y = i (a^dag^2 - a^2)``, constructed as a
@@ -21,7 +26,9 @@ threads and parameter sweeps.
 
 from __future__ import annotations
 
+import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -29,7 +36,7 @@ import numpy as np
 from numpy.polynomial import hermite as np_hermite
 
 from .errors import DimensionError, TruncationError, ValidationError
-from .operators import Array, squeeze_matrix
+from .operators import Array
 
 _NORM_TOL = 1e-12
 _TRACE_TOL = 1e-10
@@ -85,11 +92,17 @@ class DensityState:
         trace = float(np.trace(mat).real)
         if abs(trace - 1.0) > _TRACE_TOL:
             raise ValidationError(f"density matrix trace is {trace!r}, not 1")
-        min_eig = float(np.linalg.eigvalsh(mat).min())
-        if min_eig < -_EIG_TOL:
-            raise ValidationError(
-                f"density matrix has negative eigenvalue {min_eig:.3e}"
-            )
+        # Cholesky of rho + _EIG_TOL I succeeds iff every eigenvalue of rho
+        # exceeds -_EIG_TOL (up to roundoff); eigvalsh, several times
+        # slower, only runs to confirm a failure and name the eigenvalue.
+        try:
+            np.linalg.cholesky(mat + _EIG_TOL * np.eye(mat.shape[0]))
+        except np.linalg.LinAlgError:
+            min_eig = float(np.linalg.eigvalsh(mat).min())
+            if min_eig < -_EIG_TOL:
+                raise ValidationError(
+                    f"density matrix has negative eigenvalue {min_eig:.3e}"
+                ) from None
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
@@ -163,13 +176,25 @@ def make_fock(n: int, dim: int) -> FockState:
 def make_coherent(alpha: complex, dim: int) -> FockState:
     """Coherent state ``|alpha>``, renormalized after truncation.
 
-    Raises :class:`TruncationError` when the truncated norm falls short of 1
-    by more than ``1e-10``.
+    The amplitudes follow ``c_n = c_{n-1} alpha / sqrt(n)`` from
+    ``c_0 = exp(-|alpha|^2/2)``.  Where that start underflows (``|alpha|``
+    above about 37.6) they come from :func:`_coherent_overlaps`, which
+    carries a power-of-two scale instead, so a large enough ``dim`` holds
+    any finite ``alpha``.  Raises :class:`TruncationError` when the truncated
+    norm falls short of 1 by more than ``1e-10``.
     """
-    amps = np.zeros(dim, dtype=complex)
-    amps[0] = math.exp(-abs(alpha) ** 2 / 2.0)
-    for n in range(1, dim):
-        amps[n] = amps[n - 1] * alpha / math.sqrt(n)
+    if not cmath.isfinite(alpha):
+        raise ValidationError(f"coherent amplitude must be finite, got {alpha!r}")
+    start = math.exp(-abs(alpha) ** 2 / 2.0)
+    if start < sys.float_info.min:
+        amps = _coherent_overlaps(np.array([alpha], dtype=complex), dim)[:, 0]
+    else:
+        # for one point a scalar loop is several times faster than the
+        # array recurrence
+        amps = np.zeros(dim, dtype=complex)
+        amps[0] = start
+        for n in range(1, dim):
+            amps[n] = amps[n - 1] * alpha / math.sqrt(n)
     norm_sq = float(np.vdot(amps, amps).real)
     deficit = 1.0 - norm_sq
     if deficit > _TRUNCATION_LOSS_TOL:
@@ -204,17 +229,52 @@ def make_thermal(nbar: float, dim: int) -> DensityState:
     return DensityState(np.diag(probs / trace).astype(complex))
 
 
+def _squeeze_amplitudes(amps: Array, z: complex) -> Array:
+    """``exp(G) amps`` for the truncated generator ``G = (conj(z) a^2 - z a^dag^2)/2``.
+
+    ``G`` couples level ``n`` only to ``n +- 2``, so it splits into the even
+    and the odd parity block.  On the block of levels ``p, p+2, ...`` the
+    Hermitian ``H = i G`` is tridiagonal with sub-diagonal
+    ``-i (z/2) sqrt(n (n-1))``.  Every one of those entries has the phase
+    ``e^{i theta}`` of ``-i z``, so ``H = D T D^dag`` with
+    ``D = diag(e^{i j theta})`` and ``T`` the real symmetric tridiagonal
+    matrix with sub-diagonal ``(|z|/2) sqrt(n (n-1))``.  With ``T = V w V^T``
+    from ``numpy.linalg.eigh`` the block's part of the map is
+    ``D V e^{-i w} V^T D^dag``: two real eigendecompositions of about
+    ``dim/2`` levels each, the same truncated map as a dense ``expm`` of ``G``.
+    """
+    out = np.array(amps, dtype=complex)
+    r = abs(z)
+    if r == 0.0:
+        return out
+    theta = cmath.phase(-1j * z)
+    for parity in (0, 1):
+        levels = np.arange(parity, out.size, 2)
+        if levels.size < 2:
+            continue
+        upper = np.diag(0.5 * r * np.sqrt(levels[1:] * (levels[1:] - 1.0)), 1)
+        w, v = np.linalg.eigh(upper + upper.T)
+        phases = np.exp(1j * theta * np.arange(levels.size))
+        coeffs = v.T @ (phases.conj() * out[parity::2])
+        out[parity::2] = phases * (v @ (np.exp(-1j * w) * coeffs))
+    return out
+
+
 def apply_squeeze(state: FockState, z: complex) -> FockState:
     """Apply ``S(z) = exp((conj(z) a^2 - z a^dag^2)/2)`` to a pure state.
 
-    The truncated generator is anti-Hermitian, so the map conserves norm
-    exactly and a norm check cannot detect truncation.  Instead the output
-    is inspected for probability that piled up against the cutoff: mass
-    beyond ``1e-8`` in the top eighth of the Fock ladder raises
-    :class:`TruncationError` with a suggested larger dimension.
+    The map is the exponential of the truncated generator, evaluated on its
+    two parity blocks by :func:`_squeeze_amplitudes`.  That generator is
+    anti-Hermitian, so the map conserves norm exactly and a norm check
+    cannot detect truncation.  Instead the output is inspected for
+    probability that piled up against the cutoff: mass beyond ``1e-8`` in
+    the top eighth of the Fock ladder raises :class:`TruncationError` with a
+    suggested larger dimension.
     """
+    if not cmath.isfinite(z):
+        raise ValidationError(f"squeeze parameter must be finite, got {z!r}")
     dim = state.dim
-    out = squeeze_matrix(z, dim) @ state.amplitudes
+    out = _squeeze_amplitudes(state.amplitudes, z)
     band = max(2, dim // 8)
     tail_mass = float(np.sum(np.abs(out[dim - band :]) ** 2))
     if tail_mass > _SQUEEZE_TAIL_TOL:

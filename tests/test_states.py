@@ -23,7 +23,7 @@ from nclmoments import (
     q_function,
 )
 from nclmoments.operators import create, destroy, number, squeeze_matrix
-from nclmoments.states import State
+from nclmoments.states import State, _hermite_seeds, _squeeze_amplitudes
 
 
 def test_fock_state_is_unit_vector():
@@ -66,6 +66,57 @@ def test_coherent_truncation_error_suggests_dim():
     assert excinfo.value.suggested_dim > 8
 
 
+def plain_coherent(alpha: complex, dim: int) -> np.ndarray:
+    """The recurrence from ``exp(-|alpha|^2/2)``, normalized after truncation."""
+    amps = np.zeros(dim, dtype=complex)
+    amps[0] = math.exp(-abs(alpha) ** 2 / 2.0)
+    for n in range(1, dim):
+        amps[n] = amps[n - 1] * alpha / math.sqrt(n)
+    return amps / math.sqrt(float(np.vdot(amps, amps).real))
+
+
+def test_coherent_amplitudes_are_the_plain_recurrence_bit_for_bit():
+    """Wherever ``exp(-|alpha|^2/2)`` is a normal float nothing changes, not even an ulp."""
+    for alpha, dim in [(0.5, 64), (1.3 - 0.4j, 64), (-2.5j, 200), (3 + 1j, 200),
+                       (26.0, 1200), (37.5 * np.exp(2.1j), 1800)]:
+        assert np.array_equal(make_coherent(alpha, dim).amplitudes, plain_coherent(alpha, dim))
+
+
+def decimal_coherent(alpha: complex, dim: int) -> np.ndarray:
+    """Normalized ``<n|alpha>`` for ``alpha`` on an axis, in the log domain.
+
+    ``log|<n|alpha>| = -|alpha|^2/2 + n log|alpha| - log(n!)/2`` in 40-digit
+    decimal arithmetic; ``alpha`` must be real or imaginary, so that its
+    phase ``(alpha/|alpha|)^n`` is exact.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 40
+        mag = Decimal(abs(alpha))
+        log_mag, log_fact = mag.ln(), Decimal(0)
+        logs = []
+        for n in range(dim):
+            if n:
+                log_fact += Decimal(n).ln()
+            logs.append(-mag * mag / 2 + n * log_mag - log_fact / 2)
+        mags = [x.exp() for x in logs]
+        norm = sum(x * x for x in mags).sqrt()
+        mags = np.array([float(x / norm) for x in mags])
+    return mags * (alpha / abs(alpha)) ** np.arange(dim)
+
+
+@pytest.mark.parametrize("alpha", [39.0, -39j], ids=["real", "imaginary"])
+def test_coherent_state_beyond_the_exponent_range(alpha):
+    """|alpha| = 39: exp(-|alpha|^2/2) underflows, yet dim 1800 holds the state."""
+    state = make_coherent(alpha, 1800)
+    assert np.max(np.abs(state.amplitudes - decimal_coherent(alpha, 1800))) <= 1e-13
+
+
+def test_coherent_refuses_non_finite_alpha():
+    for bad in (np.nan, complex(np.inf, 0.0)):
+        with pytest.raises(ValidationError, match="finite"):
+            make_coherent(bad, 8)
+
+
 def test_thermal_moments_and_trace():
     state = make_thermal(1.0, 128)
     assert isinstance(state, DensityState)
@@ -94,6 +145,28 @@ def test_density_state_validation():
         DensityState(np.diag([0.7, 0.7]).astype(complex))
     with pytest.raises(ValidationError):
         DensityState(np.diag([1.5, -0.5]).astype(complex))
+
+
+def density_with_min_eigenvalue(lowest: float, dim: int, seed: int) -> np.ndarray:
+    """Unit-trace Hermitian matrix whose smallest eigenvalue is ``lowest``."""
+    rng = np.random.default_rng(seed)
+    basis, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    eigs = rng.random(dim)
+    eigs[0] = 0.0
+    eigs *= (1.0 - lowest) / eigs.sum()
+    eigs[0] = lowest
+    rho = (basis * eigs) @ basis.conj().T
+    return 0.5 * (rho + rho.conj().T)
+
+
+@pytest.mark.parametrize("dim", [2, 9, 200])
+def test_density_state_negativity_bound(dim):
+    """Eigenvalues down to -1e-10 are roundoff; below that the matrix is refused."""
+    for seed in range(3):
+        DensityState(density_with_min_eigenvalue(-5e-11, dim, seed))
+        DensityState(density_with_min_eigenvalue(0.0, dim, seed))
+        with pytest.raises(ValidationError, match="negative eigenvalue -2.0"):
+            DensityState(density_with_min_eigenvalue(-2e-10, dim, seed))
 
 
 def test_squeeze_operator_is_unitary_on_truncation():
@@ -129,6 +202,56 @@ def test_squeeze_truncation_error_for_tiny_dim():
     with pytest.raises(TruncationError) as excinfo:
         apply_squeeze(make_fock(0, 6), 1.5)
     assert excinfo.value.suggested_dim == 12
+
+
+SQUEEZE_DIMS = [1, 2, 3, 7, 32, 64, 96, 128]
+SQUEEZE_ZS = [0.0, 0.9, -1.5, 1.2j, -0.7j, 1.5 * np.exp(0.4j), 1.1 * np.exp(-2.3j), 0.3 + 0.2j]
+
+
+def squeeze_inputs(dim: int) -> list:
+    """|0>, ass seeds of the orders that fit, and random complex kets."""
+    vacuum = np.zeros(dim, dtype=complex)
+    vacuum[0] = 1.0
+    inputs = [vacuum]
+    for m, lam in [(2, 1.5), (3, 0.7), (5, 1.2)]:
+        if m < dim:
+            inputs.append(_hermite_seeds(m, [ass_params(m, lam)], dim)[0])
+    rng = np.random.default_rng(dim)
+    for _ in range(2):
+        raw = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        inputs.append(raw / np.linalg.norm(raw))
+    return inputs
+
+
+@pytest.mark.parametrize("dim", SQUEEZE_DIMS)
+def test_squeeze_matches_dense_expm(dim):
+    """The parity-block map equals the dense ``expm`` of the same truncated generator."""
+    for z in SQUEEZE_ZS:
+        dense = squeeze_matrix(z, dim)
+        for psi in squeeze_inputs(dim):
+            want = dense @ psi
+            assert np.max(np.abs(_squeeze_amplitudes(psi, z) - want)) <= 1e-13, z
+            try:
+                got = apply_squeeze(FockState(psi), z).amplitudes
+            except TruncationError:
+                band = max(2, dim // 8)
+                assert np.sum(np.abs(want[dim - band :]) ** 2) > 1e-8
+                continue
+            assert np.max(np.abs(got - want / np.linalg.norm(want))) <= 1e-13, z
+
+
+def test_ass_state_is_the_dense_squeeze_of_its_seed():
+    for m, lam, dim in [(2, 1.5, 64), (3, 0.7, 96), (4, 1.8, 128)]:
+        state, params = make_ass_state(m, lam, dim)
+        seed = _hermite_seeds(m, [params], dim)[0]
+        want = squeeze_matrix(-params.z, dim) @ seed
+        assert np.max(np.abs(state.amplitudes - want / np.linalg.norm(want))) <= 1e-13
+
+
+def test_squeeze_refuses_non_finite_z():
+    for bad in (complex(np.nan, 0.0), np.inf, complex(0.0, -np.inf)):
+        with pytest.raises(ValidationError, match="finite"):
+            apply_squeeze(make_fock(0, 8), bad)
 
 
 def test_ass_params_branches():
