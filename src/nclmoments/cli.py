@@ -7,7 +7,8 @@ One verb produces one artifact; verbs compose through files:
 * ``sweep``    — amplitude-squared squeezing witnesses over an
   ``(m, lambda)`` grid (CSV), read from exact moment tables
   (:func:`~nclmoments.moments.ass_moment_tables`, one batched call per
-  ``m``); it accepts ``--dim`` but uses no Fock truncation.
+  ``m``) and scored by one call of the criteria witness kernel per ``m``;
+  it accepts ``--dim`` but uses no Fock truncation.
 * ``qfunc``    — Husimi distribution on a square grid (CSV).
 * ``simulate`` — forward measurement record for scheme a, b or c (JSON),
   optionally with seeded shot noise.
@@ -17,8 +18,12 @@ One verb produces one artifact; verbs compose through files:
 Each verb accepts only the options it reads: ``--tolerance`` is
 ``criteria``'s, and ``--dim`` is taken by the verbs that build a state
 (``moments``, ``criteria``, ``qfunc``, ``simulate``), whose default of 64
-the ``NCL_DEFAULT_DIM`` environment variable overrides.  Record files are
+the ``NCL_DEFAULT_DIM`` environment variable overrides.  ``--phi`` and
+``--tolerance`` must be finite.  Record files are
 :func:`~nclmoments.serialize.records_to_json` documents.
+
+:func:`main` builds the argument parser on its first call and reuses it for
+every later call in the process.
 
 Exit codes: 0 success; 2 invalid input; 3 truncation or insufficient
 moment order; 4 singular inversion; 10 (``criteria`` only) nonclassicality
@@ -35,13 +40,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .criteria import (
-    BasisKind,
-    DEFAULT_TOLERANCE,
-    asq_min_max,
-    determinant_hierarchy,
-    s3,
-)
+from .criteria import BasisKind, DEFAULT_TOLERANCE, _witnesses, determinant_hierarchy
 from .errors import (
     InsufficientOrderError,
     NclError,
@@ -216,8 +215,10 @@ def config_from_args(args: argparse.Namespace) -> argparse.Namespace:
         args.out = _DEFAULT_OUT[args.verb]
     if args.samples is not None and args.samples < 1:
         raise ValidationError("--samples must be at least 1")
-    if args.tolerance <= 0:
-        raise ValidationError("--tolerance must be positive")
+    if not (math.isfinite(args.tolerance) and args.tolerance > 0):
+        raise ValidationError("--tolerance must be finite and positive")
+    if not math.isfinite(args.phi):
+        raise ValidationError("--phi must be finite")
     args.lo_alpha = _parse_complex_pair(args.lo_alpha, "--lo-alpha")
     args.m_list = _parse_int_list(args.m_list, "--m-list")
     args.lambda_range = _parse_range(args.lambda_range, "--lambda-range")
@@ -278,11 +279,13 @@ def verb_sweep(args: argparse.Namespace) -> int:
         raise ValidationError("lambda grid must avoid 0 and the classical point 1")
     rows = []
     for m in sorted(args.m_list):
-        for lam, table in zip(lambdas, ass_moment_tables(m, lambdas)):
-            amin, amax = asq_min_max(table)
-            rows.append(
-                (lam, float(m), s3(table), amin, amax, table.entry(1, 1).real)
-            )
+        tables = ass_moment_tables(m, lambdas)
+        witnesses = _witnesses(np.stack([table.values for table in tables]), 0.0)
+        for lam, table, w in zip(lambdas, tables, witnesses):
+            rows.append((
+                lam, float(m), w["s3"], w["asq_min"], w["asq_max"],
+                table.entry(1, 1).real,
+            ))
     write_csv(
         args.out,
         ["lambda", "m", "s3", "asq_min", "asq_max", "n_mean"],
@@ -351,9 +354,16 @@ _VERBS = {
 }
 
 
+# The parser of every main() call in this process: built by the first call,
+# since building it costs twenty parses and it is the same for every argv.
+_PARSER: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         config = config_from_args(args)
         return _VERBS[args.verb](config)

@@ -28,12 +28,21 @@ state, so it is reported but never classified.
 Witnesses: ``s3`` (the ``aa`` principal minor over ``{1, a^dag^2, a^2}``),
 ``s2A``/``s2B`` (``quad`` principal minors over ``{x, x p}`` and
 ``{1, x p}``), the amplitude-squared quadrature variances, and the Bochner
-determinants of the normally ordered characteristic function.
+determinants of the normally ordered characteristic function.  One kernel
+evaluates the first five for a table or a stack of tables, with one stacked
+determinant for every ``s3`` and one for every ``s2`` pair;
+:func:`determinant_hierarchy` calls it once per report, the ``sweep`` verb
+once per ``m``, and :func:`s3`, :func:`s2_witnesses`, :func:`asq_min_max`
+and :func:`asq_variance` are its one-table views.
+
+Angles and tolerances must be finite and orders and minor indices integers;
+anything else raises :class:`~nclmoments.errors.ValidationError`.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Optional, Sequence, Union
@@ -58,6 +67,16 @@ _WITNESS_ORDER = 4
 _MIN_SEPARATION = 1e-12
 # Refinement-walk proposals scored per char_values call.
 _WALK_BLOCK = 16
+
+
+def _check_count(value: object, name: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise ValidationError(f"{name} must be a nonnegative integer, got {value!r}")
+
+
+def _check_angle(phi: float) -> None:
+    if not math.isfinite(phi):
+        raise ValidationError(f"phi must be finite, got {phi!r}")
 
 
 class BasisKind(str, Enum):
@@ -224,11 +243,20 @@ def build_matrix(
     ``:x_phi^2 + p_phi^2: = 4 n``), and ``w = 1`` otherwise.  The expansion
     is computed once per ``(basis, phi)`` and reused.
     """
+    _check_angle(phi)
     table = resolve_table(source, basis.required_order())
+    return MomentMatrix(basis=basis, phi=phi, values=_gather(table.values, basis, phi))
+
+
+def _gather(values: Array, basis: MonomialBasis, phi: float) -> Array:
+    """``C^H A_w C`` of :func:`build_matrix`, symmetrized, for each table.
+
+    ``values`` is one table ``(K+1, K+1)`` or a stack ``(..., K+1, K+1)``.
+    """
     rows, cols, w, coeffs_h, coeffs = _expansion(basis, phi)
-    a_w = (w * table.values[rows, cols]).sum(axis=0)
+    a_w = (w * values[..., rows, cols]).sum(axis=-3)
     vals = coeffs_h @ a_w @ coeffs
-    return MomentMatrix(basis=basis, phi=phi, values=0.5 * (vals + vals.conj().T))
+    return 0.5 * (vals + vals.conj().swapaxes(-1, -2))
 
 
 def build_matrix_d2(
@@ -257,6 +285,54 @@ def build_matrix_d2(
 
 _S3_BASIS = MonomialBasis(BasisKind.AA, ((0, 0), (2, 0), (0, 2)))
 _S2_BASIS = MonomialBasis(BasisKind.QUAD, ((0, 0), (0, 1), (1, 1)))
+# Rows and columns of s2A and s2B in the _S2_BASIS matrix: {x, x p}, {1, x p}.
+_S2_MINORS = np.array([[1, 2], [0, 2]])
+
+
+def _asq_pair(values: Array) -> tuple[complex, float]:
+    """``<a^4> - <a^2>^2`` and the real ``<a^dag^2 a^2> - |<a^2>|^2`` of one table.
+
+    In Python scalars: NumPy's vectorized complex multiply and ``abs`` differ
+    from them in the last ulp.
+    """
+    a2 = complex(values[0, 2])
+    b = complex(values[0, 4]) - a2**2
+    c = as_real(complex(values[2, 2]) - abs(a2) ** 2, "amplitude-squared covariance")
+    return b, c
+
+
+def _witnesses(values: Array, phi: float) -> list[dict[str, float]]:
+    """``s3``, ``s2A``, ``s2B``, ``asq_min`` and ``asq_max`` of every table.
+
+    ``values`` is one table ``(K+1, K+1)`` or a stack ``(..., K+1, K+1)``
+    with ``K >= 4``; the result has one dict per table, in row-major order.
+    Every ``s3`` matrix is taken in one stacked determinant and every ``s2``
+    minor in another, which gives the bits of one ``det`` per matrix.  Each
+    table's imaginary residues are checked in the order in which
+    :func:`determinant_hierarchy` reads them: the ``asq`` covariance, then
+    ``s2A``, ``s2B`` and ``s3``; the first table that fails raises.
+    """
+    stack = values.reshape((-1,) + values.shape[-2:])
+    s3_dets = np.linalg.det(_gather(stack, _S3_BASIS, 0.0))
+    s2 = _gather(stack, _S2_BASIS, phi)
+    s2_dets = np.linalg.det(s2[:, _S2_MINORS[:, :, None], _S2_MINORS[:, None, :]])
+    out = []
+    for table, s3_det, (s2a_det, s2b_det) in zip(stack, s3_dets, s2_dets):
+        b, c = _asq_pair(table)
+        s2a = as_real(complex(s2a_det), "principal minor")
+        s2b = as_real(complex(s2b_det), "principal minor")
+        out.append({
+            "s3": as_real(complex(s3_det), "principal minor"),
+            "s2A": s2a,
+            "s2B": s2b,
+            "asq_min": 2.0 * (c - abs(b)),
+            "asq_max": 2.0 * (c + abs(b)),
+        })
+    return out
+
+
+def _table_witnesses(source: MomentSource, phi: float = 0.0) -> dict[str, float]:
+    return _witnesses(resolve_table(source, _WITNESS_ORDER).values, phi)[0]
 
 
 def s3(source: MomentSource) -> float:
@@ -266,7 +342,7 @@ def s3(source: MomentSource) -> float:
     nonclassicality; equals one quarter of the product of the
     amplitude-squared variance extrema.
     """
-    return principal_minor(build_matrix(source, _S3_BASIS), (0, 1, 2))
+    return _table_witnesses(source)["s3"]
 
 
 def s2_witnesses(source: MomentSource, phi: float = 0.0) -> tuple[float, float]:
@@ -276,17 +352,9 @@ def s2_witnesses(source: MomentSource, phi: float = 0.0) -> tuple[float, float]:
     ``s2B = <:x^2 p^2:> - <:x p:>^2`` at quadrature angle ``phi``: the
     ``quad`` principal minors over ``{x, x p}`` and ``{1, x p}``.
     """
-    matrix = build_matrix(source, _S2_BASIS, phi)
-    return principal_minor(matrix, (1, 2)), principal_minor(matrix, (0, 2))
-
-
-def _asq_pair(table: MomentTable) -> tuple[complex, float]:
-    b = table.entry(0, 4) - table.entry(0, 2) ** 2
-    c = as_real(
-        table.entry(2, 2) - abs(table.entry(0, 2)) ** 2,
-        "amplitude-squared covariance",
-    )
-    return b, c
+    _check_angle(phi)
+    witnesses = _table_witnesses(source, phi)
+    return witnesses["s2A"], witnesses["s2B"]
 
 
 def asq_variance(source: MomentSource, phi: float = 0.0) -> float:
@@ -297,26 +365,27 @@ def asq_variance(source: MomentSource, phi: float = 0.0) -> float:
     amplitude-squared squeezing signature.  The full variance of ``E_phi``
     exceeds this by ``4 <n> + 2``.
     """
-    table = resolve_table(source, _WITNESS_ORDER)
-    b, c = _asq_pair(table)
+    _check_angle(phi)
+    b, c = _asq_pair(resolve_table(source, _WITNESS_ORDER).values)
     return 2.0 * (np.exp(2j * phi) * b).real + 2.0 * c
 
 
 def asq_min_max(source: MomentSource) -> tuple[float, float]:
     """Extrema of :func:`asq_variance` over the angle ``phi``."""
-    table = resolve_table(source, _WITNESS_ORDER)
-    b, c = _asq_pair(table)
-    return 2.0 * (c - abs(b)), 2.0 * (c + abs(b))
+    witnesses = _table_witnesses(source)
+    return witnesses["asq_min"], witnesses["asq_max"]
 
 
 def principal_minor(matrix: MomentMatrix, indices: Sequence[int]) -> float:
     """Determinant of the principal submatrix on the selected monomials."""
-    idx = [int(i) for i in indices]
+    idx = list(indices)
+    for i in idx:
+        _check_count(i, "a minor index")
     if not idx:
         raise ValidationError("need at least one index")
     if len(set(idx)) != len(idx):
         raise ValidationError("indices must be distinct")
-    if min(idx) < 0 or max(idx) >= matrix.size:
+    if max(idx) >= matrix.size:
         raise ValidationError(
             f"indices out of range for a {matrix.size}-monomial basis"
         )
@@ -376,31 +445,39 @@ def determinant_hierarchy(
     entry (floored at 1), so determinants of bright states are not
     misclassified on roundoff.  The ``aa`` hierarchy starts reporting at
     ``N = 2`` but classifying at ``N = 3`` because its ``2 x 2`` determinant
-    is nonnegative for all states.
+    is nonnegative for all states.  ``n_max`` is an integer, ``phi`` and
+    ``tolerance`` are finite.  Each ``d_N`` is one ``det`` of a leading
+    block; the witnesses come from one call of the witness kernel.
     """
     kind = BasisKind(kind)
+    _check_count(n_max, "n_max")
     report_start = _REPORT_START[kind]
     if n_max < report_start:
         raise ValidationError(
             f"n_max={n_max} is below the first reportable order "
             f"{report_start} of kind {kind.value!r}"
         )
-    if tolerance <= 0.0:
-        raise ValidationError("tolerance must be positive")
+    if not (math.isfinite(tolerance) and tolerance > 0.0):
+        raise ValidationError(
+            f"tolerance must be finite and positive, got {tolerance!r}"
+        )
+    _check_angle(phi)
     if kind is BasisKind.XN_WEIGHTED:
         basis = MonomialBasis.number_chain(n_max)
     else:
         basis = MonomialBasis.graded(kind, n_max)
     needed = max(basis.required_order(), _WITNESS_ORDER)
     table = resolve_table(source, needed)
-    matrix = build_matrix(table, basis, phi=phi)
-    scale = float(np.max(np.abs(matrix.values)))
+    values = build_matrix(table, basis, phi=phi).values
+    scale = float(np.max(np.abs(values)))
     tol_eff = tolerance * max(1.0, scale)
 
     determinants = []
     first_negative: Optional[int] = None
     for n in range(report_start, n_max + 1):
-        value = matrix.leading_determinant(n)
+        value = as_real(
+            complex(np.linalg.det(values[:n, :n])), f"leading {n}x{n} determinant"
+        )
         determinants.append((n, value))
         if (
             first_negative is None
@@ -409,20 +486,11 @@ def determinant_hierarchy(
         ):
             first_negative = n
 
-    amin, amax = asq_min_max(table)
-    s2a, s2b = s2_witnesses(table, phi)
-    witnesses = {
-        "s3": s3(table),
-        "s2A": s2a,
-        "s2B": s2b,
-        "asq_min": amin,
-        "asq_max": amax,
-    }
     return CriterionReport(
         kind=kind,
         phi=phi,
         determinants=tuple(determinants),
-        witnesses=witnesses,
+        witnesses=_witnesses(table.values, phi)[0],
         first_negative_order=first_negative,
         tolerance=tolerance,
     )
@@ -509,11 +577,6 @@ class BochnerResult:
     value: float
     points: tuple[complex, ...]
     evaluations: int
-
-
-def _check_count(value: object, name: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
-        raise ValidationError(f"{name} must be a nonnegative integer, got {value!r}")
 
 
 def _refine(

@@ -3,6 +3,7 @@
 import argparse
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -10,8 +11,12 @@ import warnings
 import numpy as np
 import pytest
 
+import nclmoments
+from nclmoments import cli
 from nclmoments import (
     LOConfig,
+    MomentTable,
+    NumericConsistencyError,
     add_shot_noise,
     asq_min_max,
     ass_moment_table,
@@ -25,6 +30,7 @@ from nclmoments import (
     scheme_c_forward,
 )
 from nclmoments.cli import build_parser, config_from_args, main
+from nclmoments.moments import as_real
 from nclmoments.serialize import (
     read_json,
     records_from_json,
@@ -596,3 +602,96 @@ def test_cli_module_entry_point(tmp_path):
     )
     assert result.returncode == 10
     assert "first negative at N=2" in result.stdout
+
+
+@pytest.mark.parametrize("option,value", [
+    ("--phi", "nan"), ("--phi", "inf"), ("--phi", "-inf"),
+    ("--tolerance", "nan"), ("--tolerance", "inf"),
+])
+def test_criteria_refuses_non_finite_phi_and_tolerance(option, value, tmp_path, capsys):
+    out = tmp_path / "c.json"
+    argv = ["criteria", "--state", THERMAL, f"{option}={value}", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {option} must be finite")
+    assert not out.exists()
+
+
+def _bright_table(alpha: complex, covariance_residue: complex) -> MomentTable:
+    """A coherent table whose ``<a^dag^2 a^2>`` carries an imaginary residue."""
+    k = np.arange(5)
+    values = np.conj(alpha) ** k[:, None] * alpha ** k[None, :]
+    values[2, 2] += covariance_residue
+    return MomentTable(4, values)
+
+
+def test_sweep_raises_at_the_first_inconsistent_lambda(tmp_path, monkeypatch, capsys):
+    """The first λ whose witnesses fail their check is the one reported."""
+    bad = {1: _bright_table(30 + 20j, 1j), 3: _bright_table(25 + 10j, 3j)}
+    exact = cli.ass_moment_tables
+
+    def tampered(m, lams):
+        return [bad.get(i, table) for i, table in enumerate(exact(m, lams))]
+
+    monkeypatch.setattr(cli, "ass_moment_tables", tampered)
+    e = bad[1].entry
+    with pytest.raises(NumericConsistencyError) as want:
+        as_real(e(2, 2) - abs(e(0, 2)) ** 2, "amplitude-squared covariance")
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--m-list", "2,3", "--lambda-range", "1.1,1.5,0.1",
+                 "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"error: {want.value}\n"
+    assert not out.exists()
+
+
+FRESH_RUNS = [
+    ["criteria", "--state", SQUEEZED, "--phi", "0.37", "--out", "c.json"],
+    ["sweep", "--m-list", "2,3", "--lambda-range", "1.1,1.5,0.1", "--out", "s.csv"],
+    ["simulate", "--state", THERMAL, "--scheme", "c", "--samples", "1000",
+     "--out", "r.json"],
+    ["invert", "--record", "r.json", "--out", "i.json"],
+    ["criteria", "--state", THERMAL, "--kind", "d2", "--nmax", "3", "--out", "t.json"],
+    ["criteria", "--state", THERMAL, "--phi", "nan", "--out", "n.json"],
+]
+
+
+def test_main_builds_one_parser_and_answers_as_fresh_interpreters(
+    tmp_path, monkeypatch, capsys
+):
+    """Repeated in-process calls share one parser and give a fresh process's
+    exit codes, output lines and files."""
+    monkeypatch.delenv("NCL_DEFAULT_DIM", raising=False)
+    builds = []
+
+    def counting_build_parser():
+        builds.append(None)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    here, fresh = tmp_path / "here", tmp_path / "fresh"
+    here.mkdir()
+    fresh.mkdir()
+    monkeypatch.chdir(here)
+    got = []
+    for argv in FRESH_RUNS:
+        code = main(argv)
+        printed = capsys.readouterr()
+        got.append((code, printed.out, printed.err))
+    assert len(builds) == 1
+
+    env = dict(os.environ)
+    env.pop("NCL_DEFAULT_DIM", None)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(nclmoments.__file__))
+    want = []
+    for argv in FRESH_RUNS:
+        result = subprocess.run(
+            [sys.executable, "-m", "nclmoments.cli"] + argv,
+            capture_output=True, text=True, cwd=fresh, env=env,
+        )
+        want.append((result.returncode, result.stdout, result.stderr))
+    assert got == want
+    assert [c for c, _, _ in got] == [10, 0, 0, 0, 0, 2]
+    names = sorted(p.name for p in fresh.iterdir())
+    assert names == sorted(p.name for p in here.iterdir())
+    for name in names:
+        assert (here / name).read_bytes() == (fresh / name).read_bytes(), name

@@ -16,15 +16,19 @@ import pytest
 
 from helpers import random_density_state, random_pure_state
 from nclmoments import (
+    DEFAULT_TOLERANCE,
     BasisKind,
     BochnerResult,
+    DensityState,
     DuplicatePointError,
     InsufficientOrderError,
     MomentTable,
     MonomialBasis,
+    NumericConsistencyError,
     OrderAccuracyWarning,
     ValidationError,
     apply_squeeze,
+    ass_moment_tables,
     asq_min_max,
     asq_variance,
     bochner_det,
@@ -33,6 +37,7 @@ from nclmoments import (
     build_matrix_d2,
     determinant_hierarchy,
     graded_pairs,
+    make_ass_state,
     make_coherent,
     make_fock,
     make_thermal,
@@ -389,6 +394,223 @@ def test_fock_state_number_hierarchy_flags():
     assert two.nonclassical
     assert two.first_negative_order == 5
     assert dict(two.determinants)[5] == pytest.approx(-16.0, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the witness kernel against the matrix-by-matrix route
+
+_S3_BASIS = MonomialBasis(BasisKind.AA, ((0, 0), (2, 0), (0, 2)))
+_S2_BASIS = MonomialBasis(BasisKind.QUAD, ((0, 0), (0, 1), (1, 1)))
+# (first reported, first classified) order of each kind
+_STARTS = {"aa": (2, 3), "quad": (2, 2), "xn": (2, 2), "d2": (1, 1)}
+
+
+def matrix_by_matrix_witnesses(table, phi):
+    """The five witnesses with one ``MomentMatrix`` and one ``det`` each.
+
+    Read in the order of a report: the asq covariance, ``s2A``, ``s2B``,
+    ``s3``.  ``criteria.as_real`` is looked up at call time so that a test
+    can record the checks.
+    """
+    e = table.entry
+    b = e(0, 4) - e(0, 2) ** 2
+    c = criteria.as_real(e(2, 2) - abs(e(0, 2)) ** 2, "amplitude-squared covariance")
+    s2 = build_matrix(table, _S2_BASIS, phi)
+    s2a, s2b = principal_minor(s2, (1, 2)), principal_minor(s2, (0, 2))
+    return {
+        "s3": principal_minor(build_matrix(table, _S3_BASIS), (0, 1, 2)),
+        "s2A": s2a,
+        "s2B": s2b,
+        "asq_min": 2.0 * (c - abs(b)),
+        "asq_max": 2.0 * (c + abs(b)),
+    }
+
+
+def matrix_by_matrix_report(table, kind, n_max, phi):
+    """``(determinants, witnesses, first_negative_order)`` of a hierarchy.
+
+    The hierarchy as ``MomentMatrix.leading_determinant`` per order, then
+    :func:`matrix_by_matrix_witnesses`.
+    """
+    report_start, classify_start = _STARTS[kind]
+    if kind == "d2":
+        basis = MonomialBasis.number_chain(n_max)
+    else:
+        basis = MonomialBasis.graded(kind, n_max)
+    matrix = build_matrix(table, basis, phi)
+    tol_eff = DEFAULT_TOLERANCE * max(1.0, float(np.max(np.abs(matrix.values))))
+    determinants = tuple(
+        (n, matrix.leading_determinant(n)) for n in range(report_start, n_max + 1)
+    )
+    first = next(
+        (n for n, v in determinants if n >= classify_start and v < -tol_eff), None
+    )
+    return determinants, matrix_by_matrix_witnesses(table, phi), first
+
+
+def _coherent_mixture(amp: float) -> DensityState:
+    """The classical mixture of ``|A>, |-A>, |iA>, |-iA/2>`` at dim 200."""
+    kets = [make_coherent(a, 200).amplitudes for a in (amp, -amp, 1j * amp, -0.5j * amp)]
+    return DensityState(sum(np.outer(k, k.conj()) for k in kets) / len(kets))
+
+
+_STANDARD = [(kind, n) for kind in ("aa", "quad", "xn", "d2") for n in (4, 10)]
+ORACLE_CASES = {
+    "fock": (lambda: make_fock(3, 64), _STANDARD),
+    "coherent": (lambda: make_coherent(0.9 - 0.5j, 64), _STANDARD),
+    "thermal": (lambda: make_thermal(1.2, 64), _STANDARD),
+    "squeezed": (lambda: apply_squeeze(make_fock(0, 64), 0.4 + 0.2j), _STANDARD),
+    "ass": (lambda: make_ass_state(3, 1.4, 64)[0], _STANDARD),
+    "lowrank": (lambda: random_density_state(64, 3), _STANDARD),
+    "mixture-A2": (lambda: _coherent_mixture(2.0), _STANDARD + [("d2", 13)]),
+    "mixture-A3": (lambda: _coherent_mixture(3.0), _STANDARD + [("d2", 15)]),
+    "mixture-A4": (lambda: _coherent_mixture(4.0), _STANDARD + [("d2", 14)]),
+}
+
+
+@pytest.mark.parametrize("phi", [0.0, 0.37])
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_hierarchy_equals_the_matrix_by_matrix_route(case, phi):
+    """Bit for bit: the same determinants, witnesses and verdict."""
+    make, hierarchies = ORACLE_CASES[case]
+    order = max(
+        2 * n if kind == "d2" else MonomialBasis.graded(kind, n).required_order()
+        for kind, n in hierarchies
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", OrderAccuracyWarning)
+        table = moment_table(make(), order)
+    for kind, n in hierarchies:
+        report = determinant_hierarchy(table, kind, n, phi=phi)
+        determinants, witnesses, first = matrix_by_matrix_report(table, kind, n, phi)
+        assert report.determinants == determinants, (kind, n)
+        assert report.witnesses == witnesses, (kind, n)
+        assert list(report.witnesses) == list(witnesses)
+        assert report.first_negative_order == first, (kind, n)
+
+
+def test_witness_kernel_slices_equal_one_table_calls():
+    """Each table of a stack gets the bits of its one-table calls."""
+    tables = ass_moment_tables(3, [0.5, 0.8, 1.3, 1.7, 2.4, 3.1])
+    stack = np.stack([t.values for t in tables]).reshape(2, 3, 5, 5)
+    got = criteria._witnesses(stack, 0.37)
+    assert len(got) == len(tables)
+    for table, witnesses in zip(tables, got):
+        assert witnesses == criteria._witnesses(table.values, 0.37)[0]
+        assert witnesses == matrix_by_matrix_witnesses(table, 0.37)
+        assert witnesses["s3"] == s3(table)
+        assert (witnesses["s2A"], witnesses["s2B"]) == s2_witnesses(table, 0.37)
+        assert (witnesses["asq_min"], witnesses["asq_max"]) == asq_min_max(table)
+    # tables above the witness order: the kernel reads only orders <= 4
+    tables = [moment_table(random_density_state(64, seed), 8) for seed in range(4)]
+    got = criteria._witnesses(np.stack([t.values for t in tables]), 0.0)
+    assert got == [matrix_by_matrix_witnesses(t, 0.0) for t in tables]
+
+
+def test_witness_checks_run_in_the_matrix_by_matrix_order(monkeypatch):
+    """Every imaginary-residue check sees the same value, in the same order."""
+    calls = []
+
+    def record(value, context):
+        calls.append((context, value))
+        return float(value.real)
+
+    monkeypatch.setattr(criteria, "as_real", record)
+    table = moment_table(random_density_state(64, 7), 8)
+    for kind, n in (("aa", 6), ("quad", 4), ("d2", 3)):
+        determinant_hierarchy(table, kind, n, phi=0.37)
+        got = list(calls)
+        calls.clear()
+        matrix_by_matrix_report(table, kind, n, 0.37)
+        assert got == calls
+        assert [c for c, _ in got][-4:] == [
+            "amplitude-squared covariance", "principal minor", "principal minor",
+            "principal minor",
+        ]
+        calls.clear()
+
+
+def tampered_coherent_table(seed: int, covariance_residue: complex = 0.0) -> MomentTable:
+    """A bright coherent table with one entry pair nudged by ~1e-9.
+
+    Its moment matrices are nearly singular with entries up to ~1e13, so
+    their determinants carry imaginary roundoff beyond ``as_real``'s bound.
+    ``covariance_residue`` is added to ``<a^dag^2 a^2>``; the table's scale
+    lets the symmetry check pass it.
+    """
+    rng = np.random.default_rng(seed)
+    alpha = complex(*rng.normal(size=2)) * 10 ** rng.uniform(0, 3)
+    k = np.arange(5)
+    values = np.conj(alpha) ** k[:, None] * alpha ** k[None, :]
+    i, j = sorted(rng.choice(5, 2, replace=False))
+    values[i, j] *= 1 + 1e-9 * complex(*rng.normal(size=2))
+    values[j, i] = np.conj(values[i, j])
+    values[2, 2] += covariance_residue
+    return MomentTable(4, values)
+
+
+def _outcome(route):
+    try:
+        return "value", route()
+    except NumericConsistencyError as exc:
+        return "raised", str(exc)
+
+
+def test_tampered_tables_raise_what_the_matrix_by_matrix_route_raises():
+    raised = []
+    for seed in (10, 202, 225, 249, 406, 420, 423, 464):
+        for residue in (0.0, 1j):
+            table = tampered_coherent_table(seed, residue)
+            for kind, n in (("aa", 6), ("quad", 3), ("d2", 1)):
+                report = _outcome(lambda: determinant_hierarchy(table, kind, n))
+                want = _outcome(lambda: matrix_by_matrix_report(table, kind, n, 0.0))
+                if want[0] == "value":
+                    assert report[0] == "value"
+                    r = report[1]
+                    assert (r.determinants, r.witnesses, r.first_negative_order) == want[1]
+                else:
+                    assert report == want, (seed, residue, kind)
+                    raised.append(want[1].split(" should")[0])
+    assert "amplitude-squared covariance" in raised
+    assert any(c == "principal minor" or c.startswith("leading") for c in raised)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_angles_and_tolerances_are_refused(bad):
+    table = moment_table(make_thermal(0.5, 64), 8)
+    basis = MonomialBasis.graded(BasisKind.QUAD, 3)
+    misses = criteria._expansion.cache_info().misses
+    calls = [
+        lambda: determinant_hierarchy(table, "quad", 3, phi=bad),
+        lambda: determinant_hierarchy(table, "quad", 3, tolerance=bad),
+        lambda: build_matrix(table, basis, bad),
+        lambda: s2_witnesses(table, bad),
+        lambda: asq_variance(table, bad),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError):
+            call()
+    assert criteria._expansion.cache_info().misses == misses
+
+
+@pytest.mark.parametrize("n_max", [4.0, True, "4", -1])
+def test_hierarchy_order_must_be_an_integer(n_max):
+    table = moment_table(make_thermal(0.5, 64), 8)
+    with pytest.raises(ValidationError):
+        determinant_hierarchy(table, "d2", n_max)
+    assert determinant_hierarchy(table, "d2", np.int64(4)) == determinant_hierarchy(
+        table, "d2", 4
+    )
+
+
+@pytest.mark.parametrize("indices", [[0, 1.7], [True, 2], [0, "1"], [-1, 0]])
+def test_principal_minor_indices_must_be_integers(indices):
+    matrix = build_matrix(
+        moment_table(make_fock(1, 16), 4), MonomialBasis.graded(BasisKind.AA, 6)
+    )
+    with pytest.raises(ValidationError):
+        principal_minor(matrix, indices)
+    assert principal_minor(matrix, np.array([0, 4])) == principal_minor(matrix, [0, 4])
 
 
 # ---------------------------------------------------------------------------
