@@ -17,10 +17,10 @@ One verb produces one artifact; verbs compose through files:
 
 Each verb accepts only the options it reads: ``--tolerance`` is
 ``criteria``'s, and ``--dim`` is taken by the verbs that build a state
-(``moments``, ``criteria``, ``qfunc``, ``simulate``), whose default of 64
-the ``NCL_DEFAULT_DIM`` environment variable overrides.  ``--phi`` and
-``--tolerance`` must be finite.  Record files are
-:func:`~nclmoments.serialize.records_to_json` documents.
+(``moments``, ``criteria``, ``qfunc``, ``simulate``) and defaults to
+:data:`~nclmoments.serialize.DEFAULT_DIM` (64).  ``--phi`` and
+``--tolerance`` must be finite, and ``--samples`` finite and at least 1.
+Record files are :func:`~nclmoments.serialize.records_to_json` documents.
 
 :func:`main` builds the argument parser on its first call and reuses it for
 every later call in the process.
@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from typing import Optional, Sequence
 
@@ -62,6 +61,7 @@ from .measurement import (
 )
 from .moments import ass_moment_tables, moment_table
 from .serialize import (
+    DEFAULT_DIM,
     parse_state_argument,
     read_json,
     records_from_json,
@@ -83,21 +83,6 @@ _DEFAULT_OUT = {
 
 
 _STATE_VERBS = ("moments", "criteria", "qfunc", "simulate")
-
-
-def default_dim() -> int:
-    raw = os.environ.get("NCL_DEFAULT_DIM")
-    if raw is None:
-        return 64
-    try:
-        dim = int(raw)
-    except ValueError:
-        raise ValidationError(
-            f"NCL_DEFAULT_DIM must be an integer, got {raw!r}"
-        ) from None
-    if dim < 1:
-        raise ValidationError("NCL_DEFAULT_DIM must be positive")
-    return dim
 
 
 def _parse_complex_pair(text: str, context: str) -> complex:
@@ -208,13 +193,15 @@ def build_parser() -> argparse.ArgumentParser:
 def config_from_args(args: argparse.Namespace) -> argparse.Namespace:
     """Check and parse the options of ``args`` in place; the verbs read it."""
     if args.verb in _STATE_VERBS and args.dim is None:
-        args.dim = default_dim()
+        args.dim = DEFAULT_DIM
     if args.dim is not None and args.dim < 1:
         raise ValidationError("--dim must be positive")
     if args.out is None:
         args.out = _DEFAULT_OUT[args.verb]
-    if args.samples is not None and args.samples < 1:
-        raise ValidationError("--samples must be at least 1")
+    if args.samples is not None and not (
+        math.isfinite(args.samples) and args.samples >= 1
+    ):
+        raise ValidationError("--samples must be finite and at least 1")
     if not (math.isfinite(args.tolerance) and args.tolerance > 0):
         raise ValidationError("--tolerance must be finite and positive")
     if not math.isfinite(args.phi):

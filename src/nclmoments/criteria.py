@@ -8,7 +8,13 @@ nonclassicality.
 Every hierarchy and witness is a moment matrix ``<:f_i^dag w f_j:>`` of the
 one table over monomials ``f`` (Shchukin, Richter & Vogel, PRA 71,
 011802(R) (2005)), localizing for ``w != 1`` (Lasserre, SIAM J. Optim. 11,
-796 (2001)); :func:`build_matrix` forms each as ``C^H A_w C``.  Families:
+796 (2001)); :func:`build_matrix` forms each as ``C^H A_w C``, and no
+moment is read except from a :class:`~nclmoments.moments.MomentTable`.  A
+single quadrature or photon-number moment is an entry of such a matrix:
+``<:f:>`` is ``M[0, j]`` for a basis that starts with the constant monomial
+and has ``f`` at ``j``.  The quadratures are
+``x_phi = a e^{-i phi} + a^dag e^{i phi}`` and ``p_phi = x_{phi + pi/2}``,
+so ``<x^2> = 1`` in vacuum and ``<:x^2:> + <:p^2:> = 4 <n>``.  Families:
 
 * ``aa``  — monomials in ``a^dag`` and ``a``; entry
   ``M[i, j] = <a^dag^{q_i + p_j} a^{p_i + q_j}>`` for monomial exponent
@@ -53,7 +59,7 @@ from .errors import DuplicatePointError, ValidationError
 from .moments import (
     MomentSource,
     MomentTable,
-    NormalPolynomial,
+    _check_count,
     as_real,
     char_values,
     resolve_table,
@@ -67,11 +73,6 @@ _WITNESS_ORDER = 4
 _MIN_SEPARATION = 1e-12
 # Refinement-walk proposals scored per char_values call.
 _WALK_BLOCK = 16
-
-
-def _check_count(value: object, name: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
-        raise ValidationError(f"{name} must be a nonnegative integer, got {value!r}")
 
 
 def _check_angle(phi: float) -> None:
@@ -184,12 +185,33 @@ class MomentMatrix:
     def size(self) -> int:
         return self.basis.size
 
-    def leading_determinant(self, n: int) -> float:
-        """Determinant of the top-left ``n x n`` block (real by Hermiticity)."""
-        if n < 1 or n > self.size:
-            raise ValidationError(f"block size {n} outside 1..{self.size}")
-        block = self.values[:n, :n]
-        return as_real(complex(np.linalg.det(block)), f"leading {n}x{n} determinant")
+
+# Normally ordered polynomials in ``a^dag`` and ``a`` as term dicts
+# ``{(creation power, annihilation power): coefficient}``.  Inside ``:·:``
+# the mode operators commute, so a product is a convolution of the dicts;
+# terms that cancel to exactly zero are dropped.
+_ONE = {(0, 0): 1 + 0j}
+
+
+def _product(f: dict, g: dict) -> dict:
+    out: dict[tuple[int, int], complex] = {}
+    for (k1, l1), c1 in f.items():
+        for (k2, l2), c2 in g.items():
+            key = (k1 + k2, l1 + l2)
+            out[key] = out.get(key, 0.0) + c1 * c2
+    return {key: c for key, c in out.items() if c != 0.0}
+
+
+def _power(f: dict, exponent: int) -> dict:
+    out = _ONE
+    for _ in range(exponent):
+        out = _product(out, f)
+    return out
+
+
+def _quadrature(phi: float) -> dict:
+    """``x_phi = a e^{-i phi} + a^dag e^{i phi}``; ``p_phi`` is ``x_{phi + pi/2}``."""
+    return {(0, 1): complex(np.exp(-1j * phi)), (1, 0): complex(np.exp(1j * phi))}
 
 
 @functools.lru_cache(maxsize=128)
@@ -200,23 +222,23 @@ def _expansion(basis: MonomialBasis, phi: float) -> tuple[Array, ...]:
     expanded once; the arrays are shared by every caller and read-only.
     """
     if basis.kind is BasisKind.AA:
-        polys = [NormalPolynomial({pair: 1.0}) for pair in basis.pairs]
+        polys = [{pair: 1 + 0j} for pair in basis.pairs]
     else:
-        x = NormalPolynomial.quadrature(phi)
+        x = _quadrature(phi)
         if basis.kind is BasisKind.QUAD:
-            first = NormalPolynomial.momentum(phi)
+            first = _quadrature(phi + math.pi / 2.0)
         else:
-            first = NormalPolynomial.number()
-        polys = [first**p * x**q for p, q in basis.pairs]
-    terms = list(dict.fromkeys(t for f in polys for t in f.terms))
-    coeffs = np.array([[f.terms.get(t, 0.0) for f in polys] for t in terms])
+            first = {(1, 1): 1 + 0j}
+        polys = [_product(_power(first, p), _power(x, q)) for p, q in basis.pairs]
+    terms = list(dict.fromkeys(t for f in polys for t in f))
+    coeffs = np.array([[f.get(t, 0.0) for f in polys] for t in terms])
     if basis.kind is BasisKind.XN_WEIGHTED:
-        weight = NormalPolynomial.momentum(phi) ** 2
+        weight = _power(_quadrature(phi + math.pi / 2.0), 2)
     else:
-        weight = NormalPolynomial.constant(1.0)
+        weight = _ONE
     p, q = np.array(terms).T
-    wp, wq = np.array(list(weight.terms)).T[:, :, None, None]
-    w = np.array(list(weight.terms.values()))[:, None, None]
+    wp, wq = np.array(list(weight)).T[:, :, None, None]
+    w = np.array(list(weight.values()))[:, None, None]
     arrays = (
         q[:, None] + p[None, :] + wp,
         p[:, None] + q[None, :] + wq,

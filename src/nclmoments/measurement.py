@@ -462,14 +462,14 @@ def scheme_c_extract(
 def add_shot_noise(record, samples: float, seed: int = 0):
     """Perturb a record by seeded Gaussian noise of relative size ``1/sqrt(samples)``.
 
-    Each stored value ``v`` becomes ``v + g * max(|v|, 1e-6) / sqrt(samples)``
+    ``samples`` must be finite and positive.  Each stored value ``v`` becomes ``v + g * max(|v|, 1e-6) / sqrt(samples)``
     with independent standard normals ``g`` drawn in a fixed canonical order
     (sorted gamma keys, or phase samples sorted by ``(n, j)``), so equal
     seeds give reproducible noise.  A phase-scan record derives its Fourier
     coefficients from the noisy samples.
     """
-    if samples <= 0:
-        raise ValidationError("samples must be positive")
+    if not (math.isfinite(samples) and samples > 0):
+        raise ValidationError(f"samples must be finite and positive, got {samples!r}")
     rng = np.random.default_rng(seed)
     scale = 1.0 / math.sqrt(samples)
     if isinstance(record, DetectionRecord):

@@ -1,41 +1,34 @@
 """Normally ordered moments of truncated single-mode states.
 
 The central object is the :class:`MomentTable`: the array of expectation
-values ``<a^dag^k a^l>`` up to a maximum total order.  Every derived
-quantity in this package — quadrature moments, photon-number
-cross-correlations, moment matrices, witnesses — is a finite linear
-combination of these entries, expressed through :class:`NormalPolynomial`;
-each hierarchy and witness is a matrix ``C^H A_w C`` over the one table (see
-:mod:`nclmoments.criteria`), and one kernel fills the table from the offset
-diagonals ``rho[m, m+d]``.  :func:`ass_moment_tables` gives the tables of
-amplitude-squared squeezed states exactly, with no truncated state.
+values ``<a^dag^k a^l>`` up to a maximum total order.  Every moment the
+package reads comes from one: quadrature and photon-number moments, moment
+matrices and witnesses are finite linear combinations of its entries, formed
+as ``C^H A_w C`` over the one table (see :mod:`nclmoments.criteria`).
+:func:`moment_table` fills a state's table in one pass over the offset
+diagonals ``rho[m, m+d]``, and :func:`ass_moment_tables` gives the tables of
+amplitude-squared squeezed states exactly, with no truncated state.  Orders
+are nonnegative integers; anything else raises
+:class:`~nclmoments.errors.ValidationError`.
 
-Conventions
------------
-* ``x_phi = a e^{-i phi} + a^dag e^{i phi}``, ``p_phi = x_{phi + pi/2}``,
-  so ``<x^2> = 1`` in vacuum and ``<:x^2:> + <:p^2:> = 4 <n>``.
-* ``:·:`` denotes normal ordering; inside it the mode operators commute,
-  so products of normally ordered polynomials reduce to dictionary
-  convolutions over ``(creation power, annihilation power)`` pairs.
-* ``char_function`` returns the normally ordered characteristic function
-  ``Phi(beta) = exp(|beta|^2 / 2) <D(beta)>`` with
-  ``D(beta) = exp(beta a^dag - conj(beta) a)``; ``char_values`` evaluates
-  it at many points in one pass.  Both use the closed-form displacement
-  elements (Cahill & Glauber, Phys. Rev. 177, 1857 (1969))
+``char_function`` returns the normally ordered characteristic function
+``Phi(beta) = exp(|beta|^2 / 2) <D(beta)>`` with
+``D(beta) = exp(beta a^dag - conj(beta) a)``; ``char_values`` evaluates it
+at many points in one pass.  Both use the closed-form displacement elements
+(Cahill & Glauber, Phys. Rev. 177, 1857 (1969))
 
-      <m|D(beta)|n> = sqrt(n!/m!) beta^{m-n} e^{-|beta|^2/2} L_n^{(m-n)}(|beta|^2)
+    <m|D(beta)|n> = sqrt(n!/m!) beta^{m-n} e^{-|beta|^2/2} L_n^{(m-n)}(|beta|^2)
 
-  for ``m >= n``, never a matrix exponential.
+for ``m >= n``, never a matrix exponential.
 """
 
 from __future__ import annotations
 
-import math
 import os
 import sys
 import warnings
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -54,6 +47,12 @@ _IMAG_TOL = 1e-8
 
 MomentSource = Union["MomentTable", FockState, DensityState]
 
+
+def _check_count(value: object, name: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise ValidationError(f"{name} must be a nonnegative integer, got {value!r}")
+
+
 # Every module of the package is loaded from this directory, so its code
 # objects carry file names with this prefix.
 _PACKAGE_DIR = os.path.dirname(__file__) + os.sep
@@ -69,50 +68,6 @@ def _warn_at_caller(message: str, category: type[Warning]) -> None:
     while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
         frame, level = frame.f_back, level + 1
     warnings.warn(message, category, stacklevel=level)
-
-
-def _normal_moments(state: State, ks, ls) -> Array:
-    """``<a^dag^k a^l>`` at every pair of the broadcast order arrays ``ks, ls``.
-
-    For ``k >= l`` and ``d = k - l`` the moment is
-    ``sum_n n!/(n-l)! sqrt((n+d)!/n!) rho[n, n+d]``, so every pair is read
-    from one product ``P^T V`` of the falling factorials ``P[n, l]`` and the
-    scaled offset diagonals ``V[n, d]``; pairs with ``k < l`` are conjugates.
-    Warns once when some ``k + l`` exceeds ``dim / 2``, where the missing
-    tail of a generic state starts to bite.
-    """
-    ks, ls = np.broadcast_arrays(ks, ls)
-    dim = state.dim
-    order = int((ks + ls).max())
-    if order > dim / 2:
-        _warn_at_caller(
-            f"moment order k+l={order} exceeds half the truncation dim={dim}; "
-            "the result may be dominated by truncation error",
-            OrderAccuracyWarning,
-        )
-    hi, lo = np.maximum(ks, ls), np.minimum(ks, ls)
-    top = int(hi.max())
-    offsets, diagonals = _offset_diagonals(state, top + 1)
-    ns = np.arange(len(diagonals), dtype=float)[:, None]
-    steps = np.arange(top, dtype=float)
-    ones = np.ones_like(ns)
-    falling = np.cumprod(np.hstack([ones, np.maximum(ns - steps, 0.0)]), axis=1)
-    rising = np.cumprod(np.hstack([ones, ns + 1.0 + steps]), axis=1)
-    scaled = np.zeros((len(diagonals), top + 1), dtype=complex)
-    scaled[:, offsets] = np.sqrt(rising[:, offsets]) * diagonals
-    values = (falling.T @ scaled)[lo, hi - lo]
-    return np.where(ks < ls, values.conj(), values)
-
-
-def moment_aa(state: State, k: int, l: int) -> complex:
-    """Normally ordered moment ``<a^dag^k a^l>`` of a truncated state.
-
-    The one-entry call of the :func:`moment_table` kernel; emits
-    :class:`OrderAccuracyWarning` when ``k + l`` exceeds ``dim / 2``.
-    """
-    if k < 0 or l < 0:
-        raise ValidationError("moment orders must be nonnegative")
-    return complex(_normal_moments(state, k, l))
 
 
 @dataclass(frozen=True)
@@ -131,6 +86,7 @@ class MomentTable:
     validate: bool = True
 
     def __post_init__(self) -> None:
+        _check_count(self.max_order, "max_order")
         vals = np.array(self.values, dtype=complex)
         expected = (self.max_order + 1, self.max_order + 1)
         if vals.shape != expected:
@@ -161,8 +117,8 @@ class MomentTable:
 
     def entry(self, k: int, l: int) -> complex:
         """``<a^dag^k a^l>``; raises when the order exceeds the table."""
-        if k < 0 or l < 0:
-            raise ValidationError("moment orders must be nonnegative")
+        _check_count(k, "a moment order")
+        _check_count(l, "a moment order")
         if k > self.max_order or l > self.max_order:
             raise InsufficientOrderError(
                 f"moment ({k},{l}) exceeds table max_order={self.max_order}"
@@ -171,11 +127,36 @@ class MomentTable:
 
 
 def moment_table(state: State, max_order: int) -> MomentTable:
-    """Tabulate ``<a^dag^k a^l>`` for all ``k, l <= max_order`` (one warning)."""
-    if max_order < 0:
-        raise ValidationError("max_order must be nonnegative")
+    """Tabulate ``<a^dag^k a^l>`` for all ``k, l <= max_order``.
+
+    For ``k >= l`` and ``d = k - l`` the moment is
+    ``sum_n n!/(n-l)! sqrt((n+d)!/n!) rho[n, n+d]``, so every entry is read
+    from one product ``P^T V`` of the falling factorials ``P[n, l]`` and the
+    scaled offset diagonals ``V[n, d]``; entries with ``k < l`` are
+    conjugates.  Warns once when ``2 max_order`` exceeds ``dim / 2``, where
+    the missing tail of a generic state starts to bite.
+    """
+    _check_count(max_order, "max_order")
+    dim = state.dim
+    if 2 * max_order > dim / 2:
+        _warn_at_caller(
+            f"moment order k+l={2 * max_order} exceeds half the truncation "
+            f"dim={dim}; the result may be dominated by truncation error",
+            OrderAccuracyWarning,
+        )
     orders = np.arange(max_order + 1)
-    values = _normal_moments(state, orders[:, None], orders[None, :])
+    ks, ls = orders[:, None], orders[None, :]
+    hi, lo = np.maximum(ks, ls), np.minimum(ks, ls)
+    offsets, diagonals = _offset_diagonals(state, max_order + 1)
+    ns = np.arange(len(diagonals), dtype=float)[:, None]
+    steps = np.arange(max_order, dtype=float)
+    ones = np.ones_like(ns)
+    falling = np.cumprod(np.hstack([ones, np.maximum(ns - steps, 0.0)]), axis=1)
+    rising = np.cumprod(np.hstack([ones, ns + 1.0 + steps]), axis=1)
+    scaled = np.zeros((len(diagonals), max_order + 1), dtype=complex)
+    scaled[:, offsets] = np.sqrt(rising[:, offsets]) * diagonals
+    values = (falling.T @ scaled)[lo, hi - lo]
+    values = np.where(ks < ls, values.conj(), values)
     return MomentTable(max_order=max_order, values=values)
 
 
@@ -197,8 +178,7 @@ def ass_moment_tables(
     product.  Each seed's norm is checked against its closed-form
     ``|c_m|^2``.
     """
-    if max_order < 0:
-        raise ValidationError("max_order must be nonnegative")
+    _check_count(max_order, "max_order")
     params = [ass_params(m, lam) for lam in lams]
     dim = m + 1 + max_order
     a = destroy(dim)
@@ -223,115 +203,6 @@ def ass_moment_table(m: int, lam: float, max_order: int = 4) -> MomentTable:
     ``lam``, with no truncation.
     """
     return ass_moment_tables(m, [lam], max_order)[0]
-
-
-@dataclass(frozen=True)
-class NormalPolynomial:
-    """Polynomial in ``a^dag`` and ``a`` understood under normal ordering.
-
-    ``terms`` maps ``(creation power, annihilation power)`` to a complex
-    coefficient.  Because every expectation taken through this type is of a
-    *normally ordered* expression, the symbols commute and multiplication is
-    plain convolution of exponent pairs.
-    """
-
-    terms: Mapping[tuple[int, int], complex]
-
-    def __post_init__(self) -> None:
-        clean = {}
-        for (k, l), coeff in self.terms.items():
-            if k < 0 or l < 0:
-                raise ValidationError("operator powers must be nonnegative")
-            c = complex(coeff)
-            if c != 0.0:
-                clean[(int(k), int(l))] = c
-        object.__setattr__(self, "terms", clean)
-
-    # -- constructors -------------------------------------------------
-    @classmethod
-    def constant(cls, value: complex) -> NormalPolynomial:
-        return cls({(0, 0): value})
-
-    @classmethod
-    def annihilation(cls) -> NormalPolynomial:
-        return cls({(0, 1): 1.0})
-
-    @classmethod
-    def creation(cls) -> NormalPolynomial:
-        return cls({(1, 0): 1.0})
-
-    @classmethod
-    def number(cls) -> NormalPolynomial:
-        return cls({(1, 1): 1.0})
-
-    @classmethod
-    def quadrature(cls, phi: float = 0.0) -> NormalPolynomial:
-        """``x_phi = a e^{-i phi} + a^dag e^{i phi}``."""
-        return cls({(0, 1): np.exp(-1j * phi), (1, 0): np.exp(1j * phi)})
-
-    @classmethod
-    def momentum(cls, phi: float = 0.0) -> NormalPolynomial:
-        """``p_phi = x_{phi + pi/2} = i (a^dag e^{i phi} - a e^{-i phi})``."""
-        return cls.quadrature(phi + math.pi / 2.0)
-
-    # -- algebra -------------------------------------------------------
-    def __add__(self, other: NormalPolynomial) -> NormalPolynomial:
-        merged = dict(self.terms)
-        for key, coeff in other.terms.items():
-            merged[key] = merged.get(key, 0.0) + coeff
-        return NormalPolynomial(merged)
-
-    def __sub__(self, other: NormalPolynomial) -> NormalPolynomial:
-        return self + (-1.0) * other
-
-    def __mul__(self, other: Union["NormalPolynomial", complex, float, int]):
-        if isinstance(other, NormalPolynomial):
-            product: dict[tuple[int, int], complex] = {}
-            for (k1, l1), c1 in self.terms.items():
-                for (k2, l2), c2 in other.terms.items():
-                    key = (k1 + k2, l1 + l2)
-                    product[key] = product.get(key, 0.0) + c1 * c2
-            return NormalPolynomial(product)
-        return NormalPolynomial(
-            {key: coeff * complex(other) for key, coeff in self.terms.items()}
-        )
-
-    def __rmul__(self, other: Union[complex, float, int]) -> NormalPolynomial:
-        return self * other
-
-    def __pow__(self, exponent: int) -> NormalPolynomial:
-        if exponent < 0:
-            raise ValidationError("exponent must be nonnegative")
-        out = NormalPolynomial.constant(1.0)
-        for _ in range(exponent):
-            out = out * self
-        return out
-
-    def adjoint(self) -> NormalPolynomial:
-        return NormalPolynomial(
-            {(l, k): np.conj(c) for (k, l), c in self.terms.items()}
-        )
-
-    @property
-    def degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(k + l for (k, l) in self.terms)
-
-    # -- evaluation ----------------------------------------------------
-    def expectation(self, source: MomentSource) -> complex:
-        """Expectation of the normally ordered polynomial, ``sum c_kl <a^dag^k a^l>``.
-
-        A state's terms are all read from one :func:`_normal_moments` call.
-        """
-        if not self.terms:
-            return 0j
-        ks, ls = np.array(list(self.terms)).T
-        if isinstance(source, (FockState, DensityState)):
-            values = _normal_moments(source, ks, ls)
-        else:
-            values = resolve_table(source, int(max(ks.max(), ls.max()))).values[ks, ls]
-        return complex(np.array(list(self.terms.values())) @ values)
 
 
 def resolve_table(source: MomentSource, needed_order: int) -> MomentTable:
@@ -368,30 +239,6 @@ def as_real(value: complex, context: str) -> float:
             f"(value {value!r})"
         )
     return float(value.real)
-
-
-def quad_moment(
-    source: MomentSource, x_pow: int, p_pow: int, phi: float = 0.0
-) -> float:
-    """Normally ordered quadrature moment ``<:x_phi^x_pow p_phi^p_pow:>``."""
-    poly = NormalPolynomial.quadrature(phi) ** x_pow
-    poly = poly * NormalPolynomial.momentum(phi) ** p_pow
-    return as_real(
-        poly.expectation(source),
-        f"<:x^{x_pow} p^{p_pow}:> at phi={phi:.6g}",
-    )
-
-
-def xn_moment(
-    source: MomentSource, x_pow: int, n_pow: int, phi: float = 0.0
-) -> float:
-    """Normally ordered mixed moment ``<:x_phi^x_pow n^n_pow:>``."""
-    poly = NormalPolynomial.quadrature(phi) ** x_pow
-    poly = poly * NormalPolynomial.number() ** n_pow
-    return as_real(
-        poly.expectation(source),
-        f"<:x^{x_pow} n^{n_pow}:> at phi={phi:.6g}",
-    )
 
 
 def _offset_diagonals(state: State, count: int) -> tuple[Array, Array]:

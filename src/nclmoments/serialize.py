@@ -35,6 +35,8 @@ from .states import (
 )
 
 STATE_TYPES = ("fock", "coherent", "thermal", "squeezed_vacuum", "ass")
+# Fock truncation of a state spec that gives no "dim".
+DEFAULT_DIM = 64
 
 
 def complex_to_json(z: complex) -> list[float]:
@@ -75,13 +77,14 @@ def complex_from_json(value: Any, context: str) -> complex:
     raise ValidationError(f"{context} must be a number or an [re, im] pair")
 
 
-def state_from_spec(spec: Mapping[str, Any], default_dim: int = 64) -> State:
+def state_from_spec(spec: Mapping[str, Any], default_dim: int = DEFAULT_DIM) -> State:
     """Construct a state from its JSON specification.
 
     ``{"type": "fock"|"coherent"|"thermal"|"squeezed_vacuum"|"ass",
     parameters per type, "dim": integer}``; parameters are ``n`` (fock),
     ``alpha`` (coherent), ``nbar`` (thermal), ``z`` (squeezed vacuum) and
-    ``m``/``lambda`` (amplitude-squared squeezed).  ``dim`` is optional.
+    ``m``/``lambda`` (amplitude-squared squeezed).  ``dim`` is optional and
+    defaults to ``default_dim``.
     """
     if not isinstance(spec, Mapping):
         raise ValidationError("state spec must be a JSON object")
@@ -109,7 +112,7 @@ def state_from_spec(spec: Mapping[str, Any], default_dim: int = 64) -> State:
     return state
 
 
-def parse_state_argument(arg: str, default_dim: int = 64) -> State:
+def parse_state_argument(arg: str, default_dim: int = DEFAULT_DIM) -> State:
     """Resolve a ``--state`` value: a JSON file path or an inline JSON object."""
     text = arg.strip()
     if not text.startswith("{"):

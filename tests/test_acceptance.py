@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from conftest import record_verdict
-from helpers import random_pure_state
+from helpers import normal_moments, random_pure_state
 from nclmoments import (
     BasisKind,
     LOConfig,
@@ -28,10 +28,8 @@ from nclmoments import (
     make_coherent,
     make_fock,
     make_thermal,
-    moment_aa,
     moment_table,
     principal_minor,
-    quad_moment,
     s3,
     scheme_a_forward,
     scheme_a_invert,
@@ -40,7 +38,6 @@ from nclmoments import (
     scheme_b_forward,
     scheme_c_extract,
     scheme_c_forward,
-    xn_moment,
 )
 from nclmoments.cli import main as cli_main
 from nclmoments.operators import create, destroy
@@ -117,7 +114,7 @@ def test_criterion_04_ass_variances_hit_closed_forms():
     failures = []
     for m, lam in ASS_GRID:
         state, _ = make_ass_state(m, lam, 96)
-        n_mean = moment_aa(state, 1, 1).real
+        n_mean = moment_table(state, 1).entry(1, 1).real
         base = 4.0 * n_mean + 2.0
         var_x = asq_variance(state, 0.0) + base
         var_y = asq_variance(state, math.pi / 2) + base
@@ -218,10 +215,11 @@ def test_criterion_08_analytic_moments_match_numerics():
     for m in range(4):
         for lam in (0.5, 1.2, 2.0):
             state, params = make_ass_state(m, lam, 96)
+            table = moment_table(state, 4)
             for k in range(5):
                 for l in range(5):
                     analytic = ass_moment_analytic(params, k, l)
-                    numeric = moment_aa(state, k, l)
+                    numeric = table.entry(k, l)
                     if abs(analytic - numeric) > 1e-6 * (1.0 + abs(analytic)):
                         failures.append(
                             f"(m={m}, lam={lam}, k={k}, l={l}): "
@@ -278,14 +276,14 @@ def test_criterion_09_measurement_round_trips():
                     failures.append(f"seed {seed} two-route n={n} phi={phi}")
 
         out_b = scheme_b_extract(scheme_b_forward(truth, lo_b))
-        theta_b = out_b["theta"]
+        quad = normal_moments(truth, BasisKind.QUAD, phi=out_b["theta"])
         want_b = {
             "n": truth.entry(1, 1).real,
-            "x": quad_moment(truth, 1, 0, theta_b),
-            "p": quad_moment(truth, 0, 1, theta_b),
-            "xx": quad_moment(truth, 2, 0, theta_b),
-            "pp": quad_moment(truth, 0, 2, theta_b),
-            "xp": quad_moment(truth, 1, 1, theta_b),
+            "x": quad[(0, 1)],
+            "p": quad[(1, 0)],
+            "xx": quad[(0, 2)],
+            "pp": quad[(2, 0)],
+            "xp": quad[(1, 1)],
         }
         for key, want in want_b.items():
             if abs(out_b[key] - want) > 1e-8:
@@ -294,13 +292,13 @@ def test_criterion_09_measurement_round_trips():
         out_c = scheme_c_extract(
             scheme_c_forward(truth, lo_c), scheme_c_forward(truth, lo_c.blocked())
         )
-        theta_c = out_c["theta"]
+        xn = normal_moments(truth, BasisKind.XN, phi=out_c["theta"])
         want_c = {
             "n": truth.entry(1, 1).real,
-            "x": xn_moment(truth, 1, 0, theta_c),
-            "nn": xn_moment(truth, 0, 2, theta_c),
-            "nx": xn_moment(truth, 1, 1, theta_c),
-            "xx": xn_moment(truth, 2, 0, theta_c),
+            "x": xn[(0, 1)],
+            "nn": xn[(2, 0)],
+            "nx": xn[(1, 1)],
+            "xx": xn[(0, 2)],
         }
         for key, want in want_c.items():
             if abs(out_c[key] - want) > 1e-8:
@@ -328,7 +326,7 @@ def test_criterion_11_noise_scaling_of_inversion():
     """Mean |<a^2>| inversion error follows samples^{-1/2} within factor 3."""
     failures = []
     state = random_pure_state(32, 0)
-    truth = moment_aa(state, 0, 2)
+    truth = moment_table(state, 2).entry(0, 2)
     record = scheme_a_sample_and_fourier(state, 2, LOConfig(alpha=3.0), 2)
     means = []
     for decade, samples in enumerate((1e4, 1e6, 1e8)):

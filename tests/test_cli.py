@@ -330,18 +330,6 @@ def test_simulate_with_noise_is_deterministic(tmp_path):
     assert clean.read_bytes() != first.read_bytes()
 
 
-def test_default_dim_env_override(tmp_path, monkeypatch, capsys):
-    state = '{"type": "fock", "n": 20}'
-    out = tmp_path / "m.json"
-    monkeypatch.setenv("NCL_DEFAULT_DIM", "16")
-    assert main(["moments", "--state", state, "--out", str(out)]) == 2
-    monkeypatch.setenv("NCL_DEFAULT_DIM", "32")
-    assert main(["moments", "--state", state, "--out", str(out)]) == 0
-    monkeypatch.setenv("NCL_DEFAULT_DIM", "abc")
-    assert main(["moments", "--state", state, "--out", str(out)]) == 2
-    capsys.readouterr()
-
-
 def test_exit_code_truncation_with_hint(tmp_path, capsys):
     rc = main([
         "moments", "--state", '{"type": "coherent", "alpha": 4.0}',
@@ -483,9 +471,8 @@ VERB_ARGV = {
 
 
 @pytest.mark.parametrize("verb", sorted(VERB_ARGV))
-def test_config_carries_parser_defaults(verb, monkeypatch):
+def test_config_carries_parser_defaults(verb):
     """Every verb's config holds the parser's defaults for options it omits."""
-    monkeypatch.delenv("NCL_DEFAULT_DIM", raising=False)
     parser = build_parser()
     config = config_from_args(parser.parse_args([verb] + VERB_ARGV[verb]))
     default = parser.get_default
@@ -541,11 +528,10 @@ def test_verbs_refuse_options_they_do_not_read(argv, tmp_path, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_verbs_without_a_state_ignore_default_dim(tmp_path, monkeypatch, capsys):
+def test_verbs_without_a_state_ignore_default_dim(tmp_path, capsys):
     record = tmp_path / "rec.json"
     assert main(["simulate", "--state", THERMAL, "--scheme", "b",
                  "--out", str(record)]) == 0
-    monkeypatch.setenv("NCL_DEFAULT_DIM", "abc")
     assert main(["invert", "--record", str(record),
                  "--out", str(tmp_path / "i.json")]) == 0
     assert main(["sweep", "--m-list", "1", "--lambda-range", "1.5,1.5,0.1",
@@ -616,6 +602,19 @@ def test_criteria_refuses_non_finite_phi_and_tolerance(option, value, tmp_path, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["inf", "nan", "-inf", "0.5"])
+def test_simulate_refuses_a_non_finite_or_small_sample_budget(value, tmp_path, capsys):
+    """``--samples inf`` would write a noise-free record and exit 0."""
+    out = tmp_path / "r.json"
+    argv = ["simulate", "--state", THERMAL, "--scheme", "b", f"--samples={value}",
+            "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: --samples must be finite and at least 1"
+    )
+    assert not out.exists()
+
+
 def _bright_table(alpha: complex, covariance_residue: complex) -> MomentTable:
     """A coherent table whose ``<a^dag^2 a^2>`` carries an imaginary residue."""
     k = np.arange(5)
@@ -659,7 +658,6 @@ def test_main_builds_one_parser_and_answers_as_fresh_interpreters(
 ):
     """Repeated in-process calls share one parser and give a fresh process's
     exit codes, output lines and files."""
-    monkeypatch.delenv("NCL_DEFAULT_DIM", raising=False)
     builds = []
 
     def counting_build_parser():
@@ -680,7 +678,6 @@ def test_main_builds_one_parser_and_answers_as_fresh_interpreters(
     assert len(builds) == 1
 
     env = dict(os.environ)
-    env.pop("NCL_DEFAULT_DIM", None)
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(nclmoments.__file__))
     want = []
     for argv in FRESH_RUNS:

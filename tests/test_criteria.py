@@ -14,7 +14,12 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import random_density_state, random_pure_state
+from helpers import (
+    long_hand_matrix,
+    quad_expectation,
+    random_density_state,
+    random_pure_state,
+)
 from nclmoments import (
     DEFAULT_TOLERANCE,
     BasisKind,
@@ -43,10 +48,8 @@ from nclmoments import (
     make_thermal,
     moment_table,
     principal_minor,
-    quad_moment,
     s2_witnesses,
     s3,
-    xn_moment,
 )
 from nclmoments import criteria
 from nclmoments.criteria import MomentMatrix
@@ -173,25 +176,8 @@ def test_coherent_matrices_are_rank_one():
     assert np.allclose(d2.values, weight * np.outer(w, w), atol=1e-9)
 
 
-def long_hand_matrix(table, basis, phi):
-    """Each entry from its own per-entry formula (oracle for the one builder)."""
-    n = basis.size
-    vals = np.zeros((n, n), dtype=complex)
-    for i, (pi, qi) in enumerate(basis.pairs):
-        for j, (pj, qj) in enumerate(basis.pairs):
-            kappa, sigma = qi + qj, pi + pj
-            if basis.kind is BasisKind.QUAD:
-                vals[i, j] = quad_moment(table, kappa, sigma, phi)
-            elif basis.kind is BasisKind.XN:
-                vals[i, j] = xn_moment(table, kappa, sigma, phi)
-            else:
-                vals[i, j] = 4.0 * xn_moment(
-                    table, kappa, sigma + 1, phi
-                ) - xn_moment(table, kappa + 2, sigma, phi)
-    return vals
-
-
 PER_ENTRY_BASES = [
+    MonomialBasis.graded(BasisKind.AA, 10),
     MonomialBasis.graded(BasisKind.QUAD, 10),
     MonomialBasis.graded(BasisKind.XN, 10),
     MonomialBasis.number_chain(6),
@@ -240,7 +226,8 @@ def test_witnesses_match_long_hand_formulas(seed):
         ]
     )
     q20, q22, q21, q11 = (
-        quad_moment(table, x, p, phi) for x, p in ((2, 0), (2, 2), (2, 1), (1, 1))
+        quad_expectation(table, x, p, phi).real
+        for x, p in ((2, 0), (2, 2), (2, 1), (1, 1))
     )
     wants = (np.linalg.det(mat).real, q20 * q22 - q21**2, q22 - q11**2)
     gots = (s3(table),) + s2_witnesses(table, phi)
@@ -429,7 +416,7 @@ def matrix_by_matrix_witnesses(table, phi):
 def matrix_by_matrix_report(table, kind, n_max, phi):
     """``(determinants, witnesses, first_negative_order)`` of a hierarchy.
 
-    The hierarchy as ``MomentMatrix.leading_determinant`` per order, then
+    The hierarchy as one ``det`` of each leading block, then
     :func:`matrix_by_matrix_witnesses`.
     """
     report_start, classify_start = _STARTS[kind]
@@ -440,7 +427,10 @@ def matrix_by_matrix_report(table, kind, n_max, phi):
     matrix = build_matrix(table, basis, phi)
     tol_eff = DEFAULT_TOLERANCE * max(1.0, float(np.max(np.abs(matrix.values))))
     determinants = tuple(
-        (n, matrix.leading_determinant(n)) for n in range(report_start, n_max + 1)
+        (n, criteria.as_real(
+            complex(np.linalg.det(matrix.values[:n, :n])), f"leading {n}x{n} determinant"
+        ))
+        for n in range(report_start, n_max + 1)
     )
     first = next(
         (n for n, v in determinants if n >= classify_start and v < -tol_eff), None

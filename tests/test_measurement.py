@@ -8,7 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_density_state, random_pure_state
+from helpers import (
+    quad_expectation,
+    random_density_state,
+    random_pure_state,
+    xn_expectation,
+)
 from nclmoments import (
     DetectionRecord,
     FockState,
@@ -21,9 +26,7 @@ from nclmoments import (
     add_shot_noise,
     make_fock,
     make_thermal,
-    moment_aa,
     moment_table,
-    quad_moment,
     scheme_a_forward,
     scheme_a_invert,
     scheme_a_phases,
@@ -32,7 +35,6 @@ from nclmoments import (
     scheme_b_forward,
     scheme_c_extract,
     scheme_c_forward,
-    xn_moment,
 )
 from nclmoments.cli import main
 from nclmoments.measurement import GAMMA_KEYS
@@ -252,13 +254,14 @@ def test_scheme_a_corner_coefficients_isolate_extreme_moments():
     depth = 2
     record = scheme_a_sample_and_fourier(state, 4, lo, depth)
     amp = abs(lo.r0 * lo.alpha)
+    truth = moment_table(state, 4)
     for n in range(1, 5):
         pref = math.comb(2**depth, n) / 2.0 ** (n * depth)
         denom = pref * lo.t0**n * amp**n
         dag = record.coefficients[(n, n)] / denom
         ann = record.coefficients[(n, -n)] / denom
-        assert abs(dag - moment_aa(state, n, 0)) < 1e-10
-        assert abs(ann - moment_aa(state, 0, n)) < 1e-10
+        assert abs(dag - truth.entry(n, 0)) < 1e-10
+        assert abs(ann - truth.entry(0, n)) < 1e-10
 
 
 def test_scheme_a_invert_blocked_and_weak_oscillator():
@@ -270,7 +273,7 @@ def test_scheme_a_invert_blocked_and_weak_oscillator():
     with pytest.warns(WeakOscillatorWarning):
         table = scheme_a_invert(weak)
     # weak, but still exact without noise
-    assert abs(table.entry(1, 1) - moment_aa(state, 1, 1)) < 1e-9
+    assert abs(table.entry(1, 1) - moment_table(state, 1).entry(1, 1)) < 1e-9
 
 
 def test_scheme_a_phases_layout():
@@ -291,14 +294,7 @@ def test_scheme_b_round_trip(seed):
     out = scheme_b_extract(scheme_b_forward(state, lo))
     theta = out["theta"]
     assert theta == pytest.approx(0.4)
-    want = {
-        "n": moment_aa(state, 1, 1).real,
-        "x": quad_moment(state, 1, 0, theta),
-        "p": quad_moment(state, 0, 1, theta),
-        "xx": quad_moment(state, 2, 0, theta),
-        "pp": quad_moment(state, 0, 2, theta),
-        "xp": quad_moment(state, 1, 1, theta),
-    }
+    want = reference_moments(moment_table(state, 2), "b", theta)
     for key, value in want.items():
         assert out[key] == pytest.approx(value, abs=1e-10), key
 
@@ -336,13 +332,7 @@ def test_scheme_c_round_trip(seed):
         scheme_c_forward(state, lo), scheme_c_forward(state, lo.blocked())
     )
     theta = out["theta"]
-    want = {
-        "n": moment_aa(state, 1, 1).real,
-        "x": xn_moment(state, 1, 0, theta),
-        "nn": xn_moment(state, 0, 2, theta),
-        "nx": xn_moment(state, 1, 1, theta),
-        "xx": xn_moment(state, 2, 0, theta),
-    }
+    want = reference_moments(moment_table(state, 2), "c", theta)
     for key, value in want.items():
         assert out[key] == pytest.approx(value, abs=1e-10), key
 
@@ -353,8 +343,9 @@ def test_scheme_c_balanced_splitter_round_trip():
     out = scheme_c_extract(
         scheme_c_forward(state, lo), scheme_c_forward(state, lo.blocked())
     )
+    # <:n^2:> = <a^dag^2 a^2>
     assert out["nn"] == pytest.approx(
-        xn_moment(state, 0, 2), abs=1e-10
+        moment_table(state, 2).entry(2, 2).real, abs=1e-10
     )
 
 
@@ -394,13 +385,13 @@ def stacked_counts(records):
 
 
 def reference_moments(table, scheme, theta):
-    """The extracted keys from a moment table through the public moment routines."""
+    """The extracted keys as binomial sums over the table's entries."""
     if scheme == "b":
         pairs = {"x": (1, 0), "p": (0, 1), "xx": (2, 0), "pp": (0, 2), "xp": (1, 1)}
-        ref = {k: quad_moment(table, *xp, theta) for k, xp in pairs.items()}
+        ref = {k: quad_expectation(table, *xp, theta).real for k, xp in pairs.items()}
     else:
         pairs = {"x": (1, 0), "nn": (0, 2), "nx": (1, 1), "xx": (2, 0)}
-        ref = {k: xn_moment(table, *xn, theta) for k, xn in pairs.items()}
+        ref = {k: xn_expectation(table, *xn, theta).real for k, xn in pairs.items()}
     return dict(ref, n=table.entry(1, 1).real)
 
 
@@ -519,6 +510,20 @@ def test_add_shot_noise_validates_and_dispatches():
         add_shot_noise("not a record", 100)
 
 
+@pytest.mark.parametrize("samples", [math.inf, math.nan, -math.inf])
+def test_add_shot_noise_refuses_a_non_finite_budget(samples):
+    """An infinite budget would return the counts unchanged; NaN would
+    surface later as non-finite counts."""
+    state = random_pure_state(16, 6)
+    records = [
+        scheme_b_forward(state, LOConfig(alpha=1.5)),
+        scheme_a_sample_and_fourier(state, 2, LOConfig(3.0), 1),
+    ]
+    for record in records:
+        with pytest.raises(ValidationError, match="samples must be finite"):
+            add_shot_noise(record, samples)
+
+
 def test_add_shot_noise_deterministic_and_seed_sensitive():
     state = random_pure_state(16, 7)
     record = scheme_b_forward(state, LOConfig(alpha=1.5))
@@ -552,5 +557,5 @@ def test_add_shot_noise_fourier_recomputes_coefficients():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         table = scheme_a_invert(noisy)
-    want = moment_aa(state, 1, 1)
+    want = moment_table(state, 1).entry(1, 1)
     assert abs(table.entry(1, 1) - want) < 0.3

@@ -1,6 +1,8 @@
 """Moment evaluation against independent oracles.
 
-Oracles used here:
+Every moment is read from a moment table, directly or as an entry
+``M[0, j] = <:f_j:>`` of a moment matrix whose basis starts with the
+constant monomial.  Oracles used here:
   * explicit dense-matrix products for <a^dag^k a^l>,
   * the coherent-state eigenvalue property (normally ordered expectations
     of coherent states are the classical monomials in alpha),
@@ -16,38 +18,44 @@ import numpy as np
 import pytest
 from scipy.special import eval_genlaguerre, eval_laguerre, gammaln
 
-from helpers import dense_moment, random_density_state, random_pure_state
+from helpers import (
+    dense_moment,
+    normal_moments,
+    quad_expectation,
+    random_density_state,
+    random_pure_state,
+)
 from nclmoments import (
+    BasisKind,
     DensityState,
     InsufficientOrderError,
     LOConfig,
     MomentTable,
-    NormalPolynomial,
+    MonomialBasis,
     NumericConsistencyError,
     OrderAccuracyWarning,
     ValidationError,
     apply_squeeze,
     as_real,
+    ass_moment_tables,
     bochner_det,
+    build_matrix,
     char_function,
     char_values,
     determinant_hierarchy,
     make_coherent,
     make_fock,
     make_thermal,
-    moment_aa,
     moment_table,
-    quad_moment,
     resolve_table,
     s3,
     scheme_a_forward,
-    xn_moment,
 )
 from nclmoments.operators import displacement_matrix
 
 
 # ---------------------------------------------------------------------------
-# moment_aa
+# <a^dag^k a^l> from moment_table
 
 
 def assert_table_matches_dense_products(state, max_order: int) -> None:
@@ -63,40 +71,56 @@ def assert_table_matches_dense_products(state, max_order: int) -> None:
 @pytest.mark.parametrize("seed", range(6))
 def test_moment_aa_matches_dense_products_pure(seed):
     state = random_pure_state(32, seed)
-    for k in range(5):
-        for l in range(5):
-            got = moment_aa(state, k, l)
-            want = dense_moment(state, k, l)
-            assert abs(got - want) < 1e-11 * (1.0 + abs(want))
-    assert_table_matches_dense_products(state, 12)
+    for max_order in (0, 4, 12):
+        assert_table_matches_dense_products(state, max_order)
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_moment_aa_matches_dense_products_density(seed):
     state = random_density_state(24, seed + 1)
-    for k in range(4):
-        for l in range(4):
-            got = moment_aa(state, k, l)
-            want = dense_moment(state, k, l)
-            assert abs(got - want) < 1e-11 * (1.0 + abs(want))
-    assert_table_matches_dense_products(state, 12)
+    for max_order in (0, 3, 12):
+        assert_table_matches_dense_products(state, max_order)
 
 
 def test_moment_aa_fock_closed_form():
-    state = make_fock(4, 16)
     # <a^dag^k a^k> = n!/(n-k)!; off-diagonal moments vanish
+    table = moment_table(make_fock(4, 16), 4)
     for k in range(5):
         want = math.factorial(4) / math.factorial(4 - k)
-        assert abs(moment_aa(state, k, k) - want) < 1e-12 * (1 + want)
-    assert moment_aa(state, 2, 1) == 0.0
+        assert abs(table.entry(k, k) - want) < 1e-12 * (1 + want)
+    assert table.entry(2, 1) == 0.0
     with pytest.warns(OrderAccuracyWarning):
-        assert moment_aa(state, 5, 5) == 0.0
+        assert moment_table(make_fock(4, 16), 5).entry(5, 5) == 0.0
 
 
 def test_moment_aa_warns_near_truncation_order():
-    state = make_coherent(0.3, 8)
     with pytest.warns(OrderAccuracyWarning):
-        moment_aa(state, 3, 2)
+        moment_table(make_coherent(0.3, 8), 3)
+
+
+@pytest.mark.parametrize("max_order", [2.0, True, np.float64(3), "2", -1, None])
+def test_moment_orders_must_be_nonnegative_integers(max_order):
+    """One integer rule for ``moment_table``, ``MomentTable`` and exact tables."""
+    state = make_fock(1, 16)
+    with pytest.raises(ValidationError, match="max_order must be a nonnegative integer"):
+        moment_table(state, max_order)
+    with pytest.raises(ValidationError, match="max_order must be a nonnegative integer"):
+        MomentTable(max_order, np.ones((1, 1)))
+    with pytest.raises(ValidationError, match="max_order must be a nonnegative integer"):
+        ass_moment_tables(2, [1.5], max_order)
+
+
+@pytest.mark.parametrize("k,l", [(1.0, 1), (True, 0), (0, -1), (np.float64(1), 0)])
+def test_table_entry_indices_must_be_nonnegative_integers(k, l):
+    table = moment_table(make_fock(1, 16), 2)
+    with pytest.raises(ValidationError, match="a moment order must be a nonnegative integer"):
+        table.entry(k, l)
+
+
+def test_moment_orders_accept_numpy_integers():
+    table = moment_table(make_fock(1, 16), np.int64(2))
+    assert table.max_order == 2
+    assert MomentTable(np.int32(2), table.values).max_order == 2
 
 
 # ---------------------------------------------------------------------------
@@ -109,9 +133,9 @@ def test_moment_table_round_trip_entries():
     assert table.max_order == 4
     for k in range(5):
         for l in range(5):
-            assert table.entry(k, l) == pytest.approx(
-                moment_aa(state, k, l), abs=1e-14
-            )
+            assert table.entry(k, l) == complex(table.values[k, l])
+            want = dense_moment(state, k, l)
+            assert abs(table.entry(k, l) - want) < 1e-11 * (1.0 + abs(want))
 
 
 def test_moment_table_warns_once_past_half_dim():
@@ -129,8 +153,9 @@ def test_moment_table_warns_once_past_half_dim():
 
 
 ORDER_WARNING_CALLS = {
-    "quad_moment": lambda: quad_moment(make_fock(1, 6), 2, 2, 0.3),
-    "xn_moment": lambda: xn_moment(make_fock(1, 6), 2, 1),
+    "build_matrix": lambda: build_matrix(
+        make_fock(1, 6), MonomialBasis.graded(BasisKind.QUAD, 4), 0.3
+    ),
     "char_function": lambda: char_function(make_fock(0, 16), 2.5),
     "bochner_det": lambda: bochner_det(make_fock(0, 16), [0.0, 2.5]),
     "determinant_hierarchy": lambda: determinant_hierarchy(make_fock(1, 6), "aa", 2),
@@ -184,55 +209,43 @@ def test_moment_table_entry_beyond_order_raises():
 
 
 # ---------------------------------------------------------------------------
-# NormalPolynomial
+# quadrature and photon-number moments: row 0 of a moment matrix
 
 
 def test_polynomial_quadrature_identity_on_random_state():
     """<:x^2:> + <:p^2:> = 4 <n> for any state and any phase."""
     state = random_pure_state(32, 3)
-    n_mean = moment_aa(state, 1, 1).real
+    n_mean = moment_table(state, 1).entry(1, 1).real
     for phi in (0.0, 0.3, 1.1):
-        total = quad_moment(state, 2, 0, phi) + quad_moment(state, 0, 2, phi)
-        assert math.isclose(total, 4.0 * n_mean, rel_tol=1e-12, abs_tol=1e-12)
-
-
-def test_polynomial_algebra_and_adjoint():
-    a = NormalPolynomial.annihilation()
-    ad = NormalPolynomial.creation()
-    n = NormalPolynomial.number()
-    assert (ad * a).terms == n.terms
-    assert a.adjoint().terms == ad.terms
-    x = NormalPolynomial.quadrature(0.7)
-    assert x.adjoint().terms == pytest.approx(x.terms)
-    combo = 2.0 * n + NormalPolynomial.constant(-1.0)
-    assert combo.terms[(1, 1)] == 2.0
-    assert combo.terms[(0, 0)] == -1.0
-    assert (x**0).terms == {(0, 0): 1.0}
-    assert x.degree == 1 and (x * x * x).degree == 3
-
-
-def test_polynomial_power_rejects_negative():
-    with pytest.raises(ValidationError):
-        NormalPolynomial.number() ** -1
+        quad = normal_moments(state, "quad", 6, phi)
+        total = quad[(0, 2)] + quad[(2, 0)]
+        assert math.isclose(total.real, 4.0 * n_mean, rel_tol=1e-12, abs_tol=1e-12)
+        assert abs(total.imag) < 1e-12
 
 
 def test_polynomial_expectation_accepts_table_and_state():
     state = make_coherent(0.4 + 0.1j, 48)
-    table = moment_table(state, 4)
-    poly = NormalPolynomial.quadrature(0.2) ** 2
-    assert poly.expectation(state) == pytest.approx(poly.expectation(table))
+    basis = MonomialBasis.graded(BasisKind.QUAD, 6)
+    from_table = build_matrix(moment_table(state, 4), basis, 0.2)
+    from_state = build_matrix(state, basis, 0.2)
+    assert np.array_equal(from_state.values, from_table.values)
 
 
 def test_polynomial_expectation_warns_once_on_a_state():
-    """All terms of ``<:x^2 p^2:>`` come from one kernel call: one warning."""
+    """Every entry of a state's matrix comes from one table: one warning.
+
+    ``M[1, 1] = <:x^2 p^2:>`` over ``{1, x p}`` is checked against the
+    binomial sum over dense-product moments.
+    """
     state = make_fock(1, 6)
+    basis = MonomialBasis(BasisKind.QUAD, ((0, 0), (1, 1)))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        value = quad_moment(state, 2, 2, 0.3)
+        matrix = build_matrix(state, basis, 0.3)
     assert [w.category for w in caught] == [OrderAccuracyWarning]
-    poly = NormalPolynomial.quadrature(0.3) ** 2 * NormalPolynomial.momentum(0.3) ** 2
-    want = sum(c * dense_moment(state, k, l) for (k, l), c in poly.terms.items())
-    assert value == pytest.approx(want.real, abs=1e-12)
+    dense = np.array([[dense_moment(state, k, l) for l in range(5)] for k in range(5)])
+    want = quad_expectation(MomentTable(4, dense), 2, 2, 0.3)
+    assert matrix.values[1, 1] == pytest.approx(want, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -249,50 +262,52 @@ def _coherent_classical(alpha, phi):
 
 @pytest.mark.parametrize("phi", [0.0, 0.4, 1.9])
 def test_quad_moment_coherent_eigenvalue_oracle(phi):
+    """``<:p^b x^a:> = p_c^b x_c^a`` for every graded pair with ``a + b <= 3``."""
     alpha = 0.6 - 0.45j
     state = make_coherent(alpha, 64)
     x_c, p_c = _coherent_classical(alpha, phi)
-    for a in range(4):
-        for b in range(4 - a):
-            want = x_c**a * p_c**b
-            got = quad_moment(state, a, b, phi)
-            assert abs(got - want) < 1e-10 * (1.0 + abs(want))
+    quad = normal_moments(state, "quad", 10, phi)
+    assert max(p + q for p, q in quad) == 3
+    for (b, a), got in quad.items():
+        want = x_c**a * p_c**b
+        assert abs(got - want) < 1e-10 * (1.0 + abs(want))
 
 
 @pytest.mark.parametrize("phi", [0.0, 0.8])
 def test_xn_moment_coherent_eigenvalue_oracle(phi):
+    """``<:n^kappa x^sigma:> = |alpha|^{2 kappa} x_c^sigma``."""
     alpha = 0.7 + 0.2j
     state = make_coherent(alpha, 64)
     x_c, _ = _coherent_classical(alpha, phi)
-    for sigma in range(4):
-        for kappa in range(3):
-            want = x_c**sigma * abs(alpha) ** (2 * kappa)
-            got = xn_moment(state, sigma, kappa, phi)
-            assert abs(got - want) < 1e-10 * (1.0 + abs(want))
+    xn = normal_moments(state, "xn", 10, phi)
+    for (kappa, sigma), got in xn.items():
+        want = x_c**sigma * abs(alpha) ** (2 * kappa)
+        assert abs(got - want) < 1e-10 * (1.0 + abs(want))
 
 
 def test_factorial_moments_fock_and_thermal():
-    fock = make_fock(5, 16)
-    for u in range(4):
-        want = math.factorial(5) / math.factorial(5 - u)
-        assert xn_moment(fock, 0, u) == pytest.approx(want, rel=1e-12)
-    thermal = make_thermal(0.8, 96)
-    for u in range(4):
-        want = math.factorial(u) * 0.8**u
-        assert xn_moment(thermal, 0, u) == pytest.approx(want, rel=1e-9)
+    """``<:n^u:> = <a^dag^u a^u>``, read from the table and from ``M[0, u]``."""
+    chain = MonomialBasis(BasisKind.XN, tuple((u, 0) for u in range(4)))
+    for source, want_u, rel in (
+        (make_fock(5, 16), lambda u: math.factorial(5) / math.factorial(5 - u), 1e-12),
+        (make_thermal(0.8, 96), lambda u: math.factorial(u) * 0.8**u, 1e-9),
+    ):
+        with warnings.catch_warnings():
+            # exact for |5> at any dim above 5
+            warnings.simplefilter("ignore", OrderAccuracyWarning)
+            table = moment_table(source, 6)
+        row = build_matrix(table, chain).values[0]
+        for u in range(4):
+            assert table.entry(u, u).real == pytest.approx(want_u(u), rel=rel)
+            assert row[u] == pytest.approx(want_u(u), rel=rel)
 
 
 def test_squeezed_vacuum_quadrature_variances():
-    from nclmoments import apply_squeeze
-
     r = 0.5
     state = apply_squeeze(make_fock(0, 64), r)
-    assert quad_moment(state, 2, 0, 0.0) == pytest.approx(
-        math.exp(-2 * r) - 1.0, rel=1e-10
-    )
-    assert quad_moment(state, 0, 2, 0.0) == pytest.approx(
-        math.exp(2 * r) - 1.0, rel=1e-10
-    )
+    quad = normal_moments(state, "quad", 6, 0.0)
+    assert quad[(0, 2)] == pytest.approx(math.exp(-2 * r) - 1.0, rel=1e-10)
+    assert quad[(2, 0)] == pytest.approx(math.exp(2 * r) - 1.0, rel=1e-10)
 
 
 def test_as_real_rejects_complex_residue():

@@ -15,13 +15,13 @@ from nclmoments import (
     ValidationError,
     determinant_hierarchy,
     make_thermal,
-    moment_aa,
     moment_table,
     scheme_a_invert,
     scheme_a_sample_and_fourier,
     scheme_b_forward,
 )
 from nclmoments.serialize import (
+    DEFAULT_DIM,
     complex_from_json,
     complex_to_json,
     detection_record_from_json,
@@ -56,11 +56,12 @@ def test_state_from_spec_all_types():
     fock = state_from_spec({"type": "fock", "n": 2})
     assert isinstance(fock, FockState) and fock.amplitudes[2] == 1.0
     coherent = state_from_spec({"type": "coherent", "alpha": [0.5, 0.2]})
-    assert abs(moment_aa(coherent, 0, 1) - (0.5 + 0.2j)) < 1e-10
+    assert coherent.dim == DEFAULT_DIM
+    assert abs(moment_table(coherent, 1).entry(0, 1) - (0.5 + 0.2j)) < 1e-10
     thermal = state_from_spec({"type": "thermal", "nbar": 0.5, "dim": 48})
     assert isinstance(thermal, DensityState) and thermal.dim == 48
     squeezed = state_from_spec({"type": "squeezed_vacuum", "z": 0.5})
-    assert moment_aa(squeezed, 1, 1).real == pytest.approx(math.sinh(0.5) ** 2)
+    assert moment_table(squeezed, 1).entry(1, 1).real == pytest.approx(math.sinh(0.5) ** 2)
     ass = state_from_spec({"type": "ass", "m": 1, "lambda": 1.5, "dim": 96})
     assert ass.dim == 96
 
