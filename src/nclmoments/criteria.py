@@ -47,11 +47,13 @@ anything else raises :class:`~nclmoments.errors.ValidationError`.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -59,6 +61,7 @@ from .errors import DuplicatePointError, ValidationError
 from .moments import (
     MomentSource,
     MomentTable,
+    _CharKernel,
     _check_count,
     as_real,
     char_values,
@@ -71,13 +74,23 @@ DEFAULT_TOLERANCE = 1e-9
 _WITNESS_ORDER = 4
 # Bochner points closer than this coincide.
 _MIN_SEPARATION = 1e-12
-# Refinement-walk proposals scored per char_values call.
+# Refinement-walk proposals scored per kernel call.
 _WALK_BLOCK = 16
 
 
 def _check_angle(phi: float) -> None:
     if not math.isfinite(phi):
         raise ValidationError(f"phi must be finite, got {phi!r}")
+
+
+def _check_radius(radius: float) -> None:
+    if (
+        isinstance(radius, bool)
+        or not isinstance(radius, numbers.Real)
+        or not math.isfinite(radius)
+        or radius <= 0.0
+    ):
+        raise ValidationError(f"radius must be finite and positive, got {radius!r}")
 
 
 class BasisKind(str, Enum):
@@ -522,9 +535,11 @@ def determinant_hierarchy(
 
 
 def _cached_char_values(
-    state: State, args: Array, cache: dict[complex, complex]
+    evaluate: Callable[[Sequence[complex]], Array],
+    args: Array,
+    cache: dict[complex, complex],
 ) -> Array:
-    """``Phi`` at every argument, computing the missing ones in one call.
+    """``Phi`` at every argument; the missing ones come from one ``evaluate`` call.
 
     ``Phi(-beta) = conj(Phi(beta))``, so each pair ``{beta, -beta}`` is
     computed once, at the member with the larger ``(real, imag)``, and read
@@ -536,18 +551,20 @@ def _cached_char_values(
     distinct, inverse = np.unique(np.where(flip, -args, args), return_inverse=True)
     missing = [b for b in map(complex, distinct) if b not in cache]
     if missing:
-        cache.update(zip(missing, char_values(state, missing)))
+        cache.update(zip(missing, evaluate(missing)))
     values = np.array([cache[b] for b in map(complex, distinct)])[inverse]
     return np.where(flip, values.conj(), values).reshape(args.shape)
 
 
-def _bochner_matrices(values: Array, k: int) -> Array:
+def _bochner_matrices(
+    values: Array, k: int, upper: Array, lower: Array
+) -> Array:
     """Stack of ``k x k`` unit-diagonal Hermitian matrices.
 
-    ``values[..., p]`` fills the ``p``-th upper-triangle entry in row-major
-    order (``np.triu_indices(k, 1)``); the lower triangle is its conjugate.
+    ``values[..., p]`` fills the ``p``-th upper-triangle entry
+    ``(upper[p], lower[p])``, in the row-major order of
+    ``np.triu_indices(k, 1)``; the lower triangle is its conjugate.
     """
-    upper, lower = np.triu_indices(k, 1)
     mats = np.zeros(values.shape[:-1] + (k, k), dtype=complex)
     mats[..., upper, lower] = values
     mats[..., lower, upper] = values.conj()
@@ -564,14 +581,17 @@ def bochner_det(
 
     ``Phi`` is the normally ordered characteristic function; for classical
     states it is positive-definite in the Bochner sense, so every such
-    determinant is nonnegative.  Points must be pairwise distinct.  The
-    missing ``Phi`` values are computed in one :func:`char_values` call and
-    stored in ``cache`` (see :func:`bochner_search`).
+    determinant is nonnegative.  Points must be finite and pairwise
+    distinct.  The missing ``Phi`` values are computed in one
+    :func:`char_values` call and stored in ``cache`` (see
+    :func:`bochner_search`); nothing is computed when all are cached.
     """
     pts = [complex(b) for b in betas]
     k = len(pts)
     if k < 1:
         raise ValidationError("need at least one point")
+    if not all(cmath.isfinite(b) for b in pts):
+        raise ValidationError(f"displacement points must be finite, got {pts!r}")
     for i in range(k):
         for j in range(i + 1, k):
             if abs(pts[i] - pts[j]) < _MIN_SEPARATION:
@@ -582,7 +602,8 @@ def bochner_det(
         cache = {}
     upper, lower = np.triu_indices(k, 1)
     diffs = [pts[i] - pts[j] for i, j in zip(upper, lower)]
-    mat = _bochner_matrices(_cached_char_values(state, diffs, cache), k)
+    values = _cached_char_values(functools.partial(char_values, state), diffs, cache)
+    mat = _bochner_matrices(values, k, upper, lower)
     return as_real(complex(np.linalg.det(mat)), "Bochner determinant")
 
 
@@ -603,6 +624,7 @@ class BochnerResult:
 
 def _refine(
     state: State,
+    kernel: _CharKernel,
     best_points: list[complex],
     radius: float,
     seed: int,
@@ -615,7 +637,7 @@ def _refine(
     times a complex standard normal, skips the proposal if a point leaves
     the disc or two points coincide, and accepts it if it lowers the
     determinant.  The next ``_WALK_BLOCK`` proposals from the current points
-    are scored in one :func:`char_values` call and one stack of
+    are scored in one ``kernel`` call and one stack of
     determinants; the first that improves is accepted and the walk resumes
     at the step after it.  This accepts exactly what a walk scored one step
     at a time accepts; the proposals scored behind an accepted one only add
@@ -642,8 +664,8 @@ def _refine(
             & (np.abs(diffs) >= _MIN_SEPARATION).all(axis=1)
         )
         if steps.size:
-            values = _cached_char_values(state, diffs[steps], cache)
-            dets = np.linalg.det(_bochner_matrices(values, k))
+            values = _cached_char_values(kernel, diffs[steps], cache)
+            dets = np.linalg.det(_bochner_matrices(values, k, upper, lower))
             for step, det in zip(steps, dets):
                 value = as_real(complex(det), "Bochner determinant")
                 if value < best_value:
@@ -668,24 +690,28 @@ def bochner_search(
     The first point is pinned at the origin (determinants are invariant
     under a common shift).  A square lattice of side ``grid_n`` inside
     ``|beta| <= radius`` seeds the search with tuples of lattice points:
-    every tuple for ``k <= 3``, seeded random tuples beyond.  ``Phi`` is
-    computed for all their differences in one :func:`char_values` call and
-    the tuples are scored as one stack of determinants.  A greedy Gaussian
-    refinement walk of ``refine_iters`` steps with a shrinking step follows,
-    skipping moves that leave the disc.  It is scored in blocks of
-    proposals, one :func:`char_values` call each, and accepts exactly what
-    the walk scored one step at a time accepts.  ``Phi`` values are cached
-    per distinct argument.  ``k``, ``grid_n``, ``seed`` and ``refine_iters``
-    are integers (``k >= 2``, ``grid_n >= 2``, the others ``>= 0``).
+    every tuple for ``k <= 3``, seeded random tuples beyond.  ``Phi`` comes
+    from one characteristic-function kernel of the state, built once per
+    search; it is computed for all the tuples' differences in one kernel
+    call and the tuples are scored as one stack of determinants.  A greedy
+    Gaussian refinement walk of ``refine_iters`` steps with a shrinking step
+    follows, skipping moves that leave the disc.  It is scored in blocks of
+    proposals, one kernel call each, and accepts exactly what the walk
+    scored one step at a time accepts.  ``Phi`` values are cached per
+    distinct argument.  ``radius`` is a finite positive real; ``k``,
+    ``grid_n``, ``seed`` and ``refine_iters`` are integers (``k >= 2``,
+    ``grid_n >= 2``, the others ``>= 0``).
     """
     _check_count(k, "k")
     _check_count(grid_n, "grid_n")
     if k < 2:
         raise ValidationError("Bochner search needs at least two points")
-    if radius <= 0.0 or grid_n < 2:
-        raise ValidationError("radius must be positive and grid_n at least 2")
+    _check_radius(radius)
+    if grid_n < 2:
+        raise ValidationError("grid_n must be at least 2")
     _check_count(seed, "seed")
     _check_count(refine_iters, "refine_iters")
+    kernel = _CharKernel(state)
     cache: dict[complex, complex] = {}
     axis = np.linspace(-radius, radius, grid_n)
     lattice = [0.0 + 0.0j] + [
@@ -713,11 +739,11 @@ def bochner_search(
     tuples = np.column_stack([np.zeros(len(tuples), dtype=int), tuples])
     points = np.array(lattice)[tuples]
     upper, lower = np.triu_indices(k, 1)
-    values = _cached_char_values(state, points[:, upper] - points[:, lower], cache)
-    dets = np.linalg.det(_bochner_matrices(values, k)).real
+    values = _cached_char_values(kernel, points[:, upper] - points[:, lower], cache)
+    dets = np.linalg.det(_bochner_matrices(values, k, upper, lower)).real
     best_points = [complex(b) for b in points[int(np.argmin(dets))]]
     best_value, best_points = _refine(
-        state, best_points, radius, seed, refine_iters, cache
+        state, kernel, best_points, radius, seed, refine_iters, cache
     )
     return BochnerResult(
         value=best_value,

@@ -19,7 +19,11 @@ at many points in one pass.  Both use the closed-form displacement elements
 
     <m|D(beta)|n> = sqrt(n!/m!) beta^{m-n} e^{-|beta|^2/2} L_n^{(m-n)}(|beta|^2)
 
-for ``m >= n``, never a matrix exponential.
+for ``m >= n``, never a matrix exponential.  Both are one-shot calls of a
+per-state kernel that holds the state's offset diagonals and recurrence
+coefficients and runs the Laguerre recurrence once per distinct
+``|beta|^2``; the Bochner search builds one kernel and calls it for every
+batch of points.  Displacement points must be finite.
 """
 
 from __future__ import annotations
@@ -262,8 +266,8 @@ def _offset_diagonals(state: State, count: int) -> tuple[Array, Array]:
     return offsets, diagonals[:rows, offsets]
 
 
-def char_values(state: State, betas: Sequence[complex]) -> Array:
-    """Characteristic function ``e^{|beta|^2/2} <D(beta)>`` at every point.
+class _CharKernel:
+    """Characteristic function ``e^{|beta|^2/2} <D(beta)>`` of one state.
 
     With ``x = |beta|^2`` and ``g_n^{(d)}(x) = sqrt(n!/(n+d)!) x^{d/2}
     L_n^{(d)}(x)``, Hermiticity of ``rho`` gives
@@ -272,49 +276,88 @@ def char_values(state: State, betas: Sequence[complex]) -> Array:
                     + (-1)^d e^{-i d theta} conj(rho[n, n+d])]   (d > 0),
 
     plus ``sum_n g_n^{(0)} rho[n, n]``, where ``theta = arg beta``.  The
-    ``g`` obey the Laguerre three-term recurrence in ``n``; it runs once,
-    vectorized over (point, offset), and is contracted against the offset
-    diagonals inside the loop, so memory stays at points x offsets.  Warns
-    once per call when some ``|beta|^2`` reaches ``dim / 4``: the displaced
-    state then leaks past the cutoff and ``<D(beta)>`` degrades.
+    ``g`` obey the Laguerre three-term recurrence in ``n``.  The constructor
+    holds everything that depends on the state alone: the offset diagonals,
+    the recurrence coefficients of every row and the row widths.  A call
+    runs the recurrence once per distinct ``|beta|^2`` of its points,
+    vectorized over (modulus, offset) and contracted against the diagonals
+    row by row, so memory stays at points x offsets; rows whose diagonals
+    are all zero add nothing and are skipped.  The phases are applied per
+    point.  Every point's value is the one a call on that point alone gives,
+    bit for bit.
     """
-    pts = np.asarray(betas, dtype=complex).reshape(-1)
-    dim = state.dim
-    x = np.abs(pts) ** 2
-    if pts.size and x.max() >= dim / 4.0:
-        _warn_at_caller(
-            f"displacement |beta|^2 = {x.max():.3g} is large for "
-            f"dim {dim}; characteristic-function values may be inaccurate",
-            OrderAccuracyWarning,
-        )
-    offsets, diagonals = _offset_diagonals(state, dim)
-    x = x[:, None]
-    log_fact = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1.0, dim)))])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # g_0^{(d)} = x^{d/2} / sqrt(d!), with 0^0 = 1
-        g = np.where(
-            offsets == 0,
-            1.0,
-            np.exp(0.5 * (offsets * np.log(x) - log_fact[offsets])),
-        )
-    g_prev = np.zeros_like(g)
-    acc = np.zeros(g.shape, dtype=complex)
-    # g_{n+1} = ((2n + 1 + d - x) g_n - sqrt(n (n + d)) g_{n-1}) / sqrt((n + 1) (n + 1 + d))
-    ns = np.arange(len(diagonals))[:, None]
-    lead = 2 * ns + 1 + offsets
-    lag = np.sqrt(ns * (ns + offsets))
-    norm = 1.0 / np.sqrt((ns + 1) * (ns + 1 + offsets))
-    # offset d stays in the basis while n + d < dim; offsets are sorted
-    active = np.searchsorted(offsets, dim - ns[:, 0])
-    for n, width in enumerate(active):
-        g_now = g[:, :width]
-        acc[:, :width] += g_now * diagonals[n, :width]
-        g, g_prev = (
-            (lead[n, :width] - x) * g_now - lag[n, :width] * g_prev[:, :width]
-        ) * norm[n, :width], g_now
-    upper = np.exp(1j * offsets * np.angle(pts)[:, None]) * acc
-    lower_sign = np.where(offsets > 0, 1 - 2 * (offsets % 2), 0)
-    return upper.sum(axis=1) + (lower_sign * upper.conj()).sum(axis=1)
+
+    def __init__(self, state: State) -> None:
+        dim = state.dim
+        self.dim = dim
+        offsets, diagonals = _offset_diagonals(state, dim)
+        self.offsets = offsets
+        log_fact = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1.0, dim)))])
+        self.log_fact = log_fact[offsets]
+        # g_{n+1} = ((2n + 1 + d - x) g_n - sqrt(n (n + d)) g_{n-1}) / sqrt((n + 1) (n + 1 + d))
+        ns = np.arange(len(diagonals))[:, None]
+        lead = 2 * ns + 1 + offsets
+        lag = np.sqrt(ns * (ns + offsets))
+        norm = 1.0 / np.sqrt((ns + 1) * (ns + 1 + offsets))
+        # offset d stays in the basis while n + d < dim; offsets are sorted
+        active = np.searchsorted(offsets, dim - ns[:, 0])
+        self.rows = [
+            (
+                width,
+                diagonals[n, :width] if diagonals[n, :width].any() else None,
+                lead[n, :width],
+                lag[n, :width],
+                norm[n, :width],
+            )
+            for n, width in enumerate(active)
+        ]
+        self.phase_rate = 1j * offsets
+        self.lower_sign = np.where(offsets > 0, 1 - 2 * (offsets % 2), 0)
+
+    def __call__(self, betas: Sequence[complex]) -> Array:
+        """``Phi`` at every point; warns once when some ``|beta|^2`` reaches ``dim / 4``."""
+        pts = np.asarray(betas, dtype=complex).reshape(-1)
+        if not np.isfinite(pts).all():
+            raise ValidationError("displacement points must be finite")
+        x = np.abs(pts) ** 2
+        if pts.size and x.max() >= self.dim / 4.0:
+            _warn_at_caller(
+                f"displacement |beta|^2 = {x.max():.3g} is large for "
+                f"dim {self.dim}; characteristic-function values may be inaccurate",
+                OrderAccuracyWarning,
+            )
+        xs, inverse = np.unique(x, return_inverse=True)
+        xs = xs[:, None]
+        offsets = self.offsets
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # g_0^{(d)} = x^{d/2} / sqrt(d!), with 0^0 = 1
+            g = np.where(
+                offsets == 0,
+                1.0,
+                np.exp(0.5 * (offsets * np.log(xs) - self.log_fact)),
+            )
+        g_prev = np.zeros_like(g)
+        acc = np.zeros(g.shape, dtype=complex)
+        for width, diagonal, lead, lag, norm in self.rows:
+            g_now = g[:, :width]
+            if diagonal is not None:
+                acc[:, :width] += g_now * diagonal
+            g, g_prev = ((lead - xs) * g_now - lag * g_prev[:, :width]) * norm, g_now
+        upper = np.exp(self.phase_rate * np.angle(pts)[:, None]) * acc[inverse]
+        return upper.sum(axis=1) + (self.lower_sign * upper.conj()).sum(axis=1)
+
+
+def char_values(state: State, betas: Sequence[complex]) -> Array:
+    """Characteristic function ``e^{|beta|^2/2} <D(beta)>`` at every point.
+
+    A one-shot call of the state's kernel (see :class:`_CharKernel`): one
+    Laguerre recurrence per distinct ``|beta|^2``, memory at points x
+    offsets.  Points must be finite
+    (:class:`~nclmoments.errors.ValidationError`).  Warns once per call when
+    some ``|beta|^2`` reaches ``dim / 4``: the displaced state then leaks past
+    the cutoff and ``<D(beta)>`` degrades.
+    """
+    return _CharKernel(state)(betas)
 
 
 def char_function(state: State, beta: complex) -> complex:

@@ -51,7 +51,7 @@ from nclmoments import (
     s2_witnesses,
     s3,
 )
-from nclmoments import criteria
+from nclmoments import criteria, moments
 from nclmoments.criteria import MomentMatrix
 
 
@@ -613,6 +613,15 @@ def test_bochner_rejects_duplicates():
         bochner_det(state, [0.0, 1e-13])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(math.inf, 0.3)])
+def test_bochner_det_rejects_non_finite_points(bad):
+    state = make_coherent(0.5, 16)
+    with pytest.raises(ValidationError, match="finite"):
+        bochner_det(state, [0.0, bad])
+    with pytest.raises(ValidationError, match="finite"):
+        bochner_det(state, [bad, 0.3, -0.2j], cache={})
+
+
 def test_bochner_fock_one_laguerre_sign():
     state = make_fock(1, 32)
     # Phi(beta) = 1 - |beta|^2; order-2 determinant 1 - (1 - |b|^2)^2
@@ -679,6 +688,19 @@ def test_bochner_search_validates():
     for bad in (5.5, 9.0):
         with pytest.raises(ValidationError, match="grid_n must"):
             bochner_search(state, grid_n=bad)
+    for bad in (0.0, -1.0, math.inf, -math.inf, math.nan, True, "2", None, 1j):
+        with pytest.raises(ValidationError, match="radius must"):
+            bochner_search(state, radius=bad)
+
+
+def test_bochner_search_readme_example():
+    """The README's squeezed-vacuum search, pinned bit for bit."""
+    state = apply_squeeze(make_fock(0, 64), 0.5)
+    result = bochner_search(state, k=2, radius=2.0, grid_n=16)
+    assert result.evaluations == 267
+    assert result.points == (0j, complex(0.003239632816828821, -1.9998286388641595))
+    assert result.value == bochner_det(state, result.points)
+    assert result.value == pytest.approx(-11.5288118, abs=1e-6)
 
 
 def seeding_lattice(radius: float, grid_n: int) -> list[complex]:
@@ -841,17 +863,17 @@ def test_bochner_walk_replays_skipped_blocks():
     ids=["squeezed", "thermal", "coherent"],
 )
 def test_bochner_search_scores_walk_in_blocks(monkeypatch, make, k, grid_n):
-    """Far fewer char_values calls than the 120 walk steps: one per block."""
+    """Far fewer kernel evaluations than the 120 walk steps: one per block."""
     state = make()
     calls = []
-    real = criteria.char_values
+    real = moments._CharKernel.__call__
 
-    def counted(state, betas):
+    def counted(kernel, betas):
         calls.append(len(betas))
-        return real(state, betas)
+        return real(kernel, betas)
 
-    monkeypatch.setattr(criteria, "char_values", counted)
+    monkeypatch.setattr(moments._CharKernel, "__call__", counted)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", OrderAccuracyWarning)
         bochner_search(state, k=k, radius=2.0, grid_n=grid_n)
-    assert len(calls) <= 20
+    assert 1 <= len(calls) <= 20

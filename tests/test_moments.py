@@ -455,6 +455,47 @@ def test_char_values_edge_points():
     assert abs(got[1] - np.conj(got[0])) < 1e-14
 
 
+DEDUP_STATES = {
+    "squeezed vacuum (zero rows)": lambda: apply_squeeze(make_fock(0, 64), 0.45j),
+    "fock 3": lambda: make_fock(3, 64),
+    "thermal nbar 0.5": lambda: make_thermal(0.5, 64),
+    "rank-3 rho": lambda: random_density_state(48, 6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEDUP_STATES))
+def test_char_values_shared_modulus_is_exact(name):
+    """The recurrence runs once per distinct ``|beta|^2`` and is shared by
+    every point with that modulus; each value equals a one-point call bit
+    for bit."""
+    state = DEDUP_STATES[name]()
+    base = [0.0, 0.4 + 0.3j, 1.1 - 0.2j, 0.9j, 1.7]
+    # The eight sign and swap images of (re, im) share |beta| exactly.
+    betas = np.array(
+        [
+            complex(sr * b.real, si * b.imag) if not swap
+            else complex(si * b.imag, sr * b.real)
+            for b in map(complex, base)
+            for sr in (1, -1)
+            for si in (1, -1)
+            for swap in (False, True)
+        ]
+    )
+    assert len(np.unique(np.abs(betas) ** 2)) == len(base) < len(betas)
+    batch = char_values(state, betas)
+    single = np.array([char_function(state, b) for b in betas])
+    assert np.array_equal(batch.view(np.uint64), single.view(np.uint64))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.5, math.nan)])
+def test_char_values_rejects_non_finite_points(bad):
+    state = make_coherent(0.5, 16)
+    with pytest.raises(ValidationError, match="finite"):
+        char_values(state, [0.5, bad])
+    with pytest.raises(ValidationError, match="finite"):
+        char_function(state, bad)
+
+
 def test_char_values_warns_once_per_call():
     state = make_fock(0, 16)
     with warnings.catch_warnings(record=True) as caught:
