@@ -572,19 +572,14 @@ def _bochner_matrices(
     return mats
 
 
-def bochner_det(
-    state: State,
-    betas: Sequence[complex],
-    cache: Optional[dict[complex, complex]] = None,
-) -> float:
+def bochner_det(state: State, betas: Sequence[complex]) -> float:
     """Determinant of ``[Phi(beta_i - beta_j)]`` over the given points.
 
     ``Phi`` is the normally ordered characteristic function; for classical
     states it is positive-definite in the Bochner sense, so every such
     determinant is nonnegative.  Points must be finite and pairwise
-    distinct.  The missing ``Phi`` values are computed in one
-    :func:`char_values` call and stored in ``cache`` (see
-    :func:`bochner_search`); nothing is computed when all are cached.
+    distinct.  The ``Phi`` values are computed in one :func:`char_values`
+    call, each pair ``±beta`` once, as :func:`bochner_search` computes them.
     """
     pts = [complex(b) for b in betas]
     k = len(pts)
@@ -598,11 +593,9 @@ def bochner_det(
                 raise DuplicatePointError(
                     f"points {i} and {j} coincide at {pts[i]!r}"
                 )
-    if cache is None:
-        cache = {}
     upper, lower = np.triu_indices(k, 1)
     diffs = [pts[i] - pts[j] for i, j in zip(upper, lower)]
-    values = _cached_char_values(functools.partial(char_values, state), diffs, cache)
+    values = _cached_char_values(functools.partial(char_values, state), diffs, {})
     mat = _bochner_matrices(values, k, upper, lower)
     return as_real(complex(np.linalg.det(mat)), "Bochner determinant")
 
@@ -623,8 +616,8 @@ class BochnerResult:
 
 
 def _refine(
-    state: State,
     kernel: _CharKernel,
+    best_value: float,
     best_points: list[complex],
     radius: float,
     seed: int,
@@ -632,6 +625,8 @@ def _refine(
     cache: dict[complex, complex],
 ) -> tuple[float, list[complex]]:
     """Greedy Gaussian walk from the lattice minimum ``best_points``, in blocks.
+
+    ``best_value`` is the determinant at ``best_points``.
 
     Step ``it`` moves every point but the origin by ``0.25 radius 0.97**it``
     times a complex standard normal, skips the proposal if a point leaves
@@ -644,7 +639,6 @@ def _refine(
     to ``cache``.
     """
     k = len(best_points)
-    best_value = bochner_det(state, best_points, cache=cache)
     rng = np.random.default_rng(seed + 1)
     # (real, imag) per free point per step, in the order of one-at-a-time draws
     noise = rng.standard_normal((refine_iters, k - 1, 2)).view(complex)[..., 0]
@@ -698,9 +692,9 @@ def bochner_search(
     follows, skipping moves that leave the disc.  It is scored in blocks of
     proposals, one kernel call each, and accepts exactly what the walk
     scored one step at a time accepts.  ``Phi`` values are cached per
-    distinct argument.  ``radius`` is a finite positive real; ``k``,
-    ``grid_n``, ``seed`` and ``refine_iters`` are integers (``k >= 2``,
-    ``grid_n >= 2``, the others ``>= 0``).
+    distinct argument, for this search's state alone.  ``radius`` is a
+    finite positive real; ``k``, ``grid_n``, ``seed`` and ``refine_iters``
+    are integers (``k >= 2``, ``grid_n >= 2``, the others ``>= 0``).
     """
     _check_count(k, "k")
     _check_count(grid_n, "grid_n")
@@ -740,10 +734,12 @@ def bochner_search(
     points = np.array(lattice)[tuples]
     upper, lower = np.triu_indices(k, 1)
     values = _cached_char_values(kernel, points[:, upper] - points[:, lower], cache)
-    dets = np.linalg.det(_bochner_matrices(values, k, upper, lower)).real
-    best_points = [complex(b) for b in points[int(np.argmin(dets))]]
+    dets = np.linalg.det(_bochner_matrices(values, k, upper, lower))
+    best = int(np.argmin(dets.real))
+    best_points = [complex(b) for b in points[best]]
+    best_value = as_real(complex(dets[best]), "Bochner determinant")
     best_value, best_points = _refine(
-        state, kernel, best_points, radius, seed, refine_iters, cache
+        kernel, best_value, best_points, radius, seed, refine_iters, cache
     )
     return BochnerResult(
         value=best_value,

@@ -23,7 +23,11 @@ for ``m >= n``, never a matrix exponential.  Both are one-shot calls of a
 per-state kernel that holds the state's offset diagonals and recurrence
 coefficients and runs the Laguerre recurrence once per distinct
 ``|beta|^2``; the Bochner search builds one kernel and calls it for every
-batch of points.  Displacement points must be finite.
+batch of points.  The kernel stops at the state's roundoff floor: it drops
+trailing Fock rows, then the lightest offsets, while their total weight
+``sum |rho[n, n+d]|`` (doubled for ``d > 0``) stays within one unit roundoff
+``2^-53``.  ``D`` is unitary, so this moves ``Phi`` by at most
+``e^{|beta|^2/2} 2^-53``.  Displacement points must be finite.
 """
 
 from __future__ import annotations
@@ -48,6 +52,9 @@ from .states import DensityState, FockState, State, _hermite_seeds, ass_params
 _SYMMETRY_TOL = 1e-10
 _DIAGONAL_TOL = 1e-12
 _IMAG_TOL = 1e-8
+# Largest total weight ``sum |rho[n, n+d]|`` (doubled for ``d > 0``) that the
+# characteristic-function kernel may leave out: one unit roundoff.
+_TRIM_BUDGET = 2.0**-53
 
 MomentSource = Union["MomentTable", FockState, DensityState]
 
@@ -278,19 +285,41 @@ class _CharKernel:
     plus ``sum_n g_n^{(0)} rho[n, n]``, where ``theta = arg beta``.  The
     ``g`` obey the Laguerre three-term recurrence in ``n``.  The constructor
     holds everything that depends on the state alone: the offset diagonals,
-    the recurrence coefficients of every row and the row widths.  A call
-    runs the recurrence once per distinct ``|beta|^2`` of its points,
+    the recurrence coefficients of every row and the row widths.
+
+    ``|g_n^{(d)}| = e^{x/2} |<n+d|D(beta)|n>| <= e^{x/2}``, so leaving out
+    ``rho[n, n+d]`` moves ``Phi`` by at most ``e^{x/2}`` times its weight
+    ``|rho[n, n+d]|`` (doubled for ``d > 0``).  The constructor drops the
+    trailing rows, then the offsets of smallest weight, while the dropped
+    total stays within ``_TRIM_BUDGET``, one unit roundoff: the error is at
+    most ``e^{x/2} 2^-53``, the size of the recurrence's own roundoff.
+    Exact zeros fall under the same rule, so ``|n>`` keeps ``n + 1`` rows.
+
+    A call runs the recurrence once per distinct ``|beta|^2`` of its points,
     vectorized over (modulus, offset) and contracted against the diagonals
-    row by row, so memory stays at points x offsets; rows whose diagonals
-    are all zero add nothing and are skipped.  The phases are applied per
-    point.  Every point's value is the one a call on that point alone gives,
-    bit for bit.
+    row by row, so memory stays at points x offsets; rows whose kept
+    diagonals are all zero add nothing and are skipped.  The phases are
+    applied per point.  The trim depends on the state alone, so every
+    point's value is the one a call on that point alone gives, bit for bit.
     """
 
     def __init__(self, state: State) -> None:
         dim = state.dim
         self.dim = dim
         offsets, diagonals = _offset_diagonals(state, dim)
+        # Dropping rho[n, n+d] moves Phi by at most e^{|beta|^2/2} times its
+        # weight: trailing rows go first, then the lightest offsets, while
+        # the dropped total stays within the budget.
+        weight = np.abs(diagonals) * np.where(offsets > 0, 2.0, 1.0)
+        # tail[n]: weight of rows n and up
+        tail = np.append(np.cumsum(weight.sum(axis=1)[::-1])[::-1], 0.0)
+        rows = np.count_nonzero(tail > _TRIM_BUDGET)
+        spare = _TRIM_BUDGET - tail[rows]
+        column = weight[:rows].sum(axis=0)
+        order = np.argsort(column, kind="stable")
+        dropped = np.count_nonzero(np.cumsum(column[order]) <= spare)
+        kept = np.sort(order[dropped:])
+        offsets, diagonals = offsets[kept], diagonals[:rows, kept]
         self.offsets = offsets
         log_fact = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1.0, dim)))])
         self.log_fact = log_fact[offsets]
@@ -351,8 +380,10 @@ def char_values(state: State, betas: Sequence[complex]) -> Array:
     """Characteristic function ``e^{|beta|^2/2} <D(beta)>`` at every point.
 
     A one-shot call of the state's kernel (see :class:`_CharKernel`): one
-    Laguerre recurrence per distinct ``|beta|^2``, memory at points x
-    offsets.  Points must be finite
+    Laguerre recurrence per distinct ``|beta|^2`` over the rows and offsets
+    above the state's roundoff floor, so a value is within
+    ``e^{|beta|^2/2} 2^-53`` of the sum over every entry of ``rho``; memory
+    at points x offsets.  Points must be finite
     (:class:`~nclmoments.errors.ValidationError`).  Warns once per call when
     some ``|beta|^2`` reaches ``dim / 4``: the displaced state then leaks past
     the cutoff and ``<D(beta)>`` degrades.

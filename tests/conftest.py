@@ -1,4 +1,11 @@
-"""Test-session plumbing: show acceptance verdicts in the terminal summary."""
+"""Test-session plumbing: the ``ci`` Hypothesis profile, and acceptance
+verdicts in the terminal summary."""
+
+from hypothesis import settings
+
+# ``pytest --hypothesis-profile=ci`` draws the same examples on every run, so
+# a property test cannot pass on one run and fail on the next.
+settings.register_profile("ci", derandomize=True)
 
 acceptance_lines: list[str] = []
 

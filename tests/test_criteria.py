@@ -619,7 +619,7 @@ def test_bochner_det_rejects_non_finite_points(bad):
     with pytest.raises(ValidationError, match="finite"):
         bochner_det(state, [0.0, bad])
     with pytest.raises(ValidationError, match="finite"):
-        bochner_det(state, [bad, 0.3, -0.2j], cache={})
+        bochner_det(state, [bad, 0.3, -0.2j])
 
 
 def test_bochner_fock_one_laguerre_sign():
@@ -640,13 +640,36 @@ def test_bochner_thermal_nonnegative():
 
 
 def test_bochner_cache_shares_mirror_values():
-    state = make_fock(0, 16)
+    """The search's cache computes each pair ``±beta`` once, and a second
+    pass over the same arguments computes nothing."""
+    kernel = moments._CharKernel(make_fock(0, 16))
+    calls = []
+
+    def evaluate(betas):
+        calls.append(len(betas))
+        return kernel(betas)
+
     cache = {}
-    bochner_det(state, [0.0, 0.7, -0.4j], cache=cache)
-    evals = len(cache)
-    # re-running with the same cache adds nothing
-    bochner_det(state, [0.0, 0.7, -0.4j], cache=cache)
-    assert len(cache) == evals
+    args = np.array([0.7, -0.7, 0.4j, -0.4j, 0.7 - 0.4j, -0.7 + 0.4j])
+    first = criteria._cached_char_values(evaluate, args, cache)
+    assert calls == [3] and len(cache) == 3
+    assert np.array_equal(first[1::2], first[::2].conj())
+    again = criteria._cached_char_values(evaluate, args, cache)
+    assert calls == [3] and np.array_equal(again, first)
+
+
+def test_bochner_det_values_belong_to_its_state():
+    """``bochner_det`` once took a ``cache`` keyed by argument alone, so a
+    cache shared across states returned the first state's ``Phi``: thermal
+    nbar 0.5 read -4.0176 after Fock |1>, a classical state flagged
+    nonclassical.  The cache is now private to one search's kernel."""
+    fock, thermal = make_fock(1, 32), make_thermal(0.5, 32)
+    with pytest.raises(TypeError):
+        bochner_det(fock, [0.0, 1.8], cache={})
+    assert bochner_det(fock, [0.0, 1.8]) < -1.0
+    # Phi(beta) = exp(-nbar |beta|^2) for a thermal state
+    want = 1.0 - math.exp(-2 * 0.5 * 1.8**2)
+    assert bochner_det(thermal, [0.0, 1.8]) == pytest.approx(want, abs=1e-12)
 
 
 def test_bochner_search_squeezed_vacuum_finds_violation():

@@ -16,6 +16,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import eval_genlaguerre, eval_laguerre, gammaln
 
 from helpers import (
@@ -51,6 +53,7 @@ from nclmoments import (
     s3,
     scheme_a_forward,
 )
+from nclmoments.moments import _CharKernel
 from nclmoments.operators import displacement_matrix
 
 
@@ -415,6 +418,106 @@ def test_char_function_matches_laguerre_elements(name):
     bound = 1e-12 * np.maximum(1.0, np.abs(want))
     assert np.all(np.abs(batch - want) <= bound)
     assert np.all(np.abs(single - want) <= bound)
+
+
+# One unit roundoff: the total weight the kernel may leave out.  Written out
+# here, not read from the module, so that a changed budget fails the pins.
+UNIT_ROUNDOFF = 2.0**-53
+
+
+def assert_within_trim_bound(state, betas) -> None:
+    """The kernel against the untrimmed Laguerre sum over every entry of rho:
+    the dropped part adds at most ``e^{|beta|^2/2} 2^-53`` to the tolerance
+    of :func:`test_char_function_matches_laguerre_elements`."""
+    want = np.array([laguerre_char(state, b) for b in betas])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", OrderAccuracyWarning)
+        got = char_values(state, betas)
+    bound = np.exp(np.abs(betas) ** 2 / 2) * UNIT_ROUNDOFF
+    bound += 1e-12 * np.maximum(1.0, np.abs(want))
+    assert np.all(np.abs(got - want) <= bound)
+
+
+# The decaying random states keep ~55 of their rows at dim 64 and 128.
+TRIMMED_STATES = {
+    **{
+        f"pure, dim {dim}": (lambda dim=dim: random_pure_state(dim, dim))
+        for dim in (16, 64, 128)
+    },
+    **{
+        f"rank-4 rho, dim {dim}": (
+            lambda dim=dim: random_density_state(dim, dim + 1, rank=4)
+        )
+        for dim in (16, 64, 128)
+    },
+    "coherent 0.9, dim 64": lambda: make_coherent(0.9 * np.exp(0.3j), 64),
+    "squeezed vacuum r 0.5, dim 128": lambda: apply_squeeze(make_fock(0, 128), 0.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRIMMED_STATES))
+def test_char_trim_stays_within_roundoff_bound(name):
+    state = TRIMMED_STATES[name]()
+    rng = np.random.default_rng(5)
+    radii = np.concatenate([[4.0, 0.05], 4.0 * np.sqrt(rng.random(14))])
+    betas = radii * np.exp(2j * np.pi * rng.random(radii.size))
+    assert_within_trim_bound(state, betas)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    dim=st.integers(16, 128),
+    seed=st.integers(0, 2**16),
+    rank=st.integers(0, 4),
+    radius=st.floats(0.05, 4.0),
+    angle=st.floats(0.0, 2 * np.pi),
+)
+def test_char_trim_bound_on_random_states(dim, seed, rank, radius, angle):
+    """Rank 0 draws a pure state, higher ranks a mixture of decaying kets."""
+    state = (
+        random_density_state(dim, seed, rank=rank) if rank
+        else random_pure_state(dim, seed)
+    )
+    betas = radius * np.exp(1j * (angle + np.array([0.0, 2.0])))
+    assert_within_trim_bound(state, np.concatenate([betas, [radius / 3]]))
+
+
+def test_char_kernel_keeps_only_rows_above_the_budget():
+    """Rows and offsets whose total weight fits in one unit roundoff are
+    dropped: far fewer rows than ``dim`` for states with decaying tails."""
+    coherent = _CharKernel(make_coherent(0.9, 64))
+    assert len(coherent.rows) <= 20 and len(coherent.offsets) <= 32
+    squeezed = _CharKernel(apply_squeeze(make_fock(0, 128), 0.5))
+    assert len(squeezed.rows) <= 50
+    # exact zeros fall under the same rule: |n> keeps n + 1 rows, one offset
+    fock = _CharKernel(make_fock(3, 64))
+    assert (len(fock.rows), list(fock.offsets)) == (4, [0])
+
+
+def _tail_state(dim: int, tail: float) -> DensityState:
+    """Vacuum plus ``tail`` of population on the top level."""
+    rho = np.zeros((dim, dim), dtype=complex)
+    rho[0, 0], rho[-1, -1] = 1.0 - tail, tail
+    return DensityState(rho)
+
+
+def _coherence_state(dim: int, weight: float) -> DensityState:
+    """A coherence ``rho[0, 5]`` of total weight ``2 |rho[0, 5]| = weight``."""
+    rho = np.zeros((dim, dim), dtype=complex)
+    rho[0, 0], rho[5, 5] = 1.0 - 1e-3, 1e-3
+    rho[0, 5] = rho[5, 0] = weight / 2
+    return DensityState(rho)
+
+
+def test_char_kernel_keeps_weight_just_above_the_budget():
+    """A tail or an offset just above one unit roundoff is kept; at half of
+    it, it is dropped."""
+    assert len(_CharKernel(_tail_state(32, 1.5 * UNIT_ROUNDOFF)).rows) == 32
+    assert len(_CharKernel(_tail_state(32, 0.5 * UNIT_ROUNDOFF)).rows) == 1
+    above = _CharKernel(_coherence_state(32, 1.5 * UNIT_ROUNDOFF))
+    assert list(above.offsets) == [0, 5]
+    below = _CharKernel(_coherence_state(32, 0.5 * UNIT_ROUNDOFF))
+    assert list(below.offsets) == [0]
 
 
 def _padded_density(sub_dim: int, dim: int, seed: int) -> DensityState:
