@@ -41,19 +41,27 @@ determinant for every ``s3`` and one for every ``s2`` pair;
 once per ``m``, and :func:`s3`, :func:`s2_witnesses`, :func:`asq_min_max`
 and :func:`asq_variance` are its one-table views.
 
-Angles and tolerances must be finite and orders and minor indices integers;
-anything else raises :class:`~nclmoments.errors.ValidationError`.
+One scorer forms every Bochner determinant ``det [Phi(beta_i - beta_j)]``
+for a stack of point rows, decides which rows have coinciding points, and
+reads ``Phi`` through a cache, once per pair ``±beta``.  :func:`bochner_det`
+calls it with a fresh kernel and cache on every call; the lattice scan and
+the refinement walk of :func:`bochner_search` share one kernel and cache.
+
+Angles and tolerances must be finite, and orders, minor indices, basis
+sizes and monomial exponents integers; anything else raises
+:class:`~nclmoments.errors.ValidationError`.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -64,7 +72,6 @@ from .moments import (
     _CharKernel,
     _check_count,
     as_real,
-    char_values,
     resolve_table,
 )
 from .operators import Array
@@ -102,25 +109,6 @@ class BasisKind(str, Enum):
     XN_WEIGHTED = "d2"
 
 
-def graded_pairs(count: int) -> tuple[tuple[int, int], ...]:
-    """First ``count`` exponent pairs in graded order.
-
-    Enumerates total degree ``d = 0, 1, 2, ...`` and within each degree
-    ``(0, d), (1, d-1), ..., (d, 0)``.
-    """
-    if count < 1:
-        raise ValidationError("a basis needs at least one monomial")
-    pairs: list[tuple[int, int]] = []
-    d = 0
-    while len(pairs) < count:
-        for i in range(d + 1):
-            pairs.append((i, d - i))
-            if len(pairs) == count:
-                break
-        d += 1
-    return tuple(pairs)
-
-
 @dataclass(frozen=True)
 class MonomialBasis:
     """An ordered set of monomials indexing a moment matrix.
@@ -137,11 +125,12 @@ class MonomialBasis:
 
     def __post_init__(self) -> None:
         kind = BasisKind(self.kind)
+        for p, q in self.pairs:
+            _check_count(p, "a monomial exponent")
+            _check_count(q, "a monomial exponent")
         pairs = tuple((int(p), int(q)) for p, q in self.pairs)
         if not pairs:
             raise ValidationError("a basis needs at least one monomial")
-        if any(p < 0 or q < 0 for p, q in pairs):
-            raise ValidationError("monomial exponents must be nonnegative")
         if len(set(pairs)) != len(pairs):
             raise ValidationError("basis contains a repeated monomial")
         object.__setattr__(self, "kind", kind)
@@ -149,13 +138,19 @@ class MonomialBasis:
 
     @classmethod
     def graded(cls, kind: Union[BasisKind, str], size: int) -> MonomialBasis:
-        return cls(BasisKind(kind), graded_pairs(size))
+        """The first ``size`` monomials in graded order.
+
+        Exponent pairs of total degree ``d = 0, 1, 2, ...`` and within each
+        degree ``(0, d), (1, d-1), ..., (d, 0)``.
+        """
+        _check_count(size, "size")
+        pairs = ((i, d - i) for d in range(size) for i in range(d + 1))
+        return cls(BasisKind(kind), tuple(itertools.islice(pairs, size)))
 
     @classmethod
     def number_chain(cls, size: int) -> MonomialBasis:
         """``1, n, n^2, ...`` — the default basis of the ``d2`` hierarchy."""
-        if size < 1:
-            raise ValidationError("a basis needs at least one monomial")
+        _check_count(size, "size")
         return cls(BasisKind.XN_WEIGHTED, tuple((i, 0) for i in range(size)))
 
     @property
@@ -294,26 +289,15 @@ def _gather(values: Array, basis: MonomialBasis, phi: float) -> Array:
     return 0.5 * (vals + vals.conj().swapaxes(-1, -2))
 
 
-def build_matrix_d2(
-    source: MomentSource,
-    size: int = 0,
-    phi: float = 0.0,
-    basis: Optional[MonomialBasis] = None,
-) -> MomentMatrix:
+def build_matrix_d2(source: MomentSource, size: int, phi: float = 0.0) -> MomentMatrix:
     """Weighted moment matrix ``4 <:x^k n^{s+1}:> - <:x^{k+2} n^s:>``.
 
-    The localizing matrix of ``:p_phi^2:`` (see :func:`build_matrix`).  By
-    default the basis is the photon-number chain ``1, n, ..., n^{size-1}``;
-    an explicit ``XN_WEIGHTED`` basis overrides it.  The ``1 x 1`` case is
-    the normally ordered variance proxy ``<:p_phi^2:>``.
+    The localizing matrix of ``:p_phi^2:`` (see :func:`build_matrix`) over
+    the photon-number chain ``1, n, ..., n^{size-1}``; other ``XN_WEIGHTED``
+    bases go to :func:`build_matrix`.  The ``1 x 1`` case is the normally
+    ordered variance proxy ``<:p_phi^2:>``.
     """
-    if basis is None:
-        if size < 1:
-            raise ValidationError("size must be at least 1 when no basis is given")
-        basis = MonomialBasis.number_chain(size)
-    elif basis.kind is not BasisKind.XN_WEIGHTED:
-        raise ValidationError("build_matrix_d2 requires an XN_WEIGHTED basis")
-    return build_matrix(source, basis, phi)
+    return build_matrix(source, MonomialBasis.number_chain(size), phi)
 
 
 # -- scalar witnesses ----------------------------------------------------
@@ -534,42 +518,41 @@ def determinant_hierarchy(
 # -- Bochner determinants --------------------------------------------------
 
 
-def _cached_char_values(
-    evaluate: Callable[[Sequence[complex]], Array],
-    args: Array,
+def _bochner_dets(
+    kernel: _CharKernel,
+    points: Array,
     cache: dict[complex, complex],
-) -> Array:
-    """``Phi`` at every argument; the missing ones come from one ``evaluate`` call.
+) -> tuple[Array, Array]:
+    """``close`` and the ``det [Phi(beta_i - beta_j)]`` of point rows ``(n, k)``.
 
-    ``Phi(-beta) = conj(Phi(beta))``, so each pair ``{beta, -beta}`` is
-    computed once, at the member with the larger ``(real, imag)``, and read
-    as the same bits whatever the order of the calls.  ``cache`` maps those
-    members to ``Phi``, so ``len(cache)`` counts distinct arguments computed.
+    ``close[r, p]`` marks the ``p``-th pair of ``np.triu_indices(k, 1)`` of
+    row ``r`` when its points lie within ``_MIN_SEPARATION``; such rows are
+    not scored, and ``dets`` holds one determinant per other row, in order.
+    ``Phi(-beta) = conj(Phi(beta))``, so each pair ``{beta, -beta}`` is read
+    at the member with the larger ``(real, imag)``, the same bits whatever
+    the order of the calls: ``cache`` maps those members to ``Phi``, the
+    missing ones come from one ``kernel`` call, and ``len(cache)`` counts
+    the distinct arguments computed.
     """
-    args = np.asarray(args, dtype=complex)
+    k = points.shape[1]
+    # the pairs of ``np.triu_indices(k, 1)``, in its order, at a fifth of its cost
+    index = np.arange(k)
+    upper, lower = np.nonzero(index[:, None] < index)
+    diffs = points[:, upper] - points[:, lower]
+    close = np.abs(diffs) < _MIN_SEPARATION
+    args = diffs[~close.any(axis=1)]
     flip = (args.real < 0) | ((args.real == 0) & (args.imag < 0))
     distinct, inverse = np.unique(np.where(flip, -args, args), return_inverse=True)
     missing = [b for b in map(complex, distinct) if b not in cache]
     if missing:
-        cache.update(zip(missing, evaluate(missing)))
+        cache.update(zip(missing, kernel(missing)))
     values = np.array([cache[b] for b in map(complex, distinct)])[inverse]
-    return np.where(flip, values.conj(), values).reshape(args.shape)
-
-
-def _bochner_matrices(
-    values: Array, k: int, upper: Array, lower: Array
-) -> Array:
-    """Stack of ``k x k`` unit-diagonal Hermitian matrices.
-
-    ``values[..., p]`` fills the ``p``-th upper-triangle entry
-    ``(upper[p], lower[p])``, in the row-major order of
-    ``np.triu_indices(k, 1)``; the lower triangle is its conjugate.
-    """
-    mats = np.zeros(values.shape[:-1] + (k, k), dtype=complex)
-    mats[..., upper, lower] = values
-    mats[..., lower, upper] = values.conj()
-    mats[..., range(k), range(k)] = 1.0
-    return mats
+    values = np.where(flip, values.conj(), values.reshape(args.shape))
+    mats = np.zeros((len(args), k, k), dtype=complex)
+    mats[:, upper, lower] = values
+    mats[:, lower, upper] = values.conj()
+    mats[:, range(k), range(k)] = 1.0
+    return close, np.linalg.det(mats)
 
 
 def bochner_det(state: State, betas: Sequence[complex]) -> float:
@@ -577,27 +560,21 @@ def bochner_det(state: State, betas: Sequence[complex]) -> float:
 
     ``Phi`` is the normally ordered characteristic function; for classical
     states it is positive-definite in the Bochner sense, so every such
-    determinant is nonnegative.  Points must be finite and pairwise
-    distinct.  The ``Phi`` values are computed in one :func:`char_values`
-    call, each pair ``±beta`` once, as :func:`bochner_search` computes them.
+    determinant is nonnegative.  Points must be finite and pairwise at
+    least ``1e-12`` apart.  Each call builds a fresh kernel of the state and
+    scores the points as :func:`bochner_search` scores its own, each pair
+    ``±beta`` computed once.
     """
     pts = [complex(b) for b in betas]
-    k = len(pts)
-    if k < 1:
+    if not pts:
         raise ValidationError("need at least one point")
     if not all(cmath.isfinite(b) for b in pts):
         raise ValidationError(f"displacement points must be finite, got {pts!r}")
-    for i in range(k):
-        for j in range(i + 1, k):
-            if abs(pts[i] - pts[j]) < _MIN_SEPARATION:
-                raise DuplicatePointError(
-                    f"points {i} and {j} coincide at {pts[i]!r}"
-                )
-    upper, lower = np.triu_indices(k, 1)
-    diffs = [pts[i] - pts[j] for i, j in zip(upper, lower)]
-    values = _cached_char_values(functools.partial(char_values, state), diffs, {})
-    mat = _bochner_matrices(values, k, upper, lower)
-    return as_real(complex(np.linalg.det(mat)), "Bochner determinant")
+    close, dets = _bochner_dets(_CharKernel(state), np.array([pts]), {})
+    if close.any():
+        i, j = (int(n[close.argmax()]) for n in np.triu_indices(len(pts), 1))
+        raise DuplicatePointError(f"points {i} and {j} coincide at {pts[i]!r}")
+    return as_real(complex(dets[0]), "Bochner determinant")
 
 
 @dataclass(frozen=True)
@@ -626,17 +603,15 @@ def _refine(
 ) -> tuple[float, list[complex]]:
     """Greedy Gaussian walk from the lattice minimum ``best_points``, in blocks.
 
-    ``best_value`` is the determinant at ``best_points``.
-
-    Step ``it`` moves every point but the origin by ``0.25 radius 0.97**it``
-    times a complex standard normal, skips the proposal if a point leaves
-    the disc or two points coincide, and accepts it if it lowers the
-    determinant.  The next ``_WALK_BLOCK`` proposals from the current points
-    are scored in one ``kernel`` call and one stack of
-    determinants; the first that improves is accepted and the walk resumes
-    at the step after it.  This accepts exactly what a walk scored one step
-    at a time accepts; the proposals scored behind an accepted one only add
-    to ``cache``.
+    ``best_value`` is the determinant at ``best_points``.  Step ``it`` moves
+    every point but the origin by ``0.25 radius 0.97**it`` times a complex
+    standard normal, skips the proposal if a point leaves the disc or two
+    points coincide, and accepts it if it lowers the determinant.  The next
+    ``_WALK_BLOCK`` proposals from the current points are scored in one
+    :func:`_bochner_dets` call; the first that improves is accepted and the
+    walk resumes at the step after it.  This accepts exactly what a walk
+    scored one step at a time accepts; the proposals scored behind an
+    accepted one only add to ``cache``.
     """
     k = len(best_points)
     rng = np.random.default_rng(seed + 1)
@@ -644,7 +619,6 @@ def _refine(
     noise = rng.standard_normal((refine_iters, k - 1, 2)).view(complex)[..., 0]
     # Python's float power: ``0.97 ** np.arange(...)`` differs in the last ulp
     scales = np.array([0.25 * radius * 0.97**it for it in range(refine_iters)])
-    upper, lower = np.triu_indices(k, 1)
     start = 0
     while start < refine_iters:
         stop = min(start + _WALK_BLOCK, refine_iters)
@@ -652,21 +626,15 @@ def _refine(
         proposals[:, 1:] = (
             np.array(best_points[1:]) + scales[start:stop, None] * noise[start:stop]
         )
-        diffs = proposals[:, upper] - proposals[:, lower]
-        steps = np.flatnonzero(
-            (np.abs(proposals) <= radius).all(axis=1)
-            & (np.abs(diffs) >= _MIN_SEPARATION).all(axis=1)
-        )
-        if steps.size:
-            values = _cached_char_values(kernel, diffs[steps], cache)
-            dets = np.linalg.det(_bochner_matrices(values, k, upper, lower))
-            for step, det in zip(steps, dets):
-                value = as_real(complex(det), "Bochner determinant")
-                if value < best_value:
-                    best_value = value
-                    best_points = [complex(b) for b in proposals[step]]
-                    stop = start + int(step) + 1
-                    break
+        inside = np.flatnonzero((np.abs(proposals) <= radius).all(axis=1))
+        close, dets = _bochner_dets(kernel, proposals[inside], cache)
+        for step, det in zip(inside[~close.any(axis=1)], dets):
+            value = as_real(complex(det), "Bochner determinant")
+            if value < best_value:
+                best_value = value
+                best_points = [complex(b) for b in proposals[step]]
+                stop = start + int(step) + 1
+                break
         start = stop
     return best_value, best_points
 
@@ -684,15 +652,14 @@ def bochner_search(
     The first point is pinned at the origin (determinants are invariant
     under a common shift).  A square lattice of side ``grid_n`` inside
     ``|beta| <= radius`` seeds the search with tuples of lattice points:
-    every tuple for ``k <= 3``, seeded random tuples beyond.  ``Phi`` comes
-    from one characteristic-function kernel of the state, built once per
-    search; it is computed for all the tuples' differences in one kernel
-    call and the tuples are scored as one stack of determinants.  A greedy
+    every tuple for ``k <= 3``, seeded random tuples beyond.  A greedy
     Gaussian refinement walk of ``refine_iters`` steps with a shrinking step
-    follows, skipping moves that leave the disc.  It is scored in blocks of
-    proposals, one kernel call each, and accepts exactly what the walk
-    scored one step at a time accepts.  ``Phi`` values are cached per
-    distinct argument, for this search's state alone.  ``radius`` is a
+    follows, skipping moves that leave the disc; it accepts exactly what the
+    walk scored one step at a time accepts.  The tuples, then each block of
+    walk proposals, are scored in one call of the scorer that
+    :func:`bochner_det` uses, on one kernel of the state and one ``Phi``
+    cache for this search alone; tuples with coinciding points are skipped,
+    and a lattice of nothing else is refused.  ``radius`` is a
     finite positive real; ``k``, ``grid_n``, ``seed`` and ``refine_iters``
     are integers (``k >= 2``, ``grid_n >= 2``, the others ``>= 0``).
     """
@@ -732,11 +699,11 @@ def bochner_search(
         ) + 1
     tuples = np.column_stack([np.zeros(len(tuples), dtype=int), tuples])
     points = np.array(lattice)[tuples]
-    upper, lower = np.triu_indices(k, 1)
-    values = _cached_char_values(kernel, points[:, upper] - points[:, lower], cache)
-    dets = np.linalg.det(_bochner_matrices(values, k, upper, lower))
+    close, dets = _bochner_dets(kernel, points, cache)
+    if not dets.size:
+        raise DuplicatePointError(f"every lattice tuple at radius {radius!r} coincides")
     best = int(np.argmin(dets.real))
-    best_points = [complex(b) for b in points[best]]
+    best_points = [complex(b) for b in points[~close.any(axis=1)][best]]
     best_value = as_real(complex(dets[best]), "Bochner determinant")
     best_value, best_points = _refine(
         kernel, best_value, best_points, radius, seed, refine_iters, cache

@@ -106,6 +106,8 @@ class MomentTable:
                 f"{self.max_order}; expected {expected}"
             )
         scale = float(np.max(np.abs(vals))) if vals.size else 0.0
+        if not np.isfinite(scale):
+            raise ValidationError("moment table entries must be finite")
         sym_tol = _SYMMETRY_TOL * max(1.0, scale)
         sym_residue = float(np.max(np.abs(vals - vals.conj().T)))
         if sym_residue > sym_tol:

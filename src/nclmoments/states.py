@@ -61,6 +61,8 @@ class FockState:
         amps = np.array(self.amplitudes, dtype=complex).reshape(-1)
         if amps.size < 1:
             raise DimensionError("a state needs at least one amplitude")
+        if not np.isfinite(amps).all():
+            raise ValidationError("amplitudes must be finite")
         norm_sq = float(np.vdot(amps, amps).real)
         if abs(norm_sq - 1.0) > _NORM_TOL:
             raise ValidationError(
@@ -84,6 +86,8 @@ class DensityState:
         mat = np.array(self.matrix, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
             raise DimensionError("density matrix must be square and non-empty")
+        if not np.isfinite(mat).all():
+            raise ValidationError("density matrix entries must be finite")
         herm_residue = float(np.max(np.abs(mat - mat.conj().T)))
         if herm_residue > _NORM_TOL:
             raise ValidationError(
@@ -209,8 +213,10 @@ def make_coherent(alpha: complex, dim: int) -> FockState:
 
 def make_thermal(nbar: float, dim: int) -> DensityState:
     """Thermal state with mean photon number ``nbar`` (diagonal, renormalized)."""
-    if nbar < 0.0:
-        raise ValidationError("mean photon number must be nonnegative")
+    if not (math.isfinite(nbar) and nbar >= 0.0):
+        raise ValidationError(
+            f"mean photon number must be finite and nonnegative, got {nbar!r}"
+        )
     if nbar == 0.0:
         probs = np.zeros(dim)
         probs[0] = 1.0

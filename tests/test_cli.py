@@ -602,6 +602,18 @@ def test_criteria_refuses_non_finite_phi_and_tolerance(option, value, tmp_path, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("nbar", ["NaN", "Infinity"])
+def test_criteria_refuses_a_non_finite_state_spec(nbar, tmp_path, capsys):
+    """A NaN thermal state once ran through the hierarchies and failed in
+    ``write_json`` with a traceback and exit 1."""
+    out = tmp_path / "c.json"
+    spec = f'{{"type": "thermal", "nbar": {nbar}}}'
+    assert main(["criteria", "--state", spec, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "must be finite" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["inf", "nan", "-inf", "0.5"])
 def test_simulate_refuses_a_non_finite_or_small_sample_budget(value, tmp_path, capsys):
     """``--samples inf`` would write a noise-free record and exit 0."""

@@ -41,7 +41,6 @@ from nclmoments import (
     build_matrix,
     build_matrix_d2,
     determinant_hierarchy,
-    graded_pairs,
     make_ass_state,
     make_coherent,
     make_fock,
@@ -83,7 +82,7 @@ def fake_entry(k: int, l: int) -> complex:
 
 
 def test_graded_pairs_order():
-    assert graded_pairs(10) == (
+    assert MonomialBasis.graded(BasisKind.AA, 10).pairs == (
         (0, 0),
         (0, 1),
         (1, 0),
@@ -96,7 +95,22 @@ def test_graded_pairs_order():
         (3, 0),
     )
     with pytest.raises(ValidationError):
-        graded_pairs(0)
+        MonomialBasis.graded("quad", 0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: MonomialBasis(BasisKind.AA, ((1.5, 0),)),
+    lambda: MonomialBasis(BasisKind.AA, ((0, 0), (True, 1))),
+    lambda: MonomialBasis.graded(BasisKind.AA, 2.5),
+    lambda: MonomialBasis.number_chain(2.5),
+    lambda: build_matrix_d2(symbolic_table(6), size=2.5),
+])
+def test_basis_sizes_and_exponents_must_be_integers(make):
+    """``(1.5, 0)`` once became ``(1, 0)``, ``graded(kind, 2.5)`` gave three
+    monomials, and a fractional chain size raised a bare ``TypeError``."""
+    with pytest.raises(ValidationError, match="nonnegative integer"):
+        make()
+    assert MonomialBasis.graded("aa", np.int64(3)) == MonomialBasis.graded("aa", 3)
 
 
 def test_basis_validation_and_required_order():
@@ -192,10 +206,7 @@ def test_build_matrix_matches_per_entry_formulas(seed, basis):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", OrderAccuracyWarning)
         table = moment_table(random_density_state(32, seed), basis.required_order())
-    if basis.kind is BasisKind.XN_WEIGHTED:
-        got = build_matrix_d2(table, phi=phi, basis=basis).values
-    else:
-        got = build_matrix(table, basis, phi).values
+    got = build_matrix(table, basis, phi).values
     want = long_hand_matrix(table, basis, phi)
     assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
@@ -242,8 +253,6 @@ def test_build_matrix_kind_routing():
         build_matrix(table, MonomialBasis.number_chain(3), phi).values,
         build_matrix_d2(table, size=3, phi=phi).values,
     )
-    with pytest.raises(ValidationError):
-        build_matrix_d2(table, basis=MonomialBasis.graded(BasisKind.XN, 2))
     with pytest.raises(ValidationError):
         build_matrix_d2(table, size=0)
 
@@ -608,9 +617,16 @@ def test_principal_minor_indices_must_be_integers(indices):
 
 
 def test_bochner_rejects_duplicates():
+    """The error names the first coinciding pair in row-major order."""
     state = make_fock(0, 8)
-    with pytest.raises(DuplicatePointError):
+    with pytest.raises(DuplicatePointError, match=r"^points 0 and 1 coincide at 0j$"):
         bochner_det(state, [0.0, 1e-13])
+    with pytest.raises(DuplicatePointError, match=r"^points 0 and 3 coincide at 0j$"):
+        bochner_det(state, [0.0, 1.0, 0.5j, 1e-13, 1.0])
+    with pytest.raises(
+        DuplicatePointError, match=r"^points 1 and 3 coincide at \(1\+0j\)$"
+    ):
+        bochner_det(state, [0.0, 1.0, 0.5j, 1.0 + 1e-13j])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(math.inf, 0.3)])
@@ -640,8 +656,8 @@ def test_bochner_thermal_nonnegative():
 
 
 def test_bochner_cache_shares_mirror_values():
-    """The search's cache computes each pair ``±beta`` once, and a second
-    pass over the same arguments computes nothing."""
+    """The search's scorer computes each pair ``±beta`` once, and a second
+    pass over the same points computes nothing."""
     kernel = moments._CharKernel(make_fock(0, 16))
     calls = []
 
@@ -650,12 +666,48 @@ def test_bochner_cache_shares_mirror_values():
         return kernel(betas)
 
     cache = {}
-    args = np.array([0.7, -0.7, 0.4j, -0.4j, 0.7 - 0.4j, -0.7 + 0.4j])
-    first = criteria._cached_char_values(evaluate, args, cache)
+    # differences -0.7, -0.4j, 0.7 - 0.4j and their mirrors 0.7, 0.4j, -0.7 + 0.4j
+    points = np.array([[0.0, 0.7, 0.4j], [0.0, -0.7, -0.4j]])
+    close, first = criteria._bochner_dets(evaluate, points, cache)
     assert calls == [3] and len(cache) == 3
-    assert np.array_equal(first[1::2], first[::2].conj())
-    again = criteria._cached_char_values(evaluate, args, cache)
+    assert not close.any() and first[1] == first[0].conj()
+    close, again = criteria._bochner_dets(evaluate, points, cache)
     assert calls == [3] and np.array_equal(again, first)
+
+
+def test_bochner_separation_boundary_is_shared():
+    """Points exactly ``1e-12`` apart are scored, ``0.9e-12`` apart are not,
+    in ``bochner_det`` and in the scorer of the search alike."""
+    state = make_fock(1, 16)
+    assert math.isfinite(bochner_det(state, [0.0, 1e-12]))
+    with pytest.raises(DuplicatePointError, match="points 0 and 1"):
+        bochner_det(state, [0.0, 0.9e-12])
+    points = np.array([[0.0, 1e-12], [0.0, 0.9e-12], [0.0, 1e-12j]])
+    cache = {}
+    close, dets = criteria._bochner_dets(moments._CharKernel(state), points, cache)
+    assert close.tolist() == [[False], [True], [False]]
+    assert dets.shape == (2,) and len(cache) == 2
+
+
+def test_bochner_search_lattice_skips_coinciding_tuples(monkeypatch):
+    """With a separation wider than the lattice spacing, some tuples are
+    skipped, and the lattice minimum is still the determinant of its own
+    points."""
+    monkeypatch.setattr(criteria, "_MIN_SEPARATION", 0.6)
+    state = make_fock(1, 72)
+    result = bochner_search(state, k=3, radius=2.0, grid_n=9, refine_iters=0)
+    pts = np.array(result.points)
+    assert np.abs(pts[:, None] - pts[None, :])[np.triu_indices(3, 1)].min() >= 0.6
+    assert result.value == bochner_det(state, result.points)
+    with pytest.raises(DuplicatePointError):
+        bochner_det(state, [0.0, 0.5])
+
+
+def test_bochner_search_refuses_a_lattice_of_coinciding_points():
+    """A lattice finer than the separation has no tuple ``bochner_det``
+    accepts, so the search refuses it instead of returning such points."""
+    with pytest.raises(DuplicatePointError, match="lattice"):
+        bochner_search(make_fock(1, 16), k=2, radius=1e-13)
 
 
 def test_bochner_det_values_belong_to_its_state():

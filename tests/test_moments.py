@@ -141,6 +141,15 @@ def test_moment_table_round_trip_entries():
             assert abs(table.entry(k, l) - want) < 1e-11 * (1.0 + abs(want))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(math.inf, math.inf)])
+@pytest.mark.parametrize("validate", [True, False])
+def test_moment_table_refuses_non_finite_entries(bad, validate):
+    values = np.eye(3, dtype=complex)
+    values[1, 1] = bad
+    with pytest.raises(ValidationError, match="finite"):
+        MomentTable(2, values, validate=validate)
+
+
 def test_moment_table_warns_once_past_half_dim():
     """One warning per table once ``2 max_order`` exceeds ``dim / 2``, none below."""
     state = random_density_state(24, 5)

@@ -122,6 +122,15 @@ def test_table_from_json_rejects_order_beyond_max_order():
         table_from_json(doc)
 
 
+@pytest.mark.parametrize("field", ["re", "im"])
+def test_table_from_json_rejects_non_finite_entries(field):
+    """``json.loads`` reads ``NaN``, and the table once passed it through."""
+    doc = table_to_json(moment_table(random_pure_state(16, 13), 2))
+    doc["entries"][-1][field] = math.nan
+    with pytest.raises(ValidationError, match="finite"):
+        table_from_json(json.loads(json.dumps(doc)))
+
+
 def _integer_field_docs():
     """Decoders and documents whose named integer field holds 1."""
     scan = scheme_a_sample_and_fourier(random_pure_state(16, 13), 1, LOConfig(3.0), 1)

@@ -117,6 +117,21 @@ def test_coherent_refuses_non_finite_alpha():
             make_coherent(bad, 8)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_states_refuse_non_finite_entries(bad):
+    """The tolerance checks read ``x > tol``, which NaN passes: a NaN thermal
+    state was once built, and its hierarchies reported no negativity."""
+    with pytest.raises(ValidationError, match="finite"):
+        make_thermal(bad, 16)
+    with pytest.raises(ValidationError, match="finite"):
+        FockState([1.0, bad])
+    for entry in [(0, 0), (1, 1), (0, 1)]:
+        rho = np.diag([0.5, 0.5]).astype(complex)
+        rho[entry] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            DensityState(rho)
+
+
 def test_thermal_moments_and_trace():
     state = make_thermal(1.0, 128)
     assert isinstance(state, DensityState)
