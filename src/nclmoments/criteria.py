@@ -14,7 +14,11 @@ single quadrature or photon-number moment is an entry of such a matrix:
 ``<:f:>`` is ``M[0, j]`` for a basis that starts with the constant monomial
 and has ``f`` at ``j``.  The quadratures are
 ``x_phi = a e^{-i phi} + a^dag e^{i phi}`` and ``p_phi = x_{phi + pi/2}``,
-so ``<x^2> = 1`` in vacuum and ``<:x^2:> + <:p^2:> = 4 <n>``.  Families:
+so ``<x^2> = 1`` in vacuum and ``<:x^2:> + <:p^2:> = 4 <n>``.  Each basis
+is expanded into ``C`` once, at ``phi = 0``; the angle is a phase on the
+table: rotating the state by ``phi`` maps ``<a^dag^k a^l>`` to
+``e^{i (k - l) phi} <a^dag^k a^l>``, and the matrix at ``phi`` is the
+``phi = 0`` matrix of the rotated table.  Families:
 
 * ``aa``  — monomials in ``a^dag`` and ``a``; entry
   ``M[i, j] = <a^dag^{q_i + p_j} a^{p_i + q_j}>`` for monomial exponent
@@ -65,12 +69,11 @@ from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import DuplicatePointError, ValidationError
+from .errors import DuplicatePointError, ValidationError, _check_count
 from .moments import (
     MomentSource,
     MomentTable,
     _CharKernel,
-    _check_count,
     as_real,
     resolve_table,
 )
@@ -180,7 +183,9 @@ class MomentMatrix:
             raise ValidationError(
                 f"matrix shape {vals.shape} does not match basis size {n}"
             )
-        scale = float(np.max(np.abs(vals))) if vals.size else 0.0
+        scale = float(np.max(np.abs(vals)))
+        if not np.isfinite(scale):
+            raise ValidationError("moment matrix entries must be finite")
         residue = float(np.max(np.abs(vals - vals.conj().T)))
         if residue > 1e-10 * max(1.0, scale):
             raise ValidationError(
@@ -223,25 +228,26 @@ def _quadrature(phi: float) -> dict:
 
 
 @functools.lru_cache(maxsize=128)
-def _expansion(basis: MonomialBasis, phi: float) -> tuple[Array, ...]:
-    """Gather indices, weights, ``C^H`` and ``C`` of :func:`build_matrix`.
+def _expansion(basis: MonomialBasis) -> tuple[Array, ...]:
+    """Gather indices, weights, ``C^H`` and ``C`` of :func:`build_matrix` at ``phi = 0``.
 
-    They depend on the basis and the angle only, so each ``(basis, phi)`` is
-    expanded once; the arrays are shared by every caller and read-only.
+    They depend on the basis alone, so each basis is expanded once; the
+    arrays are shared by every caller and read-only.  Another angle is a
+    phase on the table (:func:`_rotate`).
     """
     if basis.kind is BasisKind.AA:
         polys = [{pair: 1 + 0j} for pair in basis.pairs]
     else:
-        x = _quadrature(phi)
+        x = _quadrature(0.0)
         if basis.kind is BasisKind.QUAD:
-            first = _quadrature(phi + math.pi / 2.0)
+            first = _quadrature(math.pi / 2.0)
         else:
             first = {(1, 1): 1 + 0j}
         polys = [_product(_power(first, p), _power(x, q)) for p, q in basis.pairs]
     terms = list(dict.fromkeys(t for f in polys for t in f))
     coeffs = np.array([[f.get(t, 0.0) for f in polys] for t in terms])
     if basis.kind is BasisKind.XN_WEIGHTED:
-        weight = _power(_quadrature(phi + math.pi / 2.0), 2)
+        weight = _power(_quadrature(math.pi / 2.0), 2)
     else:
         weight = _ONE
     p, q = np.array(terms).T
@@ -259,6 +265,19 @@ def _expansion(basis: MonomialBasis, phi: float) -> tuple[Array, ...]:
     return arrays
 
 
+def _rotate(values: Array, phi: float) -> Array:
+    """``values[..., k, l] e^{i (k - l) phi}``: the table of the state rotated by ``phi``.
+
+    ``x_phi = a e^{-i phi} + a^dag e^{i phi}``, so a moment at angle
+    ``phi`` is the same polynomial at angle 0 in the rotated table.
+    ``values`` is returned as it is at ``phi == 0``.
+    """
+    if phi == 0.0:
+        return values
+    k = np.arange(values.shape[-1])
+    return values * np.exp(1j * phi * (k[:, None] - k[None, :]))
+
+
 def build_matrix(
     source: MomentSource,
     basis: MonomialBasis,
@@ -266,24 +285,29 @@ def build_matrix(
 ) -> MomentMatrix:
     """Moment matrix ``M[i, j] = <:f_i^dag w f_j:>`` over the basis ``f``.
 
-    Each monomial is expanded into terms ``a^dag^p a^q``: ``f_j = sum_t
-    C[t, j] a^dag^{p_t} a^{q_t}``.  One gather from the table forms
-    ``A_w[s, t] = sum_kl w_kl <a^dag^{q_s + p_t + k} a^{p_s + q_t + l}>`` and
-    ``M = C^H A_w C``.  ``w = :p_phi^2:`` for ``XN_WEIGHTED`` (since
+    Each monomial is expanded at ``phi = 0`` into terms ``a^dag^p a^q``:
+    ``f_j = sum_t C[t, j] a^dag^{p_t} a^{q_t}``.  One gather from the table
+    forms ``A_w[s, t] = sum_kl w_kl <a^dag^{q_s + p_t + k} a^{p_s + q_t + l}>``
+    and ``M = C^H A_w C``.  ``w = :p_0^2:`` for ``XN_WEIGHTED`` (since
     ``:x_phi^2 + p_phi^2: = 4 n``), and ``w = 1`` otherwise.  The expansion
-    is computed once per ``(basis, phi)`` and reused.
+    is computed once per basis and reused; the angle is a phase
+    ``e^{i (k - l) phi}`` on the entries of the table the basis reads.
+    ``aa`` bases have no angle.
     """
     _check_angle(phi)
-    table = resolve_table(source, basis.required_order())
-    return MomentMatrix(basis=basis, phi=phi, values=_gather(table.values, basis, phi))
+    order = basis.required_order()
+    values = resolve_table(source, order).values
+    if basis.kind is not BasisKind.AA:
+        values = _rotate(values[: order + 1, : order + 1], phi)
+    return MomentMatrix(basis=basis, phi=phi, values=_gather(values, basis))
 
 
-def _gather(values: Array, basis: MonomialBasis, phi: float) -> Array:
-    """``C^H A_w C`` of :func:`build_matrix`, symmetrized, for each table.
+def _gather(values: Array, basis: MonomialBasis) -> Array:
+    """``C^H A_w C`` of :func:`build_matrix` at ``phi = 0``, symmetrized, for each table.
 
     ``values`` is one table ``(K+1, K+1)`` or a stack ``(..., K+1, K+1)``.
     """
-    rows, cols, w, coeffs_h, coeffs = _expansion(basis, phi)
+    rows, cols, w, coeffs_h, coeffs = _expansion(basis)
     a_w = (w * values[..., rows, cols]).sum(axis=-3)
     vals = coeffs_h @ a_w @ coeffs
     return 0.5 * (vals + vals.conj().swapaxes(-1, -2))
@@ -332,8 +356,9 @@ def _witnesses(values: Array, phi: float) -> list[dict[str, float]]:
     ``s2A``, ``s2B`` and ``s3``; the first table that fails raises.
     """
     stack = values.reshape((-1,) + values.shape[-2:])
-    s3_dets = np.linalg.det(_gather(stack, _S3_BASIS, 0.0))
-    s2 = _gather(stack, _S2_BASIS, phi)
+    s3_dets = np.linalg.det(_gather(stack, _S3_BASIS))
+    corner = _WITNESS_ORDER + 1
+    s2 = _gather(_rotate(stack[:, :corner, :corner], phi), _S2_BASIS)
     s2_dets = np.linalg.det(s2[:, _S2_MINORS[:, :, None], _S2_MINORS[:, None, :]])
     out = []
     for table, s3_det, (s2a_det, s2b_det) in zip(stack, s3_dets, s2_dets):

@@ -13,6 +13,8 @@ The exceptions map onto the CLI exit-code contract:
 
 from __future__ import annotations
 
+import numpy as np
+
 
 class NclError(Exception):
     """Base class for all :mod:`nclmoments` errors."""
@@ -63,3 +65,9 @@ class OrderAccuracyWarning(UserWarning):
 
 class WeakOscillatorWarning(UserWarning):
     """Warns that the local oscillator is not stronger than the entrance tap."""
+
+
+def _check_count(value: object, name: str) -> None:
+    """Refuse anything but a nonnegative Python or NumPy integer (``bool`` too)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise ValidationError(f"{name} must be a nonnegative integer, got {value!r}")

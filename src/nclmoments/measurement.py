@@ -349,39 +349,31 @@ def _detector_record(
     return DetectionRecord(scheme=scheme, lo=lo, gammas=dict(zip(GAMMA_KEYS, values)))
 
 
-def _solve_table(
-    rows: Array, counts: Array, known: MomentTable, unknown
-) -> MomentTable:
-    """Least-squares moment table whose counts ``c^H T c`` match ``counts``.
+def _order_two_table(*records: DetectionRecord) -> MomentTable:
+    """The order-2 table that best reproduces the records' counts together.
 
-    ``known`` holds the fixed entries and zeros at the ``unknown`` pairs
-    ``(k, l)``, ``k <= l``.  Each unknown contributes the Hermitian unit
-    matrices of its real and (off the diagonal) imaginary part; their kernel
-    values against the rows form the design, which is solved against the
-    counts minus ``c^H T_known c`` with every design row scaled to unit norm.
+    ``<1> = 1`` is fixed; each other entry ``(k, l)``, ``k <= l``,
+    contributes the Hermitian unit matrices of its real and (off the
+    diagonal) imaginary part.  Their kernel values against the rows form
+    the design, which is solved by least squares against the counts minus
+    those of the fixed part, with every design row scaled to unit norm.
     Directions the counts do not fix come out at minimum norm.
     """
-    eye = np.eye(known.max_order + 1)
+    rows = np.vstack([_detector_rows(r.scheme, r.lo) for r in records])
+    counts = np.array([r.gammas[key] for r in records for key in GAMMA_KEYS])
+    known = np.diag([1.0, 0.0, 0.0]).astype(complex)
+    eye = np.eye(3)
     units = []
-    for k, l in unknown:
+    for k, l in ((0, 1), (0, 2), (1, 1), (1, 2), (2, 2)):
         unit = np.outer(eye[k], eye[l])
         units += [unit] if k == l else [unit + unit.T, 1j * (unit - unit.T)]
     units = np.array(units)
     design = _quadratic_forms(rows, units).real.T
-    residual = counts - _quadratic_forms(rows, known.values).real
+    residual = counts - _quadratic_forms(rows, known).real
     norms = np.linalg.norm(design, axis=1)
     params = np.linalg.lstsq(design / norms[:, None], residual / norms, rcond=None)[0]
-    values = known.values + np.tensordot(params, units, axes=1)
-    return MomentTable(max_order=known.max_order, values=values, validate=False)
-
-
-def _order_two_table(*records: DetectionRecord) -> MomentTable:
-    """The order-2 table that best reproduces the records' counts together."""
-    rows = np.vstack([_detector_rows(r.scheme, r.lo) for r in records])
-    counts = [r.gammas[key] for r in records for key in GAMMA_KEYS]
-    known = MomentTable(max_order=2, values=np.diag([1.0, 0.0, 0.0]))
-    unknown = [(k, l) for k in range(3) for l in range(k, 3) if (k, l) != (0, 0)]
-    return _solve_table(rows, np.array(counts), known, unknown)
+    values = known + np.tensordot(params, units, axes=1)
+    return MomentTable(max_order=2, values=values, validate=False)
 
 
 def scheme_b_forward(source: MomentSource, lo: LOConfig) -> DetectionRecord:

@@ -45,6 +45,7 @@ from .errors import (
     NumericConsistencyError,
     OrderAccuracyWarning,
     ValidationError,
+    _check_count,
 )
 from .operators import Array, destroy
 from .states import DensityState, FockState, State, _hermite_seeds, ass_params
@@ -57,11 +58,6 @@ _IMAG_TOL = 1e-8
 _TRIM_BUDGET = 2.0**-53
 
 MomentSource = Union["MomentTable", FockState, DensityState]
-
-
-def _check_count(value: object, name: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
-        raise ValidationError(f"{name} must be a nonnegative integer, got {value!r}")
 
 
 # Every module of the package is loaded from this directory, so its code

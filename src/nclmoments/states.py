@@ -35,7 +35,7 @@ from typing import Sequence, Union
 import numpy as np
 from numpy.polynomial import hermite as np_hermite
 
-from .errors import DimensionError, TruncationError, ValidationError
+from .errors import DimensionError, TruncationError, ValidationError, _check_count
 from .operators import Array
 
 _NORM_TOL = 1e-12
@@ -166,10 +166,16 @@ class AssParams:
             raise ValidationError("|c_m|^2 must be positive and finite")
 
 
+def _check_dim(dim: int) -> None:
+    _check_count(dim, "dim")
+    if dim < 1:
+        raise DimensionError("a state needs at least one level, got dim 0")
+
+
 def make_fock(n: int, dim: int) -> FockState:
     """Photon-number state ``|n>`` on a ``dim``-dimensional truncation."""
-    if n < 0:
-        raise ValidationError("photon number must be nonnegative")
+    _check_count(n, "photon number")
+    _check_dim(dim)
     if n >= dim:
         raise DimensionError(f"photon number {n} does not fit in dim {dim}")
     amps = np.zeros(dim, dtype=complex)
@@ -189,6 +195,7 @@ def make_coherent(alpha: complex, dim: int) -> FockState:
     """
     if not cmath.isfinite(alpha):
         raise ValidationError(f"coherent amplitude must be finite, got {alpha!r}")
+    _check_dim(dim)
     start = math.exp(-abs(alpha) ** 2 / 2.0)
     if start < sys.float_info.min:
         amps = _coherent_overlaps(np.array([alpha], dtype=complex), dim)[:, 0]
@@ -217,6 +224,7 @@ def make_thermal(nbar: float, dim: int) -> DensityState:
         raise ValidationError(
             f"mean photon number must be finite and nonnegative, got {nbar!r}"
         )
+    _check_dim(dim)
     if nbar == 0.0:
         probs = np.zeros(dim)
         probs[0] = 1.0
@@ -331,8 +339,7 @@ def ass_params(m: int, lam: float) -> AssParams:
     phase is ``pi/2``, ``gamma`` carries a phase ``e^{i pi/4}`` and
     ``beta = i sqrt(1 - lam^2) (2m + 1)``.
     """
-    if m < 0:
-        raise ValidationError("m must be a nonnegative integer")
+    _check_count(m, "m")
     if not (lam > 0.0) or lam == 1.0:
         raise ValidationError("lam must be positive and different from 1")
     try:
@@ -378,6 +385,7 @@ def make_ass_state(m: int, lam: float, dim: int) -> tuple[FockState, AssParams]:
     sign convention.  The returned parameters are ``ass_params(m, lam)``.
     """
     params = ass_params(m, lam)
+    _check_dim(dim)
     seed = _hermite_seeds(m, [params], dim)[0]
     return apply_squeeze(FockState(seed), -params.z), params
 

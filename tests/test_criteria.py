@@ -13,6 +13,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     long_hand_matrix,
@@ -212,7 +214,8 @@ def test_build_matrix_matches_per_entry_formulas(seed, basis):
 
 
 def test_build_matrix_expansion_follows_the_angle():
-    """One basis at alternating angles: the cached expansion is keyed on phi."""
+    """One basis at alternating angles: the one expansion of the basis, with
+    the angle applied as a phase on the table, gives each angle's matrix."""
     basis = MonomialBasis.graded(BasisKind.QUAD, 10)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", OrderAccuracyWarning)
@@ -262,6 +265,60 @@ def test_build_matrix_insufficient_order():
     small = moment_table(state, 2)
     with pytest.raises(InsufficientOrderError):
         build_matrix(small, MonomialBasis.graded(BasisKind.AA, 6))
+
+
+def test_build_matrix_expands_a_basis_once_for_every_angle():
+    """The expansion is cached per basis; an angle is a phase on the table."""
+    # a basis no other test builds, so its one expansion is this test's miss
+    basis = MonomialBasis(BasisKind.XN, ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 3)))
+    table = moment_table(make_thermal(1.0, 64), basis.required_order())
+    misses = criteria._expansion.cache_info().misses
+    for phi in np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False):
+        build_matrix(table, basis, float(phi))
+    assert criteria._expansion.cache_info().misses == misses + 1
+
+
+def test_aa_matrices_have_no_angle():
+    basis = MonomialBasis.graded(BasisKind.AA, 10)
+    table = moment_table(random_density_state(32, 2), basis.required_order())
+    want = build_matrix(table, basis).values
+    for phi in (0.37, -1.2, 3.0, 100.0):
+        got = build_matrix(table, basis, phi)
+        assert got.phi == phi
+        assert np.array_equal(got.values, want)
+    assert criteria._rotate(table.values, 0.0) is table.values
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    nbar=st.floats(0.5, 1.5),
+    weight=st.floats(0.0, 0.5),
+    ket=st.lists(st.complex_numbers(max_magnitude=1.0), min_size=4, max_size=4),
+    phi=st.floats(-math.pi, math.pi),
+)
+def test_quad_complete_degree_determinants_are_angle_free(nbar, weight, ket, phi):
+    """A rotation acts with determinant 1 on each degree of the quadrature
+    monomials, so ``d_N`` at complete degrees ``N = 1, 3, 6, 10`` is the
+    same at every angle.  The states are thermal states mixed with a low
+    Fock ket, kept where every block is well conditioned once equilibrated
+    (a mixture can be nonclassical, and a block of an indefinite matrix
+    can be near singular where the whole is not)."""
+    ket = np.array(ket + [0.0] * 60, dtype=complex)
+    assume(np.linalg.norm(ket) > 0.1)
+    ket /= np.linalg.norm(ket)
+    rho = (1.0 - weight) * make_thermal(nbar, 64).matrix + weight * np.outer(ket, ket.conj())
+    basis = MonomialBasis.graded(BasisKind.QUAD, 10)
+    table = moment_table(DensityState(rho), basis.required_order())
+    at_zero = build_matrix(table, basis).values
+    scale = 1.0 / np.sqrt(np.diag(at_zero).real)
+    equilibrated = scale[:, None] * at_zero * scale
+    orders = (1, 3, 6, 10)
+    assume(all(np.linalg.cond(equilibrated[:n, :n]) < 1e4 for n in orders))
+    at_phi = build_matrix(table, basis, phi).values
+    for n in orders:
+        want = np.linalg.det(at_zero[:n, :n]).real
+        got = np.linalg.det(at_phi[:n, :n]).real
+        assert abs(got - want) <= 1e-12 * abs(want), n
 
 
 def test_moment_matrix_rejects_non_hermitian():
@@ -365,6 +422,18 @@ def test_hierarchy_validates_inputs():
         determinant_hierarchy(state, "quad", 2, tolerance=0.0)
     with pytest.raises(ValueError):
         determinant_hierarchy(state, "bogus", 2)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_moment_matrix_refuses_non_finite_entries(bad):
+    """The Hermitian check reads ``residue > tol``, which NaN passes."""
+    basis = MonomialBasis.graded(BasisKind.AA, 2)
+    for entries in ([(0, 1), (1, 0)], [(1, 1)]):
+        values = np.eye(2, dtype=complex)
+        for entry in entries:
+            values[entry] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            MomentMatrix(basis, 0.0, values)
 
 
 def test_hierarchy_report_carries_witnesses():

@@ -132,6 +132,38 @@ def test_states_refuse_non_finite_entries(bad):
             DensityState(rho)
 
 
+@pytest.mark.parametrize("bad", [40.5, 8.0, True, "8", -1])
+def test_state_constructors_take_integer_counts(bad):
+    """A float dim once built a state of ``int(dim) + 1`` levels, a float
+    ``n`` or ``m`` raised a raw ``IndexError`` or ``TypeError``, and
+    ``m = True`` was taken as 1."""
+    calls = [
+        lambda: make_fock(bad, 64),
+        lambda: make_fock(1, bad),
+        lambda: make_coherent(0.5, bad),
+        lambda: make_thermal(0.5, bad),
+        lambda: make_ass_state(bad, 1.5, 64),
+        lambda: make_ass_state(1, 1.5, bad),
+        lambda: ass_params(bad, 1.5),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError, match="must be a nonnegative integer"):
+            call()
+
+
+def test_state_constructors_accept_numpy_integers_and_refuse_dim_zero():
+    assert np.array_equal(make_fock(np.int64(2), np.int64(5)).amplitudes, make_fock(2, 5).amplitudes)
+    assert make_thermal(0.5, np.int32(40)).dim == 40
+    assert ass_params(np.int64(2), 1.5) == ass_params(2, 1.5)
+    for call in (
+        lambda: make_coherent(0.5, 0),
+        lambda: make_thermal(0.5, 0),
+        lambda: make_ass_state(1, 1.5, 0),
+    ):
+        with pytest.raises(DimensionError):
+            call()
+
+
 def test_thermal_moments_and_trace():
     state = make_thermal(1.0, 128)
     assert isinstance(state, DensityState)
