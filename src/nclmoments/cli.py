@@ -39,7 +39,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .criteria import BasisKind, DEFAULT_TOLERANCE, _witnesses, determinant_hierarchy
+from .criteria import (
+    BasisKind, DEFAULT_TOLERANCE, _witnesses, determinant_hierarchy, witnesses,
+)
 from .errors import (
     InsufficientOrderError,
     NclError,
@@ -241,9 +243,9 @@ def verb_criteria(args: argparse.Namespace) -> int:
         )
         for kind in kinds
     ]
-    doc = report_to_json(reports[0]) if len(reports) == 1 else [
-        report_to_json(r) for r in reports
-    ]
+    state_witnesses = witnesses(state, args.phi)
+    docs = [dict(report_to_json(r), witnesses=state_witnesses) for r in reports]
+    doc = docs[0] if len(docs) == 1 else docs
     write_json(args.out, doc)
     print(f"wrote {args.out}")
     verdict = False

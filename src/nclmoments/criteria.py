@@ -40,10 +40,10 @@ Witnesses: ``s3`` (the ``aa`` principal minor over ``{1, a^dag^2, a^2}``),
 ``{1, x p}``), the amplitude-squared quadrature variances, and the Bochner
 determinants of the normally ordered characteristic function.  One kernel
 evaluates the first five for a table or a stack of tables, with one stacked
-determinant for every ``s3`` and one for every ``s2`` pair;
-:func:`determinant_hierarchy` calls it once per report, the ``sweep`` verb
-once per ``m``, and :func:`s3`, :func:`s2_witnesses`, :func:`asq_min_max`
-and :func:`asq_variance` are its one-table views.
+determinant for every ``s3`` and one for every ``s2`` pair.  The ``sweep``
+verb calls it once per ``m``; :func:`witnesses` is its one-table call, made
+once per state by the ``criteria`` verb, and :func:`s3`, :func:`s2_witnesses`
+and :func:`asq_min_max` are views of it.  A report holds its hierarchy alone.
 
 One scorer forms every Bochner determinant ``det [Phi(beta_i - beta_j)]``
 for a stack of point rows, decides which rows have coinciding points, and
@@ -65,7 +65,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -270,12 +270,15 @@ def _rotate(values: Array, phi: float) -> Array:
 
     ``x_phi = a e^{-i phi} + a^dag e^{i phi}``, so a moment at angle
     ``phi`` is the same polynomial at angle 0 in the rotated table.
-    ``values`` is returned as it is at ``phi == 0``.
+    ``values`` is returned as it is at ``phi == 0``.  Only the ``2K + 1``
+    distinct phases are exponentiated, one per ``k - l``.
     """
     if phi == 0.0:
         return values
-    k = np.arange(values.shape[-1])
-    return values * np.exp(1j * phi * (k[:, None] - k[None, :]))
+    top = values.shape[-1] - 1
+    phases = np.exp(1j * phi * np.arange(-top, top + 1))
+    k = np.arange(top + 1)
+    return values * phases[k[:, None] - k[None, :] + top]
 
 
 def build_matrix(
@@ -351,9 +354,8 @@ def _witnesses(values: Array, phi: float) -> list[dict[str, float]]:
     with ``K >= 4``; the result has one dict per table, in row-major order.
     Every ``s3`` matrix is taken in one stacked determinant and every ``s2``
     minor in another, which gives the bits of one ``det`` per matrix.  Each
-    table's imaginary residues are checked in the order in which
-    :func:`determinant_hierarchy` reads them: the ``asq`` covariance, then
-    ``s2A``, ``s2B`` and ``s3``; the first table that fails raises.
+    table's imaginary residues are checked in the order ``asq`` covariance,
+    ``s2A``, ``s2B``, ``s3``; the first table that fails raises.
     """
     stack = values.reshape((-1,) + values.shape[-2:])
     s3_dets = np.linalg.det(_gather(stack, _S3_BASIS))
@@ -375,7 +377,12 @@ def _witnesses(values: Array, phi: float) -> list[dict[str, float]]:
     return out
 
 
-def _table_witnesses(source: MomentSource, phi: float = 0.0) -> dict[str, float]:
+def witnesses(source: MomentSource, phi: float = 0.0) -> dict[str, float]:
+    """``s3``, ``s2A``, ``s2B``, ``asq_min`` and ``asq_max`` of a state or table.
+
+    ``s2A``/``s2B`` are taken at the finite angle ``phi``; a table needs order 4.
+    """
+    _check_angle(phi)
     return _witnesses(resolve_table(source, _WITNESS_ORDER).values, phi)[0]
 
 
@@ -386,7 +393,7 @@ def s3(source: MomentSource) -> float:
     nonclassicality; equals one quarter of the product of the
     amplitude-squared variance extrema.
     """
-    return _table_witnesses(source)["s3"]
+    return witnesses(source)["s3"]
 
 
 def s2_witnesses(source: MomentSource, phi: float = 0.0) -> tuple[float, float]:
@@ -396,9 +403,8 @@ def s2_witnesses(source: MomentSource, phi: float = 0.0) -> tuple[float, float]:
     ``s2B = <:x^2 p^2:> - <:x p:>^2`` at quadrature angle ``phi``: the
     ``quad`` principal minors over ``{x, x p}`` and ``{1, x p}``.
     """
-    _check_angle(phi)
-    witnesses = _table_witnesses(source, phi)
-    return witnesses["s2A"], witnesses["s2B"]
+    values = witnesses(source, phi)
+    return values["s2A"], values["s2B"]
 
 
 def asq_variance(source: MomentSource, phi: float = 0.0) -> float:
@@ -416,8 +422,8 @@ def asq_variance(source: MomentSource, phi: float = 0.0) -> float:
 
 def asq_min_max(source: MomentSource) -> tuple[float, float]:
     """Extrema of :func:`asq_variance` over the angle ``phi``."""
-    witnesses = _table_witnesses(source)
-    return witnesses["asq_min"], witnesses["asq_max"]
+    values = witnesses(source)
+    return values["asq_min"], values["asq_max"]
 
 
 def principal_minor(matrix: MomentMatrix, indices: Sequence[int]) -> float:
@@ -460,14 +466,12 @@ class CriterionReport:
     ``determinants`` holds ``(N, d_N)`` pairs; ``first_negative_order`` is
     the smallest classified ``N`` whose determinant falls below the scaled
     negativity threshold (``None`` when the hierarchy stays nonnegative).
-    The scalar witnesses are evaluated on the same moment source at the
-    same quadrature angle.
+    The scalar witnesses of the same source are :func:`witnesses`.
     """
 
     kind: BasisKind
     phi: float
     determinants: tuple[tuple[int, float], ...]
-    witnesses: Mapping[str, float]
     first_negative_order: Optional[int]
     tolerance: float
 
@@ -491,7 +495,7 @@ def determinant_hierarchy(
     ``N = 2`` but classifying at ``N = 3`` because its ``2 x 2`` determinant
     is nonnegative for all states.  ``n_max`` is an integer, ``phi`` and
     ``tolerance`` are finite.  Each ``d_N`` is one ``det`` of a leading
-    block; the witnesses come from one call of the witness kernel.
+    block; the table needs the basis's :meth:`~MonomialBasis.required_order`.
     """
     kind = BasisKind(kind)
     _check_count(n_max, "n_max")
@@ -510,9 +514,7 @@ def determinant_hierarchy(
         basis = MonomialBasis.number_chain(n_max)
     else:
         basis = MonomialBasis.graded(kind, n_max)
-    needed = max(basis.required_order(), _WITNESS_ORDER)
-    table = resolve_table(source, needed)
-    values = build_matrix(table, basis, phi=phi).values
+    values = build_matrix(source, basis, phi=phi).values
     scale = float(np.max(np.abs(values)))
     tol_eff = tolerance * max(1.0, scale)
 
@@ -534,7 +536,6 @@ def determinant_hierarchy(
         kind=kind,
         phi=phi,
         determinants=tuple(determinants),
-        witnesses=_witnesses(table.values, phi)[0],
         first_negative_order=first_negative,
         tolerance=tolerance,
     )

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _check_count
 from .states import AssParams, ass_params
 
 
@@ -114,8 +114,8 @@ def ass_moment_analytic(params: AssParams, k: int, l: int) -> complex:
     oracles of the most recently used parameter sets are cached, so sweeps
     over ``(k, l)`` reuse all intermediate polynomial values.
     """
-    if k < 0 or l < 0:
-        raise ValidationError("moment orders must be nonnegative")
+    _check_count(k, "a moment order")
+    _check_count(l, "a moment order")
     return params.c_m_sq * _oracle_for(params).value(params.m, params.m, k, l)
 
 
@@ -140,8 +140,7 @@ def gegenbauer_c_m_sq(m: int, gamma: complex) -> float:
     ``(alpha)_{m-k} -> (-1)^{m-k} m!/k!`` at ``alpha = -m``.  Kept as an
     independent rewrite of the closed sum in :func:`ass_params`.
     """
-    if m < 0:
-        raise ValidationError("m must be a nonnegative integer")
+    _check_count(m, "m")
     x = 2.0 * abs(gamma) ** 2
     poly = 0.0
     for k in range(m // 2 + 1):

@@ -11,8 +11,8 @@ intensity correlations, which is exact for ideal photodetectors:
   coefficients are triangular combinations of the moments
   ``<a^dag^k a^l>`` — so scanning the phase and inverting recovers the
   moments order by order.  A :class:`FourierRecord` holds only the phase
-  samples; its Fourier coefficients are derived from them, one FFT per
-  order, so a record cannot carry coefficients of some other scan.
+  samples; the inversion derives their Fourier harmonics, one FFT per
+  order, so a record cannot carry harmonics of some other scan.
 * **Scheme B** — an eight-port layout with four detectors seeing
   ``(a + i alpha)/2``, ``(a - i alpha)/2``, ``(a + alpha)/2`` and
   ``(a - alpha)/2``; its counts fix the first and second normally ordered
@@ -43,13 +43,15 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional
 
 import numpy as np
 
 from .criteria import MonomialBasis, build_matrix
-from .errors import SingularInversionError, ValidationError, WeakOscillatorWarning
+from .errors import (
+    SingularInversionError, ValidationError, WeakOscillatorWarning, _check_count,
+)
 from .moments import MomentSource, MomentTable, _warn_at_caller, as_real, resolve_table
 from .operators import Array
 
@@ -126,25 +128,18 @@ class FourierRecord:
 
     ``samples[(n, j)]`` is the sum over all ``n``-detector subsets of the
     coincidence rate at oscillator phase ``2 pi j / (2n + 2)``.  The record
-    is its samples: ``coefficients[(n, m)]`` is derived from them, not
-    given, as the discrete Fourier coefficients in the kernel
-    ``exp(i m (phi + arg(alpha r0)))`` — one FFT per order, exact because
-    each scan uses more phases than the trigonometric degree of the signal.
-    A real scan makes ``coefficients[(n, -m)]`` the conjugate of
-    ``coefficients[(n, m)]``.
+    is its samples and nothing derived from them: :func:`scheme_a_invert`
+    takes their Fourier harmonics.  ``depth`` and ``n_max`` are integers.
     """
 
     depth: int
     lo: LOConfig
     n_max: int
     samples: Mapping[tuple[int, int], float]
-    coefficients: Mapping[tuple[int, int], complex] = field(
-        init=False, compare=False
-    )
 
     def __post_init__(self) -> None:
-        if self.depth < 0:
-            raise ValidationError("tree depth must be nonnegative")
+        _check_count(self.depth, "tree depth")
+        _check_count(self.n_max, "n_max")
         if self.n_max < 1:
             raise ValidationError("n_max must be at least 1")
         if self.n_max > 2**self.depth:
@@ -160,19 +155,7 @@ class FourierRecord:
         samples = {key: float(self.samples[key]) for key in sorted(self.samples)}
         if not all(map(math.isfinite, samples.values())):
             raise ValidationError("phase samples must be finite")
-        offset = cmath.phase(self.lo.alpha * self.lo.r0)
-        coefficients: dict[tuple[int, int], complex] = {}
-        for n in range(1, self.n_max + 1):
-            count = 2 * n + 2
-            scan = [samples[(n, j)] for j in range(count)]
-            ms = np.arange(n + 1)
-            harmonics = np.fft.fft(scan)[ms] * np.exp(-1j * ms * offset) / count
-            # m = -n..n; the negative harmonics are the conjugates
-            row = np.concatenate([harmonics[:0:-1].conj(), harmonics])
-            keys = [(n, m) for m in range(-n, n + 1)]
-            coefficients.update(zip(keys, row.tolist()))
         object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "coefficients", coefficients)
 
 
 def scheme_a_phases(n: int) -> np.ndarray:
@@ -230,9 +213,11 @@ def _scheme_a_scan(
     source: MomentSource, n: int, phases, lo: LOConfig, depth: int
 ) -> Array:
     """``F_n = C(2^d, n) <:M^dag^n M^n:>`` at every oscillator phase."""
+    _check_count(n, "correlation order n")
+    _check_count(depth, "tree depth")
     if n < 1:
         raise ValidationError("correlation order n must be at least 1")
-    if depth < 0 or n > 2**depth:
+    if n > 2**depth:
         raise ValidationError(
             f"cannot correlate {n} detectors with a depth-{depth} tree"
         )
@@ -271,12 +256,13 @@ def scheme_a_sample_and_fourier(
     lo: LOConfig,
     depth: int,
 ) -> FourierRecord:
-    """Scan the oscillator phase for every order and Fourier-transform.
+    """Scan the oscillator phase for every order ``n`` up to ``n_max``.
 
-    For each ``n`` up to ``n_max`` the coincidence sum is evaluated at the
-    ``2n + 2`` phases of :func:`scheme_a_phases` in one kernel call; the
-    record derives the scan's Fourier coefficients.
+    For each ``n`` the coincidence sum is evaluated at the ``2n + 2`` phases
+    of :func:`scheme_a_phases` in one kernel call; the inversion, not the
+    record, derives the harmonics.  ``n_max`` and ``depth`` are integers.
     """
+    _check_count(n_max, "n_max")
     table = resolve_table(source, n_max)
     samples: dict[tuple[int, int], float] = {}
     for n in range(1, n_max + 1):
@@ -288,9 +274,12 @@ def scheme_a_sample_and_fourier(
 def scheme_a_invert(record: FourierRecord) -> MomentTable:
     """Recover the moment table from a phase-scanned coincidence record.
 
-    The moment ``<a^dag^k a^l>`` enters the harmonic ``m = k - l`` of
-    ``F_n`` with weight ``C(2^d, n) |c_k| |c_l|``, the tree-mode
-    coefficients of :func:`scheme_a_forward`.  Working upward in ``n``, the
+    Each order's harmonics ``m = 0..n``, in the kernel ``exp(i m (phi +
+    arg(alpha r0)))``, come from one FFT of its scan (exact: it has more
+    phases than the degree ``n`` of ``F_n``).  The moment ``<a^dag^k a^l>``
+    enters the harmonic ``m = k - l`` of ``F_n`` with weight
+    ``C(2^d, n) |c_k| |c_l|``, the tree-mode coefficients of
+    :func:`scheme_a_forward`.  Working upward in ``n``, the
     harmonic ``m >= 0`` contains exactly one moment not yet known —
     ``<a^dag^n a^{n-m}>`` — so each order is peeled off by subtracting the
     reconstructed lower-order contributions.  Positivity validation of the
@@ -301,17 +290,19 @@ def scheme_a_invert(record: FourierRecord) -> MomentTable:
     _check_oscillator(
         abs(lo.r0 * lo.alpha), "phase scans carry no moment information"
     )
+    offset = cmath.phase(lo.alpha * lo.r0)
     size = record.n_max + 1
     vals = np.zeros((size, size), dtype=complex)
     vals[0, 0] = 1.0
     for n in range(1, record.n_max + 1):
+        scan = [record.samples[(n, j)] for j in range(2 * n + 2)]
+        ms = np.arange(n + 1)
+        harmonics = np.fft.fft(scan)[ms] * np.exp(-1j * ms * offset) / len(scan)
         mags = np.abs(_tree_rows(n, lo, record.depth, [0.0])[0])
         weights = math.comb(2**record.depth, n) * np.outer(mags, mags)
         for m in range(n, -1, -1):
             ks = np.arange(m, n)
-            acc = record.coefficients[(n, m)] - np.dot(
-                weights[ks, ks - m], vals[ks, ks - m]
-            )
+            acc = harmonics[m] - np.dot(weights[ks, ks - m], vals[ks, ks - m])
             vals[n, n - m] = acc / weights[n, n - m]
             vals[n - m, n] = np.conj(vals[n, n - m])
     return MomentTable(max_order=record.n_max, values=vals, validate=False)
@@ -457,8 +448,8 @@ def add_shot_noise(record, samples: float, seed: int = 0):
     ``samples`` must be finite and positive.  Each stored value ``v`` becomes ``v + g * max(|v|, 1e-6) / sqrt(samples)``
     with independent standard normals ``g`` drawn in a fixed canonical order
     (sorted gamma keys, or phase samples sorted by ``(n, j)``), so equal
-    seeds give reproducible noise.  A phase-scan record derives its Fourier
-    coefficients from the noisy samples.
+    seeds give reproducible noise.  A phase-scan record holds only its
+    samples, so its inversion reads the noisy ones.
     """
     if not (math.isfinite(samples) and samples > 0):
         raise ValidationError(f"samples must be finite and positive, got {samples!r}")

@@ -174,13 +174,13 @@ def table_from_json(doc: Mapping[str, Any]) -> MomentTable:
 
 
 def report_to_json(report: CriterionReport) -> dict[str, Any]:
+    """A report's fields; the ``criteria`` verb adds the state's ``witnesses``."""
     return {
         "kind": report.kind.value,
         "phi": report.phi,
         "determinants": [
             {"N": n, "value": value} for n, value in report.determinants
         ],
-        "witnesses": dict(report.witnesses),
         "first_negative_order": report.first_negative_order,
         "tolerance": report.tolerance,
     }

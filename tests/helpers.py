@@ -10,6 +10,24 @@ from nclmoments.operators import create, destroy
 Array = np.ndarray
 
 
+def scan_harmonics(record) -> dict:
+    """``{(n, m): harmonic}``, ``m = -n..n``, of a scheme-A record's scans.
+
+    One FFT per order in the kernel ``exp(i m (phi + arg(alpha r0)))``, the
+    expression :func:`nclmoments.scheme_a_invert` uses for ``m >= 0``; the
+    negative harmonics are read from the FFT too, not conjugated.
+    """
+    offset = np.angle(record.lo.alpha * record.lo.r0)
+    out = {}
+    for n in range(1, record.n_max + 1):
+        count = 2 * n + 2
+        scan = [record.samples[(n, j)] for j in range(count)]
+        ms = np.arange(-n, n + 1)
+        row = np.fft.fft(scan)[ms] * np.exp(-1j * ms * offset) / count
+        out.update({(n, int(m)): complex(c) for m, c in zip(ms, row)})
+    return out
+
+
 def random_pure_state(dim: int, seed: int) -> FockState:
     """Random normalized ket with an exponentially decaying envelope.
 

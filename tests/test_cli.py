@@ -28,6 +28,7 @@ from nclmoments import (
     scheme_a_sample_and_fourier,
     scheme_b_forward,
     scheme_c_forward,
+    witnesses,
 )
 from nclmoments.cli import build_parser, config_from_args, main
 from nclmoments.moments import as_real
@@ -72,6 +73,12 @@ def test_criteria_all_kinds_order_and_exit(tmp_path):
     assert rc == 10
     doc = read_json(out)
     assert [r["kind"] for r in doc] == ["aa", "quad", "xn", "d2"]
+    # every report object carries the state's witnesses, at the report's angle
+    for phi in (0.0, 0.37):
+        rc = main(["criteria", "--state", SQUEEZED, "--phi", str(phi), "--out", str(out)])
+        want = witnesses(state_from_spec(json.loads(SQUEEZED)), phi)
+        assert set(want) == {"s3", "s2A", "s2B", "asq_min", "asq_max"}
+        assert [r["witnesses"] for r in read_json(out)] == [want] * 4
 
     rc = main(["criteria", "--state", THERMAL, "--out", str(out)])
     assert rc == 0

@@ -8,6 +8,7 @@ Key oracles:
   * closed forms for thermal and squeezed-vacuum witnesses.
 """
 
+import dataclasses
 import math
 import warnings
 
@@ -51,6 +52,7 @@ from nclmoments import (
     principal_minor,
     s2_witnesses,
     s3,
+    witnesses,
 )
 from nclmoments import criteria, moments
 from nclmoments.criteria import MomentMatrix
@@ -278,6 +280,18 @@ def test_build_matrix_expands_a_basis_once_for_every_angle():
     assert criteria._expansion.cache_info().misses == misses + 1
 
 
+@pytest.mark.parametrize("top", [2, 4, 8, 20, 30])
+def test_rotation_equals_the_full_phase_grid(top):
+    """The ``2K + 1`` distinct phases, indexed by ``k - l``, give the bits of
+    ``e^{i (k - l) phi}`` exponentiated over the whole ``(K + 1)^2`` grid."""
+    rng = np.random.default_rng(top)
+    values = rng.standard_normal((2, top + 1, top + 1, 2)).view(complex)[..., 0]
+    k = np.arange(top + 1)
+    for phi in (0.37, 1.3, -2.9, 1e-300, 40.0):
+        grid = np.exp(1j * phi * (k[:, None] - k[None, :]))
+        assert np.array_equal(criteria._rotate(values, phi), values * grid), phi
+
+
 def test_aa_matrices_have_no_angle():
     basis = MonomialBasis.graded(BasisKind.AA, 10)
     table = moment_table(random_density_state(32, 2), basis.required_order())
@@ -436,11 +450,36 @@ def test_moment_matrix_refuses_non_finite_entries(bad):
             MomentMatrix(basis, 0.0, values)
 
 
-def test_hierarchy_report_carries_witnesses():
+def test_witnesses_of_a_state_sit_beside_its_report():
+    """A report holds its hierarchy alone; the witnesses are a call of their own."""
     state = apply_squeeze(make_fock(0, 64), 0.5)
     report = determinant_hierarchy(state, "quad", 3, phi=0.0)
-    assert set(report.witnesses) == {"s3", "s2A", "s2B", "asq_min", "asq_max"}
-    assert report.witnesses["asq_min"] <= report.witnesses["asq_max"]
+    assert "witnesses" not in {f.name for f in dataclasses.fields(report)}
+    values = witnesses(state)
+    assert set(values) == {"s3", "s2A", "s2B", "asq_min", "asq_max"}
+    assert values["asq_min"] <= values["asq_max"]
+
+
+def test_a_report_reads_no_moment_beyond_its_basis():
+    """An order-4 defect fails the witnesses but not an order-2 report.
+
+    The exact table of the real coherent state ``alpha = 10`` with an
+    imaginary residue ``1e-6`` on the real moment ``<a^dag^2 a^2>``, the
+    order-4 entry whose imaginary part a witness checks unsymmetrized: the
+    symmetry check lets it pass at the table's scale ``1e8``, and the
+    witnesses' covariance check refuses it.  ``quad`` n_max 3 reads only
+    moments ``<a^dag^k a^l>`` with ``k + l <= 2``.
+    """
+    k = np.arange(5)
+    exact = 10.0 ** (k[:, None] + k[None, :]) + 0j
+    values = exact.copy()
+    values[2, 2] += 1e-6j
+    table = MomentTable(4, values)
+    report = determinant_hierarchy(table, "quad", 3)
+    assert report == determinant_hierarchy(MomentTable(4, exact), "quad", 3)
+    assert not report.nonclassical
+    with pytest.raises(NumericConsistencyError, match="amplitude-squared covariance"):
+        witnesses(table)
 
 
 def test_fock_state_number_hierarchy_flags():
@@ -492,10 +531,9 @@ def matrix_by_matrix_witnesses(table, phi):
 
 
 def matrix_by_matrix_report(table, kind, n_max, phi):
-    """``(determinants, witnesses, first_negative_order)`` of a hierarchy.
+    """``(determinants, first_negative_order)`` of a hierarchy.
 
-    The hierarchy as one ``det`` of each leading block, then
-    :func:`matrix_by_matrix_witnesses`.
+    The hierarchy as one ``det`` of each leading block.
     """
     report_start, classify_start = _STARTS[kind]
     if kind == "d2":
@@ -513,7 +551,7 @@ def matrix_by_matrix_report(table, kind, n_max, phi):
     first = next(
         (n for n, v in determinants if n >= classify_start and v < -tol_eff), None
     )
-    return determinants, matrix_by_matrix_witnesses(table, phi), first
+    return determinants, first
 
 
 def _coherent_mixture(amp: float) -> DensityState:
@@ -536,10 +574,8 @@ ORACLE_CASES = {
 }
 
 
-@pytest.mark.parametrize("phi", [0.0, 0.37])
-@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
-def test_hierarchy_equals_the_matrix_by_matrix_route(case, phi):
-    """Bit for bit: the same determinants, witnesses and verdict."""
+def oracle_table(case: str) -> MomentTable:
+    """The table of an ``ORACLE_CASES`` state, at the order its hierarchies need."""
     make, hierarchies = ORACLE_CASES[case]
     order = max(
         2 * n if kind == "d2" else MonomialBasis.graded(kind, n).required_order()
@@ -547,14 +583,29 @@ def test_hierarchy_equals_the_matrix_by_matrix_route(case, phi):
     )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", OrderAccuracyWarning)
-        table = moment_table(make(), order)
-    for kind, n in hierarchies:
+        return moment_table(make(), order)
+
+
+@pytest.mark.parametrize("phi", [0.0, 0.37])
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_hierarchy_equals_the_matrix_by_matrix_route(case, phi):
+    """Bit for bit: the same determinants and verdict."""
+    table = oracle_table(case)
+    for kind, n in ORACLE_CASES[case][1]:
         report = determinant_hierarchy(table, kind, n, phi=phi)
-        determinants, witnesses, first = matrix_by_matrix_report(table, kind, n, phi)
+        determinants, first = matrix_by_matrix_report(table, kind, n, phi)
         assert report.determinants == determinants, (kind, n)
-        assert report.witnesses == witnesses, (kind, n)
-        assert list(report.witnesses) == list(witnesses)
         assert report.first_negative_order == first, (kind, n)
+
+
+@pytest.mark.parametrize("phi", [0.0, 0.37])
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_witnesses_equal_the_matrix_by_matrix_route(case, phi):
+    """Bit for bit and in the same key order, on the hierarchies' tables."""
+    table = oracle_table(case)
+    got, want = witnesses(table, phi), matrix_by_matrix_witnesses(table, phi)
+    assert got == want
+    assert list(got) == list(want)
 
 
 def test_witness_kernel_slices_equal_one_table_calls():
@@ -591,11 +642,17 @@ def test_witness_checks_run_in_the_matrix_by_matrix_order(monkeypatch):
         calls.clear()
         matrix_by_matrix_report(table, kind, n, 0.37)
         assert got == calls
-        assert [c for c, _ in got][-4:] == [
-            "amplitude-squared covariance", "principal minor", "principal minor",
-            "principal minor",
-        ]
+        assert all(c.startswith("leading") for c, _ in got)
         calls.clear()
+    witnesses(table, 0.37)
+    got = list(calls)
+    calls.clear()
+    matrix_by_matrix_witnesses(table, 0.37)
+    assert got == calls
+    assert [c for c, _ in got] == [
+        "amplitude-squared covariance", "principal minor", "principal minor",
+        "principal minor",
+    ]
 
 
 def tampered_coherent_table(seed: int, covariance_residue: complex = 0.0) -> MomentTable:
@@ -635,10 +692,15 @@ def test_tampered_tables_raise_what_the_matrix_by_matrix_route_raises():
                 if want[0] == "value":
                     assert report[0] == "value"
                     r = report[1]
-                    assert (r.determinants, r.witnesses, r.first_negative_order) == want[1]
+                    assert (r.determinants, r.first_negative_order) == want[1]
                 else:
                     assert report == want, (seed, residue, kind)
                     raised.append(want[1].split(" should")[0])
+            got = _outcome(lambda: witnesses(table))
+            want = _outcome(lambda: matrix_by_matrix_witnesses(table, 0.0))
+            assert got == want, (seed, residue)
+            if want[0] == "raised":
+                raised.append(want[1].split(" should")[0])
     assert "amplitude-squared covariance" in raised
     assert any(c == "principal minor" or c.startswith("leading") for c in raised)
 

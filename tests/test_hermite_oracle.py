@@ -87,6 +87,24 @@ def test_gegenbauer_normalization_identity(lam):
         )
 
 
+@pytest.mark.parametrize("bad", [1.5, True, -1, "2"])
+def test_oracle_orders_are_integers(bad):
+    """``m``, ``k`` and ``l`` are counts: a fraction had given ``0j`` or a
+    raw ``TypeError``, and ``True`` had been read as 1."""
+    params = ass_params(2, 1.5)
+    for call in (
+        lambda: ass_moment_analytic(params, bad, 0),
+        lambda: ass_moment_analytic(params, 0, bad),
+        lambda: gegenbauer_c_m_sq(bad, 0.5),
+    ):
+        with pytest.raises(ValidationError):
+            call()
+    assert ass_moment_analytic(params, np.int64(2), np.int64(1)) == (
+        ass_moment_analytic(params, 2, 1)
+    )
+    assert gegenbauer_c_m_sq(np.int64(2), 0.5) == gegenbauer_c_m_sq(2, 0.5)
+
+
 def test_oracle_cache_reuses_instances():
     _, first = ass_oracle(2, 1.5)
     _, second = ass_oracle(2, 1.5)

@@ -1,5 +1,6 @@
 """Measurement simulation and inversion: exact round trips and noise."""
 
+import dataclasses
 import math
 import warnings
 
@@ -12,6 +13,7 @@ from helpers import (
     quad_expectation,
     random_density_state,
     random_pure_state,
+    scan_harmonics,
     xn_expectation,
 )
 from nclmoments import (
@@ -24,6 +26,8 @@ from nclmoments import (
     ValidationError,
     WeakOscillatorWarning,
     add_shot_noise,
+    apply_squeeze,
+    determinant_hierarchy,
     make_fock,
     make_thermal,
     moment_table,
@@ -110,15 +114,17 @@ def test_fourier_record_detector_count_bound():
 
 
 def test_fourier_record_is_its_samples():
-    """Coefficients are derived from the samples, never given beside them,
+    """Harmonics are derived from the samples, never given beside them,
     so a record inverts exactly like its JSON round trip."""
     lo = LOConfig(3.0)
     one = scheme_a_sample_and_fourier(make_fock(1, 8), 2, lo, 1)
     half = scheme_a_sample_and_fourier(make_thermal(0.5, 48), 2, lo, 1)
+    fields = [f.name for f in dataclasses.fields(FourierRecord)]
+    assert fields == ["depth", "lo", "n_max", "samples"]
     with pytest.raises(TypeError):
         FourierRecord(
             depth=1, lo=lo, n_max=2, samples=one.samples,
-            coefficients=half.coefficients,
+            coefficients=scan_harmonics(half),
         )
     records = [
         one,
@@ -131,7 +137,7 @@ def test_fourier_record_is_its_samples():
     for record in records:
         back = fourier_record_from_json(fourier_record_to_json(record))
         assert back == record
-        assert back.coefficients == record.coefficients
+        assert scan_harmonics(back) == scan_harmonics(record)
         assert np.array_equal(
             scheme_a_invert(back).values, scheme_a_invert(record).values
         )
@@ -140,11 +146,10 @@ def test_fourier_record_is_its_samples():
 def test_fourier_coefficients_conjugate_symmetric():
     state = random_pure_state(24, 1)
     record = scheme_a_sample_and_fourier(state, 3, LOConfig(2.0 + 1.0j), 2)
+    harmonics = scan_harmonics(record)
     for n in range(1, 4):
         for m in range(n + 1):
-            assert record.coefficients[(n, -m)] == pytest.approx(
-                np.conj(record.coefficients[(n, m)])
-            )
+            assert harmonics[(n, -m)] == pytest.approx(np.conj(harmonics[(n, m)]))
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +162,29 @@ def test_scheme_a_forward_validation():
         scheme_a_forward(state, 0, 0.0, LOConfig(1.0), 1)
     with pytest.raises(ValidationError):
         scheme_a_forward(state, 3, 0.0, LOConfig(1.0), 1)
+
+
+@pytest.mark.parametrize("bad", [1.5, True, -1, "2"])
+def test_scheme_a_depth_and_order_are_integers(bad):
+    """``depth`` and ``n_max`` are counts wherever a scan or record takes them."""
+    lo = LOConfig(3.0)
+    table = moment_table(make_thermal(0.5, 32), 4)
+    scan = scheme_a_sample_and_fourier(table, 2, lo, 2)
+    calls = [
+        lambda: scheme_a_forward(table, 1, 0.0, lo, bad),
+        lambda: scheme_a_forward(table, bad, 0.0, lo, 2),
+        lambda: scheme_a_sample_and_fourier(table, bad, lo, 2),
+        lambda: scheme_a_sample_and_fourier(table, 2, lo, bad),
+        lambda: FourierRecord(depth=bad, lo=lo, n_max=2, samples=scan.samples),
+        lambda: FourierRecord(depth=2, lo=lo, n_max=bad, samples=scan.samples),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError):
+            call()
+    assert scheme_a_sample_and_fourier(table, np.int64(2), lo, np.int64(2)) == scan
+    assert scheme_a_forward(table, np.int64(1), 0.0, lo, np.int64(2)) == (
+        scheme_a_forward(table, 1, 0.0, lo, 2)
+    )
 
 
 def normal_count(state, op) -> float:
@@ -255,13 +283,27 @@ def test_scheme_a_corner_coefficients_isolate_extreme_moments():
     record = scheme_a_sample_and_fourier(state, 4, lo, depth)
     amp = abs(lo.r0 * lo.alpha)
     truth = moment_table(state, 4)
+    harmonics = scan_harmonics(record)
     for n in range(1, 5):
         pref = math.comb(2**depth, n) / 2.0 ** (n * depth)
         denom = pref * lo.t0**n * amp**n
-        dag = record.coefficients[(n, n)] / denom
-        ann = record.coefficients[(n, -n)] / denom
+        dag = harmonics[(n, n)] / denom
+        ann = harmonics[(n, -n)] / denom
         assert abs(dag - truth.entry(n, 0)) < 1e-10
         assert abs(ann - truth.entry(0, n)) < 1e-10
+
+
+def test_scheme_a_order_two_loop_classifies_squeezed_vacuum():
+    """Record -> moments -> verdict: an ``n_max`` 2 scan of the r = 0.5
+    squeezed vacuum gives an order-2 table, which is all ``quad`` n_max 3
+    reads; its ``d_2 = e^{-1} - 1`` flags the state."""
+    state = apply_squeeze(make_fock(0, 64), 0.5)
+    record = scheme_a_sample_and_fourier(state, 2, LOConfig(alpha=3.0), depth=1)
+    table = scheme_a_invert(record)
+    assert table.max_order == 2
+    report = determinant_hierarchy(table, "quad", 3)
+    assert report.first_negative_order == 2
+    assert dict(report.determinants)[2] == pytest.approx(math.exp(-1.0) - 1.0, abs=1e-12)
 
 
 def test_scheme_a_invert_blocked_and_weak_oscillator():
@@ -552,7 +594,7 @@ def test_add_shot_noise_fourier_recomputes_coefficients():
     clean = scheme_a_sample_and_fourier(state, 2, LOConfig(3.0), 1)
     noisy = add_shot_noise(clean, 1e4, seed=5)
     assert noisy.samples != clean.samples
-    assert noisy.coefficients[(2, 1)] != clean.coefficients[(2, 1)]
+    assert scan_harmonics(noisy)[(2, 1)] != scan_harmonics(clean)[(2, 1)]
     # noisy record still inverts, with errors at the noise scale
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
