@@ -3,12 +3,11 @@
 One verb produces one artifact; verbs compose through files:
 
 * ``moments``  — moment table of a state (JSON).
-* ``criteria`` — determinant hierarchies and witnesses (JSON report).
+* ``criteria`` — determinant hierarchies and witnesses of one moment table.
 * ``sweep``    — amplitude-squared squeezing witnesses over an
-  ``(m, lambda)`` grid (CSV), read from exact moment tables
-  (:func:`~nclmoments.moments.ass_moment_tables`, one batched call per
-  ``m``) and scored by one call of the criteria witness kernel per ``m``;
-  it accepts ``--dim`` but uses no Fock truncation.
+  ``(m, lambda)`` grid (CSV), from one exact stacked table per ``m``
+  (:func:`~nclmoments.moments.ass_moment_tables`) and one witness-kernel
+  call per ``m``; it accepts ``--dim`` but uses no Fock truncation.
 * ``qfunc``    — Husimi distribution on a square grid (CSV).
 * ``simulate`` — forward measurement record for scheme a, b or c (JSON),
   optionally with seeded shot noise.
@@ -18,8 +17,8 @@ One verb produces one artifact; verbs compose through files:
 Each verb accepts only the options it reads: ``--tolerance`` is
 ``criteria``'s, and ``--dim`` is taken by the verbs that build a state
 (``moments``, ``criteria``, ``qfunc``, ``simulate``) and defaults to
-:data:`~nclmoments.serialize.DEFAULT_DIM` (64).  ``--phi`` and
-``--tolerance`` must be finite, and ``--samples`` finite and at least 1.
+:data:`~nclmoments.serialize.DEFAULT_DIM` (64).  ``--phi``, ``--tolerance``
+and ``--lambda-range`` must be finite, ``--samples`` finite and at least 1.
 Record files are :func:`~nclmoments.serialize.records_to_json` documents.
 
 :func:`main` builds the argument parser on its first call and reuses it for
@@ -40,7 +39,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .criteria import (
-    BasisKind, DEFAULT_TOLERANCE, _witnesses, determinant_hierarchy, witnesses,
+    _WITNESS_ORDER, BasisKind, DEFAULT_TOLERANCE, _hierarchy_basis, _witnesses,
+    determinant_hierarchy, witnesses,
 )
 from .errors import (
     InsufficientOrderError,
@@ -116,6 +116,8 @@ def _parse_range(text: str, context: str) -> tuple[float, float, float]:
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         raise ValidationError(f"{context} must contain numbers") from None
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ValidationError(f"{context} must be finite")
     if step <= 0 or stop < start:
         raise ValidationError(f"{context} needs step > 0 and stop >= start")
     return start, stop, step
@@ -232,18 +234,17 @@ def verb_moments(args: argparse.Namespace) -> int:
 
 def verb_criteria(args: argparse.Namespace) -> int:
     state = parse_state_argument(args.state, args.dim)
-    kinds = (
-        [BasisKind.AA, BasisKind.QUAD, BasisKind.XN, BasisKind.XN_WEIGHTED]
-        if args.kind == "all"
-        else [BasisKind(args.kind)]
-    )
+    kinds = list(BasisKind) if args.kind == "all" else [BasisKind(args.kind)]
+    bases = [_hierarchy_basis(kind, args.nmax) for kind in kinds]
+    order = max(_WITNESS_ORDER, *(basis.required_order() for basis in bases))
+    table = moment_table(state, order)
     reports = [
         determinant_hierarchy(
-            state, kind, args.nmax, phi=args.phi, tolerance=args.tolerance
+            table, kind, args.nmax, phi=args.phi, tolerance=args.tolerance
         )
         for kind in kinds
     ]
-    state_witnesses = witnesses(state, args.phi)
+    state_witnesses = witnesses(table, args.phi)
     docs = [dict(report_to_json(r), witnesses=state_witnesses) for r in reports]
     doc = docs[0] if len(docs) == 1 else docs
     write_json(args.out, doc)
@@ -268,18 +269,11 @@ def verb_sweep(args: argparse.Namespace) -> int:
         raise ValidationError("lambda grid must avoid 0 and the classical point 1")
     rows = []
     for m in sorted(args.m_list):
-        tables = ass_moment_tables(m, lambdas)
-        witnesses = _witnesses(np.stack([table.values for table in tables]), 0.0)
-        for lam, table, w in zip(lambdas, tables, witnesses):
-            rows.append((
-                lam, float(m), w["s3"], w["asq_min"], w["asq_max"],
-                table.entry(1, 1).real,
-            ))
-    write_csv(
-        args.out,
-        ["lambda", "m", "s3", "asq_min", "asq_max", "n_mean"],
-        np.array(rows),
-    )
+        values = ass_moment_tables(m, lambdas).values
+        n_means = values[:, 1, 1].real
+        for lam, w, n_mean in zip(lambdas, _witnesses(values, 0.0), n_means):
+            rows.append((lam, float(m), w["s3"], w["asq_min"], w["asq_max"], n_mean))
+    write_csv(args.out, ["lambda", "m", "s3", "asq_min", "asq_max", "n_mean"], rows)
     print(f"wrote {args.out} ({len(rows)} rows)")
     return 0
 

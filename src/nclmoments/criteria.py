@@ -480,6 +480,21 @@ class CriterionReport:
         return self.first_negative_order is not None
 
 
+def _hierarchy_basis(kind: Union[BasisKind, str], n_max: int) -> MonomialBasis:
+    """The basis of the ``kind`` hierarchy up to a checked ``n_max``."""
+    kind = BasisKind(kind)
+    _check_count(n_max, "n_max")
+    report_start = _REPORT_START[kind]
+    if n_max < report_start:
+        raise ValidationError(
+            f"n_max={n_max} is below the first reportable order "
+            f"{report_start} of kind {kind.value!r}"
+        )
+    if kind is BasisKind.XN_WEIGHTED:
+        return MonomialBasis.number_chain(n_max)
+    return MonomialBasis.graded(kind, n_max)
+
+
 def determinant_hierarchy(
     source: MomentSource,
     kind: Union[BasisKind, str],
@@ -497,43 +512,32 @@ def determinant_hierarchy(
     ``tolerance`` are finite.  Each ``d_N`` is one ``det`` of a leading
     block; the table needs the basis's :meth:`~MonomialBasis.required_order`.
     """
-    kind = BasisKind(kind)
-    _check_count(n_max, "n_max")
-    report_start = _REPORT_START[kind]
-    if n_max < report_start:
-        raise ValidationError(
-            f"n_max={n_max} is below the first reportable order "
-            f"{report_start} of kind {kind.value!r}"
-        )
+    basis = _hierarchy_basis(kind, n_max)
     if not (math.isfinite(tolerance) and tolerance > 0.0):
         raise ValidationError(
             f"tolerance must be finite and positive, got {tolerance!r}"
         )
     _check_angle(phi)
-    if kind is BasisKind.XN_WEIGHTED:
-        basis = MonomialBasis.number_chain(n_max)
-    else:
-        basis = MonomialBasis.graded(kind, n_max)
     values = build_matrix(source, basis, phi=phi).values
     scale = float(np.max(np.abs(values)))
     tol_eff = tolerance * max(1.0, scale)
 
     determinants = []
     first_negative: Optional[int] = None
-    for n in range(report_start, n_max + 1):
+    for n in range(_REPORT_START[basis.kind], n_max + 1):
         value = as_real(
             complex(np.linalg.det(values[:n, :n])), f"leading {n}x{n} determinant"
         )
         determinants.append((n, value))
         if (
             first_negative is None
-            and n >= _CLASSIFY_START[kind]
+            and n >= _CLASSIFY_START[basis.kind]
             and value < -tol_eff
         ):
             first_negative = n
 
     return CriterionReport(
-        kind=kind,
+        kind=basis.kind,
         phi=phi,
         determinants=tuple(determinants),
         first_negative_order=first_negative,

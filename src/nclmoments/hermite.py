@@ -19,8 +19,8 @@ where ``H_beta(0)`` obeys the standard Hermite recursion of the coupling
 matrix ``A`` and ``|c_m|^2`` is the seed normalization.  This module
 evaluates that recursion with memoization; it never touches a truncated
 Fock basis, which makes it an independent cross-check on the numerical
-state constructors and on :func:`nclmoments.moments.ass_moment_table`, the
-exact table that ``sweep`` reads.  Nothing in the package routes its
+state constructors and on :func:`nclmoments.moments.ass_moment_tables`, the
+exact stacked table that ``sweep`` reads.  Nothing in the package routes its
 results through this module, so it stays an independent oracle.
 """
 

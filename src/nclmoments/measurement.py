@@ -305,7 +305,7 @@ def scheme_a_invert(record: FourierRecord) -> MomentTable:
             acc = harmonics[m] - np.dot(weights[ks, ks - m], vals[ks, ks - m])
             vals[n, n - m] = acc / weights[n, n - m]
             vals[n - m, n] = np.conj(vals[n, n - m])
-    return MomentTable(max_order=record.n_max, values=vals, validate=False)
+    return MomentTable(vals, validate=False)
 
 
 # -- schemes B and C: four detectors ---------------------------------------
@@ -364,7 +364,7 @@ def _order_two_table(*records: DetectionRecord) -> MomentTable:
     norms = np.linalg.norm(design, axis=1)
     params = np.linalg.lstsq(design / norms[:, None], residual / norms, rcond=None)[0]
     values = known + np.tensordot(params, units, axes=1)
-    return MomentTable(max_order=2, values=values, validate=False)
+    return MomentTable(values, validate=False)
 
 
 def scheme_b_forward(source: MomentSource, lo: LOConfig) -> DetectionRecord:
@@ -448,11 +448,12 @@ def add_shot_noise(record, samples: float, seed: int = 0):
     ``samples`` must be finite and positive.  Each stored value ``v`` becomes ``v + g * max(|v|, 1e-6) / sqrt(samples)``
     with independent standard normals ``g`` drawn in a fixed canonical order
     (sorted gamma keys, or phase samples sorted by ``(n, j)``), so equal
-    seeds give reproducible noise.  A phase-scan record holds only its
-    samples, so its inversion reads the noisy ones.
+    seeds (integers ``>= 0``) give reproducible noise.  A phase-scan record
+    holds only its samples, so its inversion reads the noisy ones.
     """
     if not (math.isfinite(samples) and samples > 0):
         raise ValidationError(f"samples must be finite and positive, got {samples!r}")
+    _check_count(seed, "seed")
     rng = np.random.default_rng(seed)
     scale = 1.0 / math.sqrt(samples)
     if isinstance(record, DetectionRecord):

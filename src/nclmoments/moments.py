@@ -1,14 +1,14 @@
 """Normally ordered moments of truncated single-mode states.
 
 The central object is the :class:`MomentTable`: the array of expectation
-values ``<a^dag^k a^l>`` up to a maximum total order.  Every moment the
-package reads comes from one: quadrature and photon-number moments, moment
-matrices and witnesses are finite linear combinations of its entries, formed
-as ``C^H A_w C`` over the one table (see :mod:`nclmoments.criteria`).
+values ``<a^dag^k a^l>``, its order read from its shape and leading axes
+stacking tables.  Every moment the package reads comes from one: quadrature
+and photon-number moments, moment matrices and witnesses are finite linear
+combinations of its entries, as ``C^H A_w C`` (see :mod:`nclmoments.criteria`).
 :func:`moment_table` fills a state's table in one pass over the offset
-diagonals ``rho[m, m+d]``, and :func:`ass_moment_tables` gives the tables of
-amplitude-squared squeezed states exactly, with no truncated state.  Orders
-are nonnegative integers; anything else raises
+diagonals ``rho[m, m+d]``, and :func:`ass_moment_tables` gives the stacked
+table of amplitude-squared squeezed states exactly, with no truncated
+state.  Orders are nonnegative integers; anything else raises
 :class:`~nclmoments.errors.ValidationError`.
 
 ``char_function`` returns the normally ordered characteristic function
@@ -81,58 +81,55 @@ def _warn_at_caller(message: str, category: type[Warning]) -> None:
 class MomentTable:
     """Dense table of the moments ``<a^dag^k a^l>`` for ``k, l <= max_order``.
 
-    ``values[k, l]`` holds ``<a^dag^k a^l>``.  Tables built from states are
+    ``values[..., k, l]`` holds ``<a^dag^k a^l>``; leading axes stack tables,
+    each validated against its own scale ``max|T|``, and single-table readers
+    refuse a stack (:func:`resolve_table`).  Tables built from states are
     exactly conjugate-symmetric; tables reconstructed from simulated
-    measurement records keep the symmetry but may violate diagonal
-    positivity by the size of the injected noise, which is why validation
-    of positivity can be relaxed at construction.
+    measurement records may violate diagonal positivity by the size of the
+    injected noise, which is why that check can be relaxed.
     """
 
-    max_order: int
     values: Array
     validate: bool = True
 
     def __post_init__(self) -> None:
-        _check_count(self.max_order, "max_order")
         vals = np.array(self.values, dtype=complex)
-        expected = (self.max_order + 1, self.max_order + 1)
-        if vals.shape != expected:
-            raise ValidationError(
-                f"values shape {vals.shape} does not match max_order "
-                f"{self.max_order}; expected {expected}"
-            )
-        scale = float(np.max(np.abs(vals))) if vals.size else 0.0
-        if not np.isfinite(scale):
+        if vals.ndim < 2 or vals.shape[-1] != vals.shape[-2] or not vals.shape[-1]:
+            raise ValidationError(f"values of shape {vals.shape} are not square tables")
+        stack = vals.reshape((-1,) + vals.shape[-2:])
+        scale = np.abs(stack).max(axis=(1, 2))
+        if not np.isfinite(scale).all():
             raise ValidationError("moment table entries must be finite")
-        sym_tol = _SYMMETRY_TOL * max(1.0, scale)
-        sym_residue = float(np.max(np.abs(vals - vals.conj().T)))
-        if sym_residue > sym_tol:
+        floor = np.maximum(1.0, scale)
+        residue = np.abs(stack - stack.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+        bad = residue > _SYMMETRY_TOL * floor
+        if bad.any():
             raise ValidationError(
-                f"moment table is not conjugate-symmetric (residue {sym_residue:.3e})"
+                f"moment table is not conjugate-symmetric (residue {residue[bad][0]:.3e})"
             )
         if self.validate:
-            diag = np.diag(vals)
-            worst = float(np.min(diag.real))
-            if worst < -_DIAGONAL_TOL * max(1.0, scale):
+            worst = np.diagonal(stack, axis1=1, axis2=2).real.min(axis=1)
+            bad = worst < -_DIAGONAL_TOL * floor
+            if bad.any():
                 raise ValidationError(
-                    f"diagonal moment <a^dag^k a^k> = {worst:.3e} is negative"
+                    f"diagonal moment <a^dag^k a^k> = {worst[bad][0]:.3e} is negative"
                 )
-        if abs(vals[0, 0] - 1.0) > 1e-6:
-            raise ValidationError(
-                f"zeroth moment must be 1, got {vals[0, 0]!r}"
-            )
+        zeroth = stack[:, 0, 0]
+        bad = np.abs(zeroth - 1.0) > 1e-6
+        if bad.any():
+            raise ValidationError(f"zeroth moment must be 1, got {zeroth[bad][0]!r}")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
+
+    @property
+    def max_order(self) -> int:
+        return self.values.shape[-1] - 1
 
     def entry(self, k: int, l: int) -> complex:
         """``<a^dag^k a^l>``; raises when the order exceeds the table."""
         _check_count(k, "a moment order")
         _check_count(l, "a moment order")
-        if k > self.max_order or l > self.max_order:
-            raise InsufficientOrderError(
-                f"moment ({k},{l}) exceeds table max_order={self.max_order}"
-            )
-        return complex(self.values[k, l])
+        return complex(resolve_table(self, max(k, l)).values[k, l])
 
 
 def moment_table(state: State, max_order: int) -> MomentTable:
@@ -166,16 +163,16 @@ def moment_table(state: State, max_order: int) -> MomentTable:
     scaled[:, offsets] = np.sqrt(rising[:, offsets]) * diagonals
     values = (falling.T @ scaled)[lo, hi - lo]
     values = np.where(ks < ls, values.conj(), values)
-    return MomentTable(max_order=max_order, values=values)
+    return MomentTable(values)
 
 
 def ass_moment_tables(
     m: int, lams: Sequence[float], max_order: int = 4
-) -> list[MomentTable]:
+) -> MomentTable:
     """Exact moment tables of the amplitude-squared squeezed states ``(m, lam)``.
 
-    One table per ``lam``, all computed in one batched pass.  Each state is
-    ``U s`` for the seed ``s = H_m(i gamma a^dag)|0>`` (see
+    One stacked table, ``values[i]`` for ``lams[i]``, in one batched pass.
+    Each state is ``U s`` for the seed ``s = H_m(i gamma a^dag)|0>`` (see
     :func:`nclmoments.states.make_ass_state`), and ``U^dag a U = b`` with
     ``b = mu a + nu a^dag``, so ``<a^dag^k a^l> = <b^k s|b^l s>``.  The seed
     lives on ``m + 1`` levels and each ``b`` raises the top level by one, so
@@ -202,25 +199,28 @@ def ass_moment_tables(
     v = np.stack(vectors, axis=1)
     gram = v.conj() @ v.transpose(0, 2, 1)
     values = 0.5 * (gram + gram.conj().transpose(0, 2, 1))
-    return [MomentTable(max_order=max_order, values=table) for table in values]
+    return MomentTable(values)
 
 
 def ass_moment_table(m: int, lam: float, max_order: int = 4) -> MomentTable:
     """Exact moment table of the amplitude-squared squeezed state ``(m, lam)``.
 
-    The one-``lam`` call of :func:`ass_moment_tables`; exact for every
+    The one-``lam`` view of :func:`ass_moment_tables`; exact for every
     ``lam``, with no truncation.
     """
-    return ass_moment_tables(m, [lam], max_order)[0]
+    return MomentTable(ass_moment_tables(m, [lam], max_order).values[0])
 
 
 def resolve_table(source: MomentSource, needed_order: int) -> MomentTable:
     """Return a moment table of at least ``needed_order``.
 
     States are tabulated on demand; an existing table is passed through
-    after an order check (:class:`InsufficientOrderError` if too small).
+    after an order check (:class:`InsufficientOrderError` if too small); a
+    stack of tables is refused (:class:`ValidationError`).
     """
     if isinstance(source, MomentTable):
+        if source.values.ndim != 2:
+            raise ValidationError(f"expected one table, got {source.values.shape}")
         if source.max_order < needed_order:
             raise InsufficientOrderError(
                 f"moment table has max_order={source.max_order}, "

@@ -167,7 +167,7 @@ def table_from_json(doc: Mapping[str, Any]) -> MomentTable:
         raise ValidationError(f"malformed moment-table document: {exc!r}") from exc
     if len(seen) != (max_order + 1) * (max_order + 2) // 2:
         raise ValidationError("table document is missing entries")
-    return MomentTable(max_order=max_order, values=vals, validate=False)
+    return MomentTable(vals, validate=False)
 
 
 # -- reports -----------------------------------------------------------------

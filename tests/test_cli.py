@@ -12,14 +12,16 @@ import numpy as np
 import pytest
 
 import nclmoments
-from nclmoments import cli
+from nclmoments import cli, moments
 from nclmoments import (
+    BasisKind,
     LOConfig,
     MomentTable,
     NumericConsistencyError,
     add_shot_noise,
     asq_min_max,
     ass_moment_table,
+    determinant_hierarchy,
     make_ass_state,
     make_thermal,
     moment_table,
@@ -34,9 +36,11 @@ from nclmoments.cli import build_parser, config_from_args, main
 from nclmoments.moments import as_real
 from nclmoments.serialize import (
     read_json,
+    report_to_json,
     records_from_json,
     records_to_json,
     state_from_spec,
+    write_json,
 )
 
 SQUEEZED = '{"type": "squeezed_vacuum", "z": 0.5}'
@@ -228,6 +232,119 @@ def test_sweep_rows_equal_the_one_lambda_tables(tmp_path):
             rows.append((lam, m, s3(table), *asq_min_max(table), table.entry(1, 1).real))
     header = ["lambda", "m", "s3", "asq_min", "asq_max", "n_mean"]
     assert out.read_text() == _csv_text(header, rows)
+
+
+def test_sweep_builds_one_table_per_m(tmp_path, monkeypatch):
+    """Each m's lambda grid is one stacked table, and the CSV is byte for byte
+    that of the one-lambda route: ``ass_moment_table`` and ``witnesses`` per
+    lambda."""
+    lams = [1.05 + i * 0.05 for i in range(20)]
+    rows = []
+    for m in (2, 3, 4):
+        for lam in lams:
+            table = ass_moment_table(m, lam)
+            w = witnesses(table)
+            rows.append((lam, m, w["s3"], w["asq_min"], w["asq_max"],
+                         table.entry(1, 1).real))
+    shapes = []
+    check = MomentTable.__post_init__
+
+    def counting(table):
+        shapes.append(np.shape(table.values))
+        check(table)
+
+    monkeypatch.setattr(MomentTable, "__post_init__", counting)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--m-list", "4,2,3", "--lambda-range", "1.05,2.0,0.05",
+                 "--out", str(out)]) == 0
+    assert shapes == [(20, 5, 5)] * 3
+    header = ["lambda", "m", "s3", "asq_min", "asq_max", "n_mean"]
+    assert out.read_text() == _csv_text(header, rows)
+
+
+CRITERIA_SPECS = [
+    '{"type": "fock", "n": 2}',
+    '{"type": "coherent", "alpha": [0.7, 0.3]}',
+    '{"type": "thermal", "nbar": 0.8}',
+    SQUEEZED,
+    '{"type": "ass", "m": 2, "lambda": 1.5}',
+]
+
+
+@pytest.mark.parametrize("spec", CRITERIA_SPECS)
+def test_criteria_tabulates_once_and_answers_as_each_kind_alone(
+    spec, tmp_path, monkeypatch, capsys
+):
+    """One ``moment_table`` call per run, at the largest order read; the file,
+    stdout and exit code are those of ``determinant_hierarchy(state, kind)``
+    per kind and ``witnesses(state, phi)``, each tabulating for itself.  This
+    pins that a table's low-order corner is the smaller table bit for bit."""
+    state = state_from_spec(json.loads(spec))
+    runs = []
+    for kind in ("all", "aa", "d2"):
+        for nmax in (2, 4, 7):
+            for phi in (0.0, 0.37):
+                kinds = list(BasisKind) if kind == "all" else [BasisKind(kind)]
+                reports = [determinant_hierarchy(state, k, nmax, phi) for k in kinds]
+                state_witnesses = witnesses(state, phi)
+                docs = [dict(report_to_json(r), witnesses=state_witnesses)
+                        for r in reports]
+                want = tmp_path / f"want-{kind}-{nmax}-{phi}.json"
+                write_json(want, docs[0] if len(docs) == 1 else docs)
+                out = tmp_path / f"got-{kind}-{nmax}-{phi}.json"
+                lines = [f"wrote {out}"] + [
+                    f"kind={r.kind.value}: " + (
+                        f"first negative at N={r.first_negative_order}"
+                        if r.nonclassical else "no negativity"
+                    )
+                    for r in reports
+                ]
+                code = 10 if any(r.nonclassical for r in reports) else 0
+                argv = ["criteria", "--state", spec, "--kind", kind, "--nmax",
+                        str(nmax), "--phi", str(phi), "--out", str(out)]
+                runs.append((argv, want, out, "".join(f"{x}\n" for x in lines), code))
+    capsys.readouterr()
+
+    calls = []
+    tabulate = moments.moment_table
+
+    def counting(source, order):
+        calls.append(order)
+        return tabulate(source, order)
+
+    monkeypatch.setattr(moments, "moment_table", counting)
+    monkeypatch.setattr(cli, "moment_table", counting)
+    for argv, want, out, stdout, code in runs:
+        calls.clear()
+        assert main(argv) == code, argv
+        assert len(calls) == 1, argv
+        assert capsys.readouterr().out == stdout
+        assert out.read_bytes() == want.read_bytes(), argv
+
+
+def test_simulate_refuses_a_negative_seed(tmp_path, capsys):
+    """``--seed -1`` once reached NumPy and ended in a traceback."""
+    out = tmp_path / "r.json"
+    argv = ["simulate", "--state", THERMAL, "--scheme", "b", "--samples", "100",
+            "--seed", "-1", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: seed must be a nonnegative integer, got -1\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [
+    "1.1,1.5,nan", "nan,1.5,0.1", "1.1,nan,0.1", "1.1,inf,0.1", "-inf,1.5,0.1",
+    "1.1,1.5,inf",
+])
+def test_sweep_refuses_a_non_finite_lambda_range(value, tmp_path, capsys):
+    """NaN fields once ended in ``ValueError`` and infinite ones in
+    ``OverflowError``, both with a traceback."""
+    out = tmp_path / "s.csv"
+    assert main(["sweep", f"--lambda-range={value}", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: --lambda-range must be finite\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("option, value", [
@@ -639,7 +756,7 @@ def _bright_table(alpha: complex, covariance_residue: complex) -> MomentTable:
     k = np.arange(5)
     values = np.conj(alpha) ** k[:, None] * alpha ** k[None, :]
     values[2, 2] += covariance_residue
-    return MomentTable(4, values)
+    return MomentTable(values)
 
 
 def test_sweep_raises_at_the_first_inconsistent_lambda(tmp_path, monkeypatch, capsys):
@@ -648,7 +765,10 @@ def test_sweep_raises_at_the_first_inconsistent_lambda(tmp_path, monkeypatch, ca
     exact = cli.ass_moment_tables
 
     def tampered(m, lams):
-        return [bad.get(i, table) for i, table in enumerate(exact(m, lams))]
+        values = np.array(exact(m, lams).values)
+        for i, table in bad.items():
+            values[i] = table.values
+        return MomentTable(values)
 
     monkeypatch.setattr(cli, "ass_moment_tables", tampered)
     e = bad[1].entry

@@ -72,7 +72,7 @@ def symbolic_table(max_order: int) -> MomentTable:
             lo, hi = min(k, l), max(k, l)
             vals[k, l] = 7.0 * (lo + 1) + 13.0 * (hi + 1) + 3j * (k - l)
     vals[0, 0] = 1.0
-    return MomentTable(max_order, vals)
+    return MomentTable(vals)
 
 
 def fake_entry(k: int, l: int) -> complex:
@@ -474,9 +474,9 @@ def test_a_report_reads_no_moment_beyond_its_basis():
     exact = 10.0 ** (k[:, None] + k[None, :]) + 0j
     values = exact.copy()
     values[2, 2] += 1e-6j
-    table = MomentTable(4, values)
+    table = MomentTable(values)
     report = determinant_hierarchy(table, "quad", 3)
-    assert report == determinant_hierarchy(MomentTable(4, exact), "quad", 3)
+    assert report == determinant_hierarchy(MomentTable(exact), "quad", 3)
     assert not report.nonclassical
     with pytest.raises(NumericConsistencyError, match="amplitude-squared covariance"):
         witnesses(table)
@@ -610,9 +610,9 @@ def test_witnesses_equal_the_matrix_by_matrix_route(case, phi):
 
 def test_witness_kernel_slices_equal_one_table_calls():
     """Each table of a stack gets the bits of its one-table calls."""
-    tables = ass_moment_tables(3, [0.5, 0.8, 1.3, 1.7, 2.4, 3.1])
-    stack = np.stack([t.values for t in tables]).reshape(2, 3, 5, 5)
-    got = criteria._witnesses(stack, 0.37)
+    stack = ass_moment_tables(3, [0.5, 0.8, 1.3, 1.7, 2.4, 3.1]).values
+    tables = [MomentTable(values) for values in stack]
+    got = criteria._witnesses(stack.reshape(2, 3, 5, 5), 0.37)
     assert len(got) == len(tables)
     for table, witnesses in zip(tables, got):
         assert witnesses == criteria._witnesses(table.values, 0.37)[0]
@@ -671,7 +671,7 @@ def tampered_coherent_table(seed: int, covariance_residue: complex = 0.0) -> Mom
     values[i, j] *= 1 + 1e-9 * complex(*rng.normal(size=2))
     values[j, i] = np.conj(values[i, j])
     values[2, 2] += covariance_residue
-    return MomentTable(4, values)
+    return MomentTable(values)
 
 
 def _outcome(route):

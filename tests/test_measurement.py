@@ -450,13 +450,13 @@ def test_extraction_is_the_least_squares_inverse(scheme):
     """
     lo = LOConfig(alpha=2.0 + 1.0j, t0=0.8)
     base = np.diag([1.0, 0.0, 0.0]).astype(complex)
-    origin = stacked_counts(four_detector_records(MomentTable(2, base), scheme, lo))
+    origin = stacked_counts(four_detector_records(MomentTable(base), scheme, lo))
     columns = []
     for k, l in [(0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]:
         for part in (1.0,) if k == l else (1.0, 1.0j):
             unit = np.zeros((3, 3), dtype=complex)
             unit[k, l], unit[l, k] = part, np.conj(part)
-            records = four_detector_records(MomentTable(2, base + unit), scheme, lo)
+            records = four_detector_records(MomentTable(base + unit), scheme, lo)
             columns.append(stacked_counts(records) - origin)
     design = np.array(columns).T
     norms = np.linalg.norm(design, axis=1)
@@ -496,7 +496,7 @@ def test_four_detector_round_trip_over_oscillators(scheme, parts, magnitude, pha
     values[0, 2] = complex(parts[4], parts[5])
     values[1, 2] = complex(parts[6], parts[7])
     values += np.triu(values, 1).conj().T
-    table = MomentTable(2, values, validate=False)
+    table = MomentTable(values, validate=False)
     lo = LOConfig(alpha=magnitude * np.exp(1j * phase), t0=t0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", WeakOscillatorWarning)
@@ -564,6 +564,23 @@ def test_add_shot_noise_refuses_a_non_finite_budget(samples):
     for record in records:
         with pytest.raises(ValidationError, match="samples must be finite"):
             add_shot_noise(record, samples)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, np.float64(2), "3", None])
+def test_add_shot_noise_refuses_a_seed_that_is_not_a_count(seed):
+    """``-1`` once raised NumPy's ``ValueError``, ``1.5`` a ``TypeError``, and
+    ``True`` was taken as 1."""
+    state = random_pure_state(16, 6)
+    records = [
+        scheme_b_forward(state, LOConfig(alpha=1.5)),
+        scheme_a_sample_and_fourier(state, 2, LOConfig(3.0), 1),
+    ]
+    for record in records:
+        with pytest.raises(ValidationError, match="seed must be a nonnegative integer"):
+            add_shot_noise(record, 100, seed)
+    assert add_shot_noise(records[0], 100, np.int64(3)) == add_shot_noise(
+        records[0], 100, 3
+    )
 
 
 def test_add_shot_noise_deterministic_and_seed_sensitive():

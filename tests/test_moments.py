@@ -11,6 +11,7 @@ constant monomial.  Oracles used here:
     exponential of the displacement generator.
 """
 
+import dataclasses
 import math
 import warnings
 
@@ -39,6 +40,7 @@ from nclmoments import (
     ValidationError,
     apply_squeeze,
     as_real,
+    ass_moment_table,
     ass_moment_tables,
     bochner_det,
     build_matrix,
@@ -52,8 +54,11 @@ from nclmoments import (
     resolve_table,
     s3,
     scheme_a_forward,
+    scheme_b_forward,
+    witnesses,
 )
 from nclmoments.moments import _CharKernel
+from nclmoments.serialize import table_to_json
 from nclmoments.operators import displacement_matrix
 
 
@@ -103,12 +108,11 @@ def test_moment_aa_warns_near_truncation_order():
 
 @pytest.mark.parametrize("max_order", [2.0, True, np.float64(3), "2", -1, None])
 def test_moment_orders_must_be_nonnegative_integers(max_order):
-    """One integer rule for ``moment_table``, ``MomentTable`` and exact tables."""
+    """One integer rule for ``moment_table`` and exact tables; a ``MomentTable``
+    reads its order from its shape."""
     state = make_fock(1, 16)
     with pytest.raises(ValidationError, match="max_order must be a nonnegative integer"):
         moment_table(state, max_order)
-    with pytest.raises(ValidationError, match="max_order must be a nonnegative integer"):
-        MomentTable(max_order, np.ones((1, 1)))
     with pytest.raises(ValidationError, match="max_order must be a nonnegative integer"):
         ass_moment_tables(2, [1.5], max_order)
 
@@ -123,7 +127,7 @@ def test_table_entry_indices_must_be_nonnegative_integers(k, l):
 def test_moment_orders_accept_numpy_integers():
     table = moment_table(make_fock(1, 16), np.int64(2))
     assert table.max_order == 2
-    assert MomentTable(np.int32(2), table.values).max_order == 2
+    assert MomentTable(table.values).max_order == 2
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +151,7 @@ def test_moment_table_refuses_non_finite_entries(bad, validate):
     values = np.eye(3, dtype=complex)
     values[1, 1] = bad
     with pytest.raises(ValidationError, match="finite"):
-        MomentTable(2, values, validate=validate)
+        MomentTable(values, validate=validate)
 
 
 def test_moment_table_warns_once_past_half_dim():
@@ -195,20 +199,20 @@ def test_moment_table_conjugate_symmetry_enforced():
     vals[1, 0] = 0.5 - 0.4j  # breaks conj(vals[0, 1])
     vals[1, 1] = 1.0
     with pytest.raises(ValidationError):
-        MomentTable(1, vals)
+        MomentTable(vals)
 
 
 def test_moment_table_requires_unit_zeroth_moment():
     vals = np.full((1, 1), 0.5, dtype=complex)
     with pytest.raises(ValidationError):
-        MomentTable(0, vals, validate=False)
+        MomentTable(vals, validate=False)
 
 
 def test_moment_table_negative_diagonal_rejected_unless_unvalidated():
     vals = np.array([[1.0, 0.0], [0.0, -0.2]], dtype=complex)
     with pytest.raises(ValidationError):
-        MomentTable(1, vals)
-    table = MomentTable(1, vals, validate=False)
+        MomentTable(vals)
+    table = MomentTable(vals, validate=False)
     assert table.entry(1, 1) == -0.2
 
 
@@ -256,7 +260,7 @@ def test_polynomial_expectation_warns_once_on_a_state():
         matrix = build_matrix(state, basis, 0.3)
     assert [w.category for w in caught] == [OrderAccuracyWarning]
     dense = np.array([[dense_moment(state, k, l) for l in range(5)] for k in range(5)])
-    want = quad_expectation(MomentTable(4, dense), 2, 2, 0.3)
+    want = quad_expectation(MomentTable(dense), 2, 2, 0.3)
     assert matrix.values[1, 1] == pytest.approx(want, abs=1e-12)
 
 
@@ -335,6 +339,116 @@ def test_resolve_table_passthrough_and_growth():
     assert resolve_table(table, 2) is table
     with pytest.raises(InsufficientOrderError):
         resolve_table(table, 4)
+
+
+
+# ---------------------------------------------------------------------------
+# stacked tables
+
+
+@pytest.mark.parametrize("shape", [(), (3,), (2, 3), (0, 0), (2, 0, 0), (3, 2, 2, 3)])
+def test_moment_table_refuses_a_shape_that_is_not_square(shape):
+    with pytest.raises(ValidationError, match="not square tables"):
+        MomentTable(np.ones(shape))
+
+
+def test_moment_table_reads_its_order_from_its_shape():
+    stack = ass_moment_tables(2, [1.2, 1.4, 1.6]).values.reshape(3, 1, 5, 5)
+    table = MomentTable(stack)
+    assert table.max_order == 4 and table.values.shape == (3, 1, 5, 5)
+    assert MomentTable(np.eye(1)).max_order == 0
+
+
+def _coherent_values(alpha: float) -> np.ndarray:
+    k = np.arange(5)
+    return alpha ** (k[:, None] + k[None, :]) + 0j
+
+
+def test_moment_table_holds_each_table_of_a_stack_to_its_own_scale():
+    """A defect of one unit-scale table stays visible next to a table of
+    ``max|T| = 1e8``, whose scale lets the same defect through."""
+    bright, dim = _coherent_values(10.0), _coherent_values(0.5)
+    assert MomentTable(np.stack([bright, dim])).values.shape == (2, 5, 5)
+    for defect, match in ((_skew, "conjugate-symmetric"), (_negative, "is negative")):
+        MomentTable(defect(bright))
+        with pytest.raises(ValidationError, match=match):
+            MomentTable(defect(dim))
+        with pytest.raises(ValidationError, match=match):
+            MomentTable(np.stack([bright, defect(dim)]))
+    MomentTable(np.stack([bright, _negative(dim)]), validate=False)
+
+
+def _skew(values: np.ndarray) -> np.ndarray:
+    out = values.copy()
+    out[1, 2] += 1e-9
+    return out
+
+
+def _negative(values: np.ndarray) -> np.ndarray:
+    out = values.copy()
+    out[3, 3] = -1e-9
+    return out
+
+
+@pytest.mark.parametrize("entry, value, match", [
+    ((1, 1), math.nan, "finite"),
+    ((1, 2), 0.3, "conjugate-symmetric"),
+    ((2, 2), -0.5, "is negative"),
+    ((0, 0), 0.5, "zeroth moment must be 1"),
+])
+def test_moment_table_refuses_a_stack_with_one_bad_table(entry, value, match):
+    """Each check raises the one-table exception, on a lone table and in a stack."""
+    stack = np.array(ass_moment_tables(2, [1.2, 1.4, 1.6]).values)
+    stack[1][entry] = value
+    with pytest.raises(ValidationError, match=match):
+        MomentTable(stack[1])
+    with pytest.raises(ValidationError, match=match):
+        MomentTable(stack)
+
+
+STACK_READERS = {
+    "resolve_table": lambda t: resolve_table(t, 2),
+    "entry": lambda t: t.entry(1, 1),
+    "build_matrix": lambda t: build_matrix(t, MonomialBasis.graded("quad", 3)),
+    "determinant_hierarchy": lambda t: determinant_hierarchy(t, "aa", 3),
+    "witnesses": witnesses,
+    "table_to_json": table_to_json,
+    "scheme_b_forward": lambda t: scheme_b_forward(t, LOConfig(alpha=1.5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STACK_READERS))
+def test_single_table_readers_refuse_a_stack(name):
+    read = STACK_READERS[name]
+    for lams in ([1.2, 1.6], [1.2]):
+        with pytest.raises(ValidationError, match="expected one table"):
+            read(ass_moment_tables(2, lams))
+    read(ass_moment_table(2, 1.2))
+
+
+def test_replace_builds_a_validated_table():
+    """``dataclasses.replace`` runs the checks again, ``validate`` included."""
+    table = moment_table(make_coherent(0.5, 32), 3)
+    values = np.array(table.values)
+    values[1, 1] = -0.1
+    with pytest.raises(ValidationError, match="is negative"):
+        dataclasses.replace(table, values=values)
+    relaxed = dataclasses.replace(table, values=values, validate=False)
+    assert relaxed.max_order == 3 and relaxed.entry(1, 1) == -0.1
+
+
+def test_table_corner_is_the_smaller_table_bit_for_bit():
+    """The ``criteria`` verb tabulates once, at its largest order, and reads
+    every smaller order from the corner.  Order 0 is left out: its ``1 x 1``
+    product takes another summation path and can differ in the last bit."""
+    states = [random_pure_state(32, seed) for seed in range(3)]
+    states += [random_density_state(32, seed) for seed in range(3)]
+    states += [make_coherent(0.7 + 0.3j, 64), make_thermal(0.8, 64),
+               apply_squeeze(make_fock(0, 64), 0.5), make_fock(2, 64)]
+    for state in states:
+        big = moment_table(state, 8).values
+        for k in (1, 2, 4, 6):
+            assert big[: k + 1, : k + 1].tobytes() == moment_table(state, k).values.tobytes()
 
 
 # ---------------------------------------------------------------------------
