@@ -19,6 +19,11 @@ Each verb accepts only the options it reads: ``--tolerance`` is
 (``moments``, ``criteria``, ``qfunc``, ``simulate``) and defaults to
 :data:`~nclmoments.serialize.DEFAULT_DIM` (64).  ``--phi``, ``--tolerance``
 and ``--lambda-range`` must be finite, ``--samples`` finite and at least 1.
+A grid verb computes at most :data:`MAX_GRID_POINTS` points: ``sweep``'s
+lambda values per ``m`` and ``qfunc``'s ``--grid-n`` squared; ``qfunc`` also
+holds at most ``MAX_GRID_POINTS * DEFAULT_DIM`` coherent-state overlaps,
+``--grid-n`` squared times the state's ``dim``.  A larger grid exits 2
+before it is allocated.
 Record files are :func:`~nclmoments.serialize.records_to_json` documents.
 
 :func:`main` builds the argument parser on its first call and reuses it for
@@ -85,6 +90,13 @@ _DEFAULT_OUT = {
 
 
 _STATE_VERBS = ("moments", "criteria", "qfunc", "simulate")
+
+# The most points a grid verb computes: lambda values per m for ``sweep``,
+# ``--grid-n`` squared for ``qfunc``.  Checked from the parsed arguments
+# before anything is allocated.  ``qfunc`` also holds ``--grid-n`` squared
+# times dim coherent-state overlaps, at most ``MAX_GRID_POINTS * DEFAULT_DIM``
+# (2^24 complex values, 268 MB): a grid at the cap at the default dim 64.
+MAX_GRID_POINTS = 2**18
 
 
 def _parse_complex_pair(text: str, context: str) -> complex:
@@ -213,8 +225,21 @@ def config_from_args(args: argparse.Namespace) -> argparse.Namespace:
     args.lo_alpha = _parse_complex_pair(args.lo_alpha, "--lo-alpha")
     args.m_list = _parse_int_list(args.m_list, "--m-list")
     args.lambda_range = _parse_range(args.lambda_range, "--lambda-range")
+    start, stop, step = args.lambda_range
+    steps = (stop - start) / step
+    if not math.isfinite(steps) or round(steps) + 1 > MAX_GRID_POINTS:
+        raise ValidationError(
+            f"--lambda-range asks for {steps + 1:.6g} values of lambda, "
+            f"above the cap of {MAX_GRID_POINTS}"
+        )
+    args.lambda_count = round(steps) + 1
     if args.grid_n < 1:
         raise ValidationError("--grid-n must be at least 1")
+    if args.grid_n**2 > MAX_GRID_POINTS:
+        raise ValidationError(
+            f"--grid-n {args.grid_n} asks for {args.grid_n}^2 grid points, "
+            f"above the cap of {MAX_GRID_POINTS}"
+        )
     if not (math.isfinite(args.grid_bound) and args.grid_bound > 0):
         raise ValidationError("--grid-bound must be finite and positive")
     return args
@@ -263,8 +288,11 @@ def verb_criteria(args: argparse.Namespace) -> int:
 
 def verb_sweep(args: argparse.Namespace) -> int:
     start, stop, step = args.lambda_range
-    count = int(round((stop - start) / step)) + 1
-    lambdas = [start + i * step for i in range(count) if start + i * step <= stop + 1e-12]
+    lambdas = [
+        start + i * step
+        for i in range(args.lambda_count)
+        if start + i * step <= stop + 1e-12
+    ]
     if any(lam <= 0 or abs(lam - 1.0) < 1e-12 for lam in lambdas):
         raise ValidationError("lambda grid must avoid 0 and the classical point 1")
     rows = []
@@ -282,6 +310,13 @@ def verb_qfunc(args: argparse.Namespace) -> int:
     from .states import q_function
 
     state = parse_state_argument(args.state, args.dim)
+    overlaps = args.grid_n**2 * state.dim
+    if overlaps > MAX_GRID_POINTS * DEFAULT_DIM:
+        raise ValidationError(
+            f"--grid-n {args.grid_n} at dim {state.dim} asks for {overlaps} "
+            f"coherent-state overlaps, above the cap of "
+            f"{MAX_GRID_POINTS * DEFAULT_DIM}"
+        )
     axis = np.linspace(-args.grid_bound, args.grid_bound, args.grid_n)
     grid = axis[:, None] + 1j * axis[None, :]
     values = q_function(state, grid)

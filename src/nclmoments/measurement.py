@@ -147,15 +147,13 @@ class FourierRecord:
                 f"cannot correlate {self.n_max} detectors with a depth-"
                 f"{self.depth} tree ({2 ** self.depth} detectors)"
             )
-        expected = {
-            (n, j) for n in range(1, self.n_max + 1) for j in range(2 * n + 2)
-        }
-        if set(self.samples) != expected:
+        keys = [(n, j) for n in range(1, self.n_max + 1) for j in range(2 * n + 2)]
+        if set(self.samples) != set(keys):
             raise ValidationError("phase samples are incomplete for n_max")
-        samples = {key: float(self.samples[key]) for key in sorted(self.samples)}
-        if not all(map(math.isfinite, samples.values())):
+        values = np.array([self.samples[key] for key in keys], dtype=float)
+        if not np.isfinite(values).all():
             raise ValidationError("phase samples must be finite")
-        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "samples", dict(zip(keys, values.tolist())))
 
 
 def scheme_a_phases(n: int) -> np.ndarray:
@@ -175,10 +173,10 @@ def _coincidences(table: MomentTable, rows: Array, context: str) -> Array:
 
     Each row holds the coefficients of ``Q = sum_k c_k a^k``, a product of
     detector modes, and ``T[k, l] = <a^dag^k a^l>``.  Every value passes the
-    imaginary-residue check of :func:`as_real` under ``context``.
+    imaginary-residue check of :func:`as_real` under ``context``, in one
+    pass over the whole stack.
     """
-    values = _quadratic_forms(np.atleast_2d(rows), table.values)
-    return np.array([as_real(complex(v), context) for v in values])
+    return as_real(_quadratic_forms(np.atleast_2d(rows), table.values), context)
 
 
 def _check_oscillator(amp: float, action: str) -> None:
@@ -267,7 +265,7 @@ def scheme_a_sample_and_fourier(
     samples: dict[tuple[int, int], float] = {}
     for n in range(1, n_max + 1):
         scan = _scheme_a_scan(table, n, scheme_a_phases(n), lo, depth)
-        samples.update({(n, j): float(value) for j, value in enumerate(scan)})
+        samples.update(zip([(n, j) for j in range(len(scan))], scan.tolist()))
     return FourierRecord(depth=depth, lo=lo, n_max=n_max, samples=samples)
 
 
@@ -301,8 +299,9 @@ def scheme_a_invert(record: FourierRecord) -> MomentTable:
         mags = np.abs(_tree_rows(n, lo, record.depth, [0.0])[0])
         weights = math.comb(2**record.depth, n) * np.outer(mags, mags)
         for m in range(n, -1, -1):
-            ks = np.arange(m, n)
-            acc = harmonics[m] - np.dot(weights[ks, ks - m], vals[ks, ks - m])
+            # the known moments (k, k - m), k < n: a copy of the m-th subdiagonal
+            known = vals.diagonal(-m)[: n - m].copy()
+            acc = harmonics[m] - np.dot(weights.diagonal(-m)[: n - m].copy(), known)
             vals[n, n - m] = acc / weights[n, n - m]
             vals[n - m, n] = np.conj(vals[n, n - m])
     return MomentTable(vals, validate=False)
@@ -470,8 +469,13 @@ def add_shot_noise(record, samples: float, seed: int = 0):
 
 
 def _perturbed(values: Mapping, rng: np.random.Generator, scale: float) -> dict:
-    """``v + g max(|v|, floor) scale`` per value, drawn in sorted key order."""
-    return {
-        key: v + rng.standard_normal() * max(abs(v), _NOISE_FLOOR) * scale
-        for key, v in sorted(values.items())
-    }
+    """``v + g max(|v|, floor) scale`` per value, drawn in sorted key order.
+
+    One ``standard_normal(count)`` call draws the same numbers as ``count``
+    single draws, so the noise is that of a per-value loop.
+    """
+    keys = sorted(values)
+    v = np.array([values[key] for key in keys])
+    g = rng.standard_normal(len(keys))
+    noisy = v + g * np.maximum(np.abs(v), _NOISE_FLOOR) * scale
+    return dict(zip(keys, noisy.tolist()))

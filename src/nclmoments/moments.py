@@ -234,20 +234,39 @@ def resolve_table(source: MomentSource, needed_order: int) -> MomentTable:
     )
 
 
-def as_real(value: complex, context: str) -> float:
-    """Collapse a nominally real expectation to float.
+def _residue_exceeds(residue, magnitude, floor=max):
+    """The imaginary-residue rule: ``residue > 1e-8 max(1, |v|)``.
 
-    Raises :class:`NumericConsistencyError` when the imaginary residue
-    exceeds ``1e-8`` relative to the value's magnitude (with an absolute
-    floor of 1 so that tiny values near zero are not penalized).
+    ``floor`` is ``max`` on floats and ``np.fmax`` on arrays, which like
+    ``max(1.0, nan)`` gives 1 for a NaN magnitude.
     """
-    residue = abs(value.imag)
-    if residue > _IMAG_TOL * max(1.0, abs(value)):
+    return residue > _IMAG_TOL * floor(1.0, magnitude)
+
+
+def as_real(value: Union[complex, Array], context: str) -> Union[float, Array]:
+    """Collapse a nominally real expectation, or an array of them, to float.
+
+    Raises :class:`NumericConsistencyError` when an imaginary residue
+    exceeds ``1e-8`` relative to its value's magnitude (with an absolute
+    floor of 1 so that tiny values near zero are not penalized), naming the
+    first such value.  A scalar comes back as a ``float``; an array is
+    checked in one pass and comes back as its real part.
+    """
+    if isinstance(value, np.ndarray):
+        # np.hypot, unlike np.abs, is bit-equal to abs() of a Python complex
+        magnitude = np.hypot(value.real, value.imag)
+        bad = _residue_exceeds(np.abs(value.imag), magnitude, np.fmax)
+        first = complex(value.flat[bad.argmax()]) if bad.any() else None
+        result = value.real
+    else:
+        first = value if _residue_exceeds(abs(value.imag), abs(value)) else None
+        result = float(value.real)
+    if first is not None:
         raise NumericConsistencyError(
-            f"{context} should be real but has imaginary part {value.imag:.3e} "
-            f"(value {value!r})"
+            f"{context} should be real but has imaginary part {first.imag:.3e} "
+            f"(value {first!r})"
         )
-    return float(value.real)
+    return result
 
 
 def _offset_diagonals(state: State, count: int) -> tuple[Array, Array]:

@@ -1,7 +1,7 @@
 """Flat-file exchange formats: state specs, tables, reports, records.
 
-All JSON documents are emitted with sorted keys and two-space indentation,
-so rerunning a deterministic computation produces byte-identical files.
+All JSON documents are emitted on one compact line with sorted keys, so
+rerunning a deterministic computation produces byte-identical files.
 Complex numbers are serialized as two-element ``[re, im]`` arrays.  CSV
 files use a comma separator, ``.`` decimal point, a header row and 17
 significant digits (enough for a lossless float round trip).
@@ -24,7 +24,7 @@ from .measurement import (
     LOConfig,
     scheme_a_phases,
 )
-from .moments import MomentTable
+from .moments import MomentTable, resolve_table
 from .states import (
     State,
     make_coherent,
@@ -133,21 +133,29 @@ def parse_state_argument(arg: str, default_dim: int = DEFAULT_DIM) -> State:
 
 
 def table_to_json(table: MomentTable) -> dict[str, Any]:
-    entries = []
-    for k in range(table.max_order + 1):
-        for l in range(k + 1):
-            value = table.entry(k, l)
-            entries.append({"k": k, "l": l, "re": value.real, "im": value.imag})
+    """The lower wedge ``k >= l`` of one table, row by row."""
+    values = resolve_table(table, table.max_order).values
+    ks, ls = np.tril_indices(table.max_order + 1)
+    wedge = values[ks, ls]
+    entries = [
+        {"k": k, "l": l, "re": re, "im": im}
+        for k, l, re, im in zip(
+            ks.tolist(), ls.tolist(), wedge.real.tolist(), wedge.imag.tolist()
+        )
+    ]
     return {"max_order": table.max_order, "entries": entries}
 
 
 def table_from_json(doc: Mapping[str, Any]) -> MomentTable:
+    """The table of a :func:`table_to_json` document.
+
+    The entries are checked and counted before the table is allocated.
+    """
     try:
         max_order = _integer(doc["max_order"], "moment-table max_order")
         if max_order < 0:
             raise ValidationError("moment-table max_order must be nonnegative")
-        vals = np.zeros((max_order + 1, max_order + 1), dtype=complex)
-        seen = set()
+        entries = {}
         for item in doc["entries"]:
             k = _integer(item["k"], "table entry k")
             l = _integer(item["l"], "table entry l")
@@ -155,18 +163,20 @@ def table_from_json(doc: Mapping[str, Any]) -> MomentTable:
                 raise ValidationError(
                     f"table entry ({k}, {l}) is outside 0 <= l <= k <= max_order"
                 )
-            if (k, l) in seen:
+            if (k, l) in entries:
                 raise ValidationError(f"duplicate table entry ({k}, {l})")
-            seen.add((k, l))
-            vals[k, l] = complex(
+            entries[k, l] = complex(
                 _number(item["re"], f"table entry ({k}, {l}) re"),
                 _number(item["im"], f"table entry ({k}, {l}) im"),
             )
-            vals[l, k] = np.conj(vals[k, l])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed moment-table document: {exc!r}") from exc
-    if len(seen) != (max_order + 1) * (max_order + 2) // 2:
+    if len(entries) != (max_order + 1) * (max_order + 2) // 2:
         raise ValidationError("table document is missing entries")
+    vals = np.zeros((max_order + 1, max_order + 1), dtype=complex)
+    for (k, l), value in entries.items():
+        vals[k, l] = value
+        vals[l, k] = np.conj(value)
     return MomentTable(vals, validate=False)
 
 
@@ -243,16 +253,10 @@ def detection_record_from_json(doc: Mapping[str, Any]) -> DetectionRecord:
 def fourier_record_to_json(record: FourierRecord) -> dict[str, Any]:
     samples = []
     for n in range(1, record.n_max + 1):
-        phases = scheme_a_phases(n)
-        for j in range(2 * n + 2):
-            samples.append(
-                {
-                    "n": n,
-                    "j": j,
-                    "phi": float(phases[j]),
-                    "value": record.samples[(n, j)],
-                }
-            )
+        samples += [
+            {"n": n, "j": j, "phi": phi, "value": record.samples[(n, j)]}
+            for j, phi in enumerate(scheme_a_phases(n).tolist())
+        ]
     return {
         "scheme": "a",
         "depth": record.depth,
@@ -321,8 +325,12 @@ def records_from_json(doc: Any) -> list[Record]:
 
 
 def write_json(path: Union[str, Path], doc: Any) -> None:
-    """Write a JSON document deterministically (sorted keys, stable layout)."""
-    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    """Write a JSON document deterministically: one compact line, sorted keys.
+
+    Without ``indent``, ``json`` runs its C encoder.  Non-finite floats are
+    refused.
+    """
+    text = json.dumps(doc, separators=(",", ":"), sort_keys=True, allow_nan=False)
     Path(path).write_text(text + "\n")
 
 

@@ -18,6 +18,7 @@ from nclmoments import (
     LOConfig,
     MomentTable,
     NumericConsistencyError,
+    ValidationError,
     add_shot_noise,
     asq_min_max,
     ass_moment_table,
@@ -368,6 +369,75 @@ def test_qfunc_refuses_bad_grid_before_any_work(option, value, tmp_path, capsys)
     assert capsys.readouterr().err.startswith(f"error: {option} must")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--lambda-range", "1.1,1.5,1e-300"],
+     "--lambda-range asks for 4e+299 values of lambda"),
+    (["sweep", "--lambda-range", "1.1,1.5,5e-324"],
+     "--lambda-range asks for inf values of lambda"),
+    (["sweep", "--lambda-range", "0,262144,1"],
+     "--lambda-range asks for 262145 values of lambda"),
+    (["qfunc", "--state", THERMAL, "--grid-n", "40000"],
+     "--grid-n 40000 asks for 40000^2 grid points"),
+    (["qfunc", "--state", THERMAL, "--grid-n", "513"],
+     "--grid-n 513 asks for 513^2 grid points"),
+], ids=["tiny-step", "subnormal-step", "cap-and-one", "grid-40000", "grid-513"])
+def test_grid_verbs_refuse_grids_above_the_cap(argv, message):
+    """The grid size is checked from the arguments, before any allocation."""
+    args = build_parser().parse_args(argv)
+    with pytest.raises(ValidationError) as info:
+        config_from_args(args)
+    assert str(info.value) == f"{message}, above the cap of {cli.MAX_GRID_POINTS}"
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--lambda-range", "0,262143,1"],
+    # (stop - start) / step is 262143.0000000001: still 262144 lambdas
+    ["sweep", "--lambda-range", "0.286,0.548143,1e-6"],
+    ["qfunc", "--state", THERMAL, "--grid-n", "512"],
+])
+def test_grid_verbs_take_grids_at_the_cap(argv):
+    assert cli.MAX_GRID_POINTS == 512**2
+    args = config_from_args(build_parser().parse_args(argv))
+    if args.verb == "sweep":
+        assert args.lambda_count == cli.MAX_GRID_POINTS
+
+
+def test_sweep_builds_the_lambda_count_it_checked(tmp_path, monkeypatch):
+    """``verb_sweep`` builds the grid that ``config_from_args`` counted."""
+    seen = []
+
+    def tables(m, lams):
+        seen.append(list(lams))
+        raise ValidationError("stop")
+
+    monkeypatch.setattr(cli, "ass_moment_tables", tables)
+    argv = ["sweep", "--m-list", "2", "--lambda-range", "1.1,1.5,0.1",
+            "--out", str(tmp_path / "s.csv")]
+    assert main(argv) == 2
+    assert len(seen[0]) == config_from_args(build_parser().parse_args(argv)).lambda_count
+    assert seen[0] == [1.1 + i * 0.1 for i in range(5)]
+
+
+@pytest.mark.parametrize("state, grid_n", [
+    (THERMAL, "512"),
+    ('{"type": "fock", "n": 1, "dim": 4096}', "100"),
+], ids=["dim-option", "spec-dim"])
+def test_qfunc_refuses_overlaps_above_the_cap(state, grid_n, tmp_path, capsys):
+    """``--grid-n`` squared times the state's dim is checked before the grid."""
+    out = tmp_path / "q.csv"
+    argv = ["qfunc", "--state", state, "--grid-n", grid_n, "--out", str(out)]
+    if state == THERMAL:
+        argv += ["--dim", "65"]
+    assert main(argv) == 2
+    dim = 65 if state == THERMAL else 4096
+    overlaps = int(grid_n) ** 2 * dim
+    assert capsys.readouterr().err == (
+        f"error: --grid-n {grid_n} at dim {dim} asks for {overlaps} coherent-state "
+        f"overlaps, above the cap of {cli.MAX_GRID_POINTS * cli.DEFAULT_DIM}\n"
+    )
+    assert not out.exists()
+
+
 def test_simulate_then_invert_scheme_a(tmp_path, capsys):
     record = tmp_path / "rec.json"
     rc = main([
@@ -566,12 +636,29 @@ def _set_count_string(doc):
     doc["record"]["gammas"][0]["value"] = "0.5"
 
 
-@pytest.mark.parametrize("corrupt", [_set_alpha_true, _set_count_string])
-def test_invert_rejects_json_non_numbers(tmp_path, capsys, corrupt):
+def _set_sample_true(doc):
+    doc["samples"][3]["value"] = True
+
+
+def _set_sample_string(doc):
+    doc["samples"][3]["value"] = "1"
+
+
+NON_NUMBERS = [
+    ("b", _set_alpha_true), ("b", _set_count_string),
+    ("a", _set_sample_true), ("a", _set_sample_string),
+]
+
+
+@pytest.mark.parametrize(
+    "scheme, corrupt", NON_NUMBERS, ids=[c.__name__ for _, c in NON_NUMBERS]
+)
+def test_invert_rejects_json_non_numbers(tmp_path, capsys, scheme, corrupt):
     """JSON ``true`` and numeric strings are not numbers."""
     record = tmp_path / "rec.json"
     assert main([
-        "simulate", "--state", THERMAL, "--scheme", "b", "--out", str(record),
+        "simulate", "--state", THERMAL, "--scheme", scheme, "--nmax", "2",
+        "--out", str(record),
     ]) == 0
     doc = read_json(record)
     corrupt(doc)
@@ -580,6 +667,35 @@ def test_invert_rejects_json_non_numbers(tmp_path, capsys, corrupt):
     rc = main(["invert", "--record", str(record), "--out", str(tmp_path / "i.json")])
     assert rc == 2
     assert "must be a number" in capsys.readouterr().err
+
+
+def _repeat_sample(doc):
+    doc["samples"][1] = dict(doc["samples"][0])
+
+
+def _drop_sample(doc):
+    del doc["samples"][-1]
+
+
+def _add_sample(doc):
+    doc["samples"].append(dict(doc["samples"][0], j=99))
+
+
+@pytest.mark.parametrize("corrupt", [_repeat_sample, _drop_sample, _add_sample])
+def test_invert_rejects_incomplete_phase_scans(tmp_path, capsys, corrupt):
+    """A scan needs each ``(n, j)`` of its orders once."""
+    record = tmp_path / "rec.json"
+    assert main([
+        "simulate", "--state", THERMAL, "--scheme", "a", "--nmax", "2",
+        "--out", str(record),
+    ]) == 0
+    doc = read_json(record)
+    corrupt(doc)
+    record.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = main(["invert", "--record", str(record), "--out", str(tmp_path / "i.json")])
+    assert rc == 2
+    assert "phase samples are incomplete for n_max" in capsys.readouterr().err
 
 
 STATE_VERBS = ("moments", "criteria", "qfunc", "simulate")

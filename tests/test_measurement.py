@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import types
 import warnings
 
 import numpy as np
@@ -22,6 +23,7 @@ from nclmoments import (
     FourierRecord,
     LOConfig,
     MomentTable,
+    NumericConsistencyError,
     SingularInversionError,
     ValidationError,
     WeakOscillatorWarning,
@@ -41,7 +43,9 @@ from nclmoments import (
     scheme_c_forward,
 )
 from nclmoments.cli import main
+from nclmoments import measurement
 from nclmoments.measurement import GAMMA_KEYS
+from nclmoments.moments import as_real
 from nclmoments.operators import destroy
 from nclmoments.serialize import (
     fourier_record_from_json,
@@ -604,6 +608,39 @@ def test_add_shot_noise_relative_scale():
         ]
         assert max(rels) < 5.0 / math.sqrt(samples)
         assert max(rels) > 0.01 / math.sqrt(samples)
+
+
+@pytest.mark.parametrize("scan", [False, True])
+def test_add_shot_noise_equals_the_per_value_loop(scan):
+    """One vector draw is the noise of one scalar draw per value, in key order."""
+    state = random_pure_state(16, 10)
+    record = (scheme_a_sample_and_fourier(state, 3, LOConfig(3.0), 2) if scan
+              else scheme_b_forward(state, LOConfig(alpha=1.5)))
+    values = record.samples if scan else record.gammas
+    rng = np.random.default_rng(11)
+    want = {
+        key: v + rng.standard_normal() * max(abs(v), 1e-6) / math.sqrt(1e4)
+        for key, v in sorted(values.items())
+    }
+    noisy = add_shot_noise(record, 1e4, seed=11)
+    assert (noisy.samples if scan else noisy.gammas) == want
+
+
+def test_coincidence_stack_reports_its_first_residue():
+    """A row stack is checked in one pass, and its first value with an
+    imaginary residue raises what :func:`as_real` raises on that value."""
+    skew = types.SimpleNamespace(values=np.array([[1.0, 1e-3], [0.0, 1.0]]))
+    rows = np.array([[1.0, 0.0], [1.0, 1.0j], [1.0, 2.0j]])
+    values = measurement._quadratic_forms(rows, skew.values)
+    assert values[0].imag == 0 and 0 < values[1].imag < values[2].imag
+    with pytest.raises(NumericConsistencyError) as scalar:
+        as_real(complex(values[1]), "count")
+    with pytest.raises(NumericConsistencyError) as stack:
+        measurement._coincidences(skew, rows, "count")
+    assert str(stack.value) == str(scalar.value)
+    assert np.array_equal(
+        measurement._coincidences(skew, rows[:1], "count"), [1.0]
+    )
 
 
 def test_add_shot_noise_fourier_recomputes_coefficients():

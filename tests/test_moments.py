@@ -332,6 +332,29 @@ def test_as_real_rejects_complex_residue():
     assert as_real(2.0 + 1e-12j, "unit test") == 2.0
 
 
+def _as_real_outcome(value):
+    try:
+        return repr(np.atleast_1d(as_real(value, "unit test")).tolist())
+    except NumericConsistencyError as exc:
+        return str(exc)
+
+
+def test_as_real_on_an_array_is_the_scalar_rule_per_value():
+    """Each value of an array passes or fails as it does alone, on both sides
+    of the ``1e-8 max(1, |v|)`` bound, and the first failure is reported."""
+    rng = np.random.default_rng(3)
+    reals = np.append(10.0 ** rng.uniform(-12, 12, 400), [0.0, 1.0, math.inf])
+    bounds = 1e-8 * np.maximum(1.0, np.abs(reals))
+    for factor in (1 - 1e-15, 1.0, 1 + 1e-15, 1 - 1e-7, 1 + 1e-7):
+        values = np.append(reals.astype(complex), complex(math.nan, 1.0))
+        values.imag[:-1] = bounds * factor
+        scalars = [_as_real_outcome(complex(v)) for v in values]
+        assert [_as_real_outcome(values[i:i + 1]) for i in range(len(values))] == scalars
+        failures = [s for s in scalars if not s.startswith("[")]
+        whole = _as_real_outcome(values)
+        assert whole == (failures[0] if failures else repr(values.real.tolist()))
+
+
 def test_resolve_table_passthrough_and_growth():
     state = random_pure_state(24, 5)
     table = resolve_table(state, 3)

@@ -33,6 +33,7 @@ from nclmoments.serialize import (
     parse_state_argument,
     read_json,
     records_from_json,
+    records_to_json,
     report_to_json,
     state_from_spec,
     table_from_json,
@@ -106,6 +107,9 @@ def test_table_from_json_rejects_incomplete():
     doc["entries"] = doc["entries"][:-1]
     with pytest.raises(ValidationError):
         table_from_json(doc)
+    # the entries are counted before the (10^6 + 1)^2 table is allocated
+    with pytest.raises(ValidationError, match="missing entries"):
+        table_from_json({"max_order": 10**6, "entries": doc["entries"]})
 
 
 def test_table_from_json_rejects_entry_without_value():
@@ -223,6 +227,22 @@ def test_write_json_deterministic(tmp_path):
     assert read_json(path) == {"b": 1, "a": [1.0, 2.0]}
     with pytest.raises(ValueError):
         write_json(path, {"x": float("nan")})
+
+
+def test_write_json_is_one_compact_line_of_sorted_keys(tmp_path):
+    """The compact layout parses to what the indented one did."""
+    scan = scheme_a_sample_and_fourier(random_pure_state(16, 13), 2, LOConfig(3.0), 1)
+    table = moment_table(random_pure_state(16, 13), 2)
+    for doc in (records_to_json([scan]), table_to_json(table), [{"b": -0.0, "a": 1}]):
+        path = tmp_path / "doc.json"
+        write_json(path, doc)
+        text = path.read_text()
+        assert text.endswith("\n") and text.count("\n") == 1
+        orders = []
+        json.loads(text, object_pairs_hook=lambda pairs: orders.append(
+            [key for key, _ in pairs]) or dict(pairs))
+        assert orders and all(keys == sorted(keys) for keys in orders)
+        assert json.loads(text) == json.loads(json.dumps(doc, indent=2, sort_keys=True))
 
 
 CSV_EDGE_VALUES = (
