@@ -17,7 +17,9 @@ One verb produces one artifact; verbs compose through files:
 Each verb accepts only the options it reads: ``--tolerance`` is
 ``criteria``'s, and ``--dim`` is taken by the verbs that build a state
 (``moments``, ``criteria``, ``qfunc``, ``simulate``) and defaults to
-:data:`~nclmoments.serialize.DEFAULT_DIM` (64).  ``--phi``, ``--tolerance``
+:data:`~nclmoments.serialize.DEFAULT_DIM` (64).  A state's ``dim``, from its
+spec or ``--dim``, is at most :data:`~nclmoments.serialize.MAX_DIM` (4096);
+a larger one exits 2 before the state is built.  ``--phi``, ``--tolerance``
 and ``--lambda-range`` must be finite, ``--samples`` finite and at least 1.
 A grid verb computes at most :data:`MAX_GRID_POINTS` points: ``sweep``'s
 lambda values per ``m`` and ``qfunc``'s ``--grid-n`` squared; ``qfunc`` also

@@ -47,9 +47,9 @@ and :func:`asq_min_max` are views of it.  A report holds its hierarchy alone.
 
 One scorer forms every Bochner determinant ``det [Phi(beta_i - beta_j)]``
 for a stack of point rows, decides which rows have coinciding points, and
-reads ``Phi`` through a cache, once per pair ``±beta``.  :func:`bochner_det`
-calls it with a fresh kernel and cache on every call; the lattice scan and
-the refinement walk of :func:`bochner_search` share one kernel and cache.
+computes ``Phi`` once per pair ``±beta`` of the call.  :func:`bochner_det`
+calls it with a fresh kernel on every call; the lattice scan and the
+refinement walk of :func:`bochner_search` share one kernel.
 
 Angles and tolerances must be finite, and orders, minor indices, basis
 sizes and monomial exponents integers; anything else raises
@@ -548,21 +548,17 @@ def determinant_hierarchy(
 # -- Bochner determinants --------------------------------------------------
 
 
-def _bochner_dets(
-    kernel: _CharKernel,
-    points: Array,
-    cache: dict[complex, complex],
-) -> tuple[Array, Array]:
-    """``close`` and the ``det [Phi(beta_i - beta_j)]`` of point rows ``(n, k)``.
+def _bochner_dets(kernel: _CharKernel, points: Array) -> tuple[Array, Array, int]:
+    """``close``, the ``det [Phi(beta_i - beta_j)]`` of point rows ``(n, k)``
+    and the number of distinct ``Phi`` arguments computed.
 
     ``close[r, p]`` marks the ``p``-th pair of ``np.triu_indices(k, 1)`` of
     row ``r`` when its points lie within ``_MIN_SEPARATION``; such rows are
     not scored, and ``dets`` holds one determinant per other row, in order.
     ``Phi(-beta) = conj(Phi(beta))``, so each pair ``{beta, -beta}`` is read
-    at the member with the larger ``(real, imag)``, the same bits whatever
-    the order of the calls: ``cache`` maps those members to ``Phi``, the
-    missing ones come from one ``kernel`` call, and ``len(cache)`` counts
-    the distinct arguments computed.
+    at the member with the larger ``(real, imag)``: one ``kernel`` call
+    computes those members (none when no row is scored), and their mirrors
+    are conjugates.
     """
     k = points.shape[1]
     # the pairs of ``np.triu_indices(k, 1)``, in its order, at a fifth of its cost
@@ -573,16 +569,14 @@ def _bochner_dets(
     args = diffs[~close.any(axis=1)]
     flip = (args.real < 0) | ((args.real == 0) & (args.imag < 0))
     distinct, inverse = np.unique(np.where(flip, -args, args), return_inverse=True)
-    missing = [b for b in map(complex, distinct) if b not in cache]
-    if missing:
-        cache.update(zip(missing, kernel(missing)))
-    values = np.array([cache[b] for b in map(complex, distinct)])[inverse]
-    values = np.where(flip, values.conj(), values.reshape(args.shape))
+    phi = kernel(distinct) if distinct.size else distinct
+    values = phi[inverse].reshape(args.shape)
+    values = np.where(flip, values.conj(), values)
     mats = np.zeros((len(args), k, k), dtype=complex)
     mats[:, upper, lower] = values
     mats[:, lower, upper] = values.conj()
     mats[:, range(k), range(k)] = 1.0
-    return close, np.linalg.det(mats)
+    return close, np.linalg.det(mats), len(distinct)
 
 
 def bochner_det(state: State, betas: Sequence[complex]) -> float:
@@ -600,7 +594,7 @@ def bochner_det(state: State, betas: Sequence[complex]) -> float:
         raise ValidationError("need at least one point")
     if not all(cmath.isfinite(b) for b in pts):
         raise ValidationError(f"displacement points must be finite, got {pts!r}")
-    close, dets = _bochner_dets(_CharKernel(state), np.array([pts]), {})
+    close, dets, _ = _bochner_dets(_CharKernel(state), np.array([pts]))
     if close.any():
         i, j = (int(n[close.argmax()]) for n in np.triu_indices(len(pts), 1))
         raise DuplicatePointError(f"points {i} and {j} coincide at {pts[i]!r}")
@@ -612,9 +606,9 @@ class BochnerResult:
     """Most negative Bochner determinant found and the points achieving it.
 
     ``value`` is ``bochner_det(state, points)``; ``evaluations`` is the
-    number of distinct ``Phi`` arguments computed during the search,
-    including those of walk proposals scored in a block after the one it
-    accepted (each pair ``±beta`` counts once).
+    number of ``Phi`` arguments computed during the search, summed over the
+    scorer's calls: each pair ``±beta`` counts once per call, and the walk
+    proposals scored in a block after the one it accepted count too.
     """
 
     value: float
@@ -629,8 +623,7 @@ def _refine(
     radius: float,
     seed: int,
     refine_iters: int,
-    cache: dict[complex, complex],
-) -> tuple[float, list[complex]]:
+) -> tuple[float, list[complex], int]:
     """Greedy Gaussian walk from the lattice minimum ``best_points``, in blocks.
 
     ``best_value`` is the determinant at ``best_points``.  Step ``it`` moves
@@ -641,7 +634,7 @@ def _refine(
     :func:`_bochner_dets` call; the first that improves is accepted and the
     walk resumes at the step after it.  This accepts exactly what a walk
     scored one step at a time accepts; the proposals scored behind an
-    accepted one only add to ``cache``.
+    accepted one only add to the returned count of ``Phi`` arguments.
     """
     k = len(best_points)
     rng = np.random.default_rng(seed + 1)
@@ -649,7 +642,7 @@ def _refine(
     noise = rng.standard_normal((refine_iters, k - 1, 2)).view(complex)[..., 0]
     # Python's float power: ``0.97 ** np.arange(...)`` differs in the last ulp
     scales = np.array([0.25 * radius * 0.97**it for it in range(refine_iters)])
-    start = 0
+    start = evaluations = 0
     while start < refine_iters:
         stop = min(start + _WALK_BLOCK, refine_iters)
         proposals = np.zeros((stop - start, k), dtype=complex)
@@ -657,7 +650,8 @@ def _refine(
             np.array(best_points[1:]) + scales[start:stop, None] * noise[start:stop]
         )
         inside = np.flatnonzero((np.abs(proposals) <= radius).all(axis=1))
-        close, dets = _bochner_dets(kernel, proposals[inside], cache)
+        close, dets, computed = _bochner_dets(kernel, proposals[inside])
+        evaluations += computed
         for step, det in zip(inside[~close.any(axis=1)], dets):
             value = as_real(complex(det), "Bochner determinant")
             if value < best_value:
@@ -666,7 +660,7 @@ def _refine(
                 stop = start + int(step) + 1
                 break
         start = stop
-    return best_value, best_points
+    return best_value, best_points, evaluations
 
 
 def bochner_search(
@@ -687,11 +681,11 @@ def bochner_search(
     follows, skipping moves that leave the disc; it accepts exactly what the
     walk scored one step at a time accepts.  The tuples, then each block of
     walk proposals, are scored in one call of the scorer that
-    :func:`bochner_det` uses, on one kernel of the state and one ``Phi``
-    cache for this search alone; tuples with coinciding points are skipped,
-    and a lattice of nothing else is refused.  ``radius`` is a
-    finite positive real; ``k``, ``grid_n``, ``seed`` and ``refine_iters``
-    are integers (``k >= 2``, ``grid_n >= 2``, the others ``>= 0``).
+    :func:`bochner_det` uses, on one kernel of the state; tuples with
+    coinciding points are skipped, and a lattice of nothing else is refused.
+    ``radius`` is a finite positive real; ``k``, ``grid_n``, ``seed`` and
+    ``refine_iters`` are integers (``k >= 2``, ``grid_n >= 2``, the others
+    ``>= 0``).
     """
     _check_count(k, "k")
     _check_count(grid_n, "grid_n")
@@ -703,7 +697,6 @@ def bochner_search(
     _check_count(seed, "seed")
     _check_count(refine_iters, "refine_iters")
     kernel = _CharKernel(state)
-    cache: dict[complex, complex] = {}
     axis = np.linspace(-radius, radius, grid_n)
     lattice = [0.0 + 0.0j] + [
         complex(re, im)
@@ -729,17 +722,17 @@ def bochner_search(
         ) + 1
     tuples = np.column_stack([np.zeros(len(tuples), dtype=int), tuples])
     points = np.array(lattice)[tuples]
-    close, dets = _bochner_dets(kernel, points, cache)
+    close, dets, scanned = _bochner_dets(kernel, points)
     if not dets.size:
         raise DuplicatePointError(f"every lattice tuple at radius {radius!r} coincides")
     best = int(np.argmin(dets.real))
     best_points = [complex(b) for b in points[~close.any(axis=1)][best]]
     best_value = as_real(complex(dets[best]), "Bochner determinant")
-    best_value, best_points = _refine(
-        kernel, best_value, best_points, radius, seed, refine_iters, cache
+    best_value, best_points, walked = _refine(
+        kernel, best_value, best_points, radius, seed, refine_iters
     )
     return BochnerResult(
         value=best_value,
         points=tuple(best_points),
-        evaluations=len(cache),
+        evaluations=scanned + walked,
     )

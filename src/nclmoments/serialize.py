@@ -37,6 +37,8 @@ from .states import (
 STATE_TYPES = ("fock", "coherent", "thermal", "squeezed_vacuum", "ass")
 # Fock truncation of a state spec that gives no "dim".
 DEFAULT_DIM = 64
+# Largest Fock truncation of a state spec: a density matrix of 2^24 entries.
+MAX_DIM = 2**12
 
 
 def complex_to_json(z: complex) -> list[float]:
@@ -50,10 +52,14 @@ def _is_number(value: Any) -> bool:
 
 
 def _number(value: Any, context: str) -> float:
-    """A decoded JSON number as a float; booleans and strings are refused."""
+    """A decoded JSON number as a float; booleans, strings and integers
+    beyond the float range are refused."""
     if not _is_number(value):
         raise ValidationError(f"{context} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError(f"{context} is too large for a float") from None
 
 
 def _integer(value: Any, context: str) -> int:
@@ -67,14 +73,19 @@ def _integer(value: Any, context: str) -> int:
 
 def complex_from_json(value: Any, context: str) -> complex:
     if _is_number(value):
-        return complex(value)
-    if (
+        parts = [value]
+    elif (
         isinstance(value, (list, tuple))
         and len(value) == 2
         and all(_is_number(v) for v in value)
     ):
-        return complex(value[0], value[1])
-    raise ValidationError(f"{context} must be a number or an [re, im] pair")
+        parts = value
+    else:
+        raise ValidationError(f"{context} must be a number or an [re, im] pair")
+    try:
+        return complex(*parts)
+    except OverflowError:
+        raise ValidationError(f"{context} is too large for a float") from None
 
 
 def state_from_spec(spec: Mapping[str, Any], default_dim: int = DEFAULT_DIM) -> State:
@@ -84,7 +95,8 @@ def state_from_spec(spec: Mapping[str, Any], default_dim: int = DEFAULT_DIM) -> 
     parameters per type, "dim": integer}``; parameters are ``n`` (fock),
     ``alpha`` (coherent), ``nbar`` (thermal), ``z`` (squeezed vacuum) and
     ``m``/``lambda`` (amplitude-squared squeezed).  ``dim`` is optional and
-    defaults to ``default_dim``.
+    defaults to ``default_dim``; either way it is at most :data:`MAX_DIM`,
+    checked before any state is built.
     """
     if not isinstance(spec, Mapping):
         raise ValidationError("state spec must be a JSON object")
@@ -96,6 +108,8 @@ def state_from_spec(spec: Mapping[str, Any], default_dim: int = DEFAULT_DIM) -> 
     dim = _integer(spec.get("dim", default_dim), "state spec field 'dim'")
     if dim < 1:
         raise ValidationError("state spec dim must be a positive integer")
+    if dim > MAX_DIM:
+        raise ValidationError(f"state spec dim {dim} exceeds the cap {MAX_DIM}")
     if kind == "fock":
         return make_fock(_integer(spec.get("n"), "state spec field 'n'"), dim)
     if kind == "coherent":

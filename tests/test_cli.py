@@ -595,6 +595,67 @@ def test_invert_rejects_fractional_and_string_integers(tmp_path, capsys):
     assert "must be an integer" in capsys.readouterr().err
 
 
+HUGE = "1" + "0" * 400  # a JSON integer beyond the float range
+
+
+@pytest.mark.parametrize("verb", ["invert-sample", "criteria-nbar", "criteria-alpha"])
+def test_integers_beyond_the_float_range_exit_2(verb, tmp_path, capsys):
+    """Such an integer once raised ``OverflowError`` out of ``main``."""
+    out = str(tmp_path / "x.json")
+    if verb == "invert-sample":
+        record = tmp_path / "rec.json"
+        assert main([
+            "simulate", "--state", THERMAL, "--scheme", "a", "--nmax", "2",
+            "--out", str(record),
+        ]) == 0
+        doc = read_json(record)
+        doc["samples"][0]["value"] = int(HUGE)
+        record.write_text(json.dumps(doc))
+        argv = ["invert", "--record", str(record)]
+    elif verb == "criteria-nbar":
+        argv = ["criteria", "--state", '{"type": "thermal", "nbar": %s}' % HUGE]
+    else:
+        argv = ["criteria", "--state", '{"type": "coherent", "alpha": %s}' % HUGE]
+    capsys.readouterr()
+    assert main(argv + ["--out", out]) == 2
+    assert "too large for a float" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["criteria", "qfunc"])
+@pytest.mark.parametrize("where", ["spec", "--dim"])
+def test_state_dim_above_the_cap_exits_2_before_any_state(
+    verb, where, tmp_path, capsys, monkeypatch
+):
+    """A dim-100000 thermal state once asked for 74.5 GiB; the cap refuses it
+    before a constructor runs."""
+    from nclmoments import serialize
+
+    def refuse(*args):
+        raise AssertionError("a state was built")
+
+    monkeypatch.setattr(serialize, "make_thermal", refuse)
+    spec = {"type": "thermal", "nbar": 0.5}
+    argv = [verb, "--out", str(tmp_path / "x")]
+    if where == "spec":
+        spec["dim"] = 100000
+    else:
+        argv += ["--dim", "100000"]
+    assert main(argv + ["--state", json.dumps(spec)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: state spec dim 100000 exceeds the cap {serialize.MAX_DIM}\n"
+    )
+
+
+def test_state_dim_at_the_cap_is_accepted(monkeypatch):
+    from nclmoments import serialize
+
+    monkeypatch.setattr(serialize, "make_fock", lambda n, dim: dim)
+    assert serialize.MAX_DIM == 2**12
+    assert state_from_spec({"type": "fock", "n": 0, "dim": 2**12}) == 2**12
+    with pytest.raises(ValidationError, match="exceeds the cap"):
+        state_from_spec({"type": "fock", "n": 0, "dim": 2**12 + 1})
+
+
 def _set_sample(doc):
     doc["samples"][0]["value"] = math.nan
 

@@ -786,9 +786,9 @@ def test_bochner_thermal_nonnegative():
         assert bochner_det(state, list(pts)) >= -1e-10
 
 
-def test_bochner_cache_shares_mirror_values():
-    """The search's scorer computes each pair ``±beta`` once, and a second
-    pass over the same points computes nothing."""
+def test_bochner_scorer_computes_mirror_pairs_once():
+    """The search's scorer computes each pair ``±beta`` of a call once, in
+    one kernel call, and reads the mirrors as conjugates."""
     kernel = moments._CharKernel(make_fock(0, 16))
     calls = []
 
@@ -796,14 +796,11 @@ def test_bochner_cache_shares_mirror_values():
         calls.append(len(betas))
         return kernel(betas)
 
-    cache = {}
     # differences -0.7, -0.4j, 0.7 - 0.4j and their mirrors 0.7, 0.4j, -0.7 + 0.4j
     points = np.array([[0.0, 0.7, 0.4j], [0.0, -0.7, -0.4j]])
-    close, first = criteria._bochner_dets(evaluate, points, cache)
-    assert calls == [3] and len(cache) == 3
-    assert not close.any() and first[1] == first[0].conj()
-    close, again = criteria._bochner_dets(evaluate, points, cache)
-    assert calls == [3] and np.array_equal(again, first)
+    close, dets, computed = criteria._bochner_dets(evaluate, points)
+    assert calls == [3] and computed == 3
+    assert not close.any() and dets[1] == dets[0].conj()
 
 
 def test_bochner_separation_boundary_is_shared():
@@ -814,10 +811,9 @@ def test_bochner_separation_boundary_is_shared():
     with pytest.raises(DuplicatePointError, match="points 0 and 1"):
         bochner_det(state, [0.0, 0.9e-12])
     points = np.array([[0.0, 1e-12], [0.0, 0.9e-12], [0.0, 1e-12j]])
-    cache = {}
-    close, dets = criteria._bochner_dets(moments._CharKernel(state), points, cache)
+    close, dets, computed = criteria._bochner_dets(moments._CharKernel(state), points)
     assert close.tolist() == [[False], [True], [False]]
-    assert dets.shape == (2,) and len(cache) == 2
+    assert dets.shape == (2,) and computed == 2
 
 
 def test_bochner_search_lattice_skips_coinciding_tuples(monkeypatch):
@@ -845,7 +841,7 @@ def test_bochner_det_values_belong_to_its_state():
     """``bochner_det`` once took a ``cache`` keyed by argument alone, so a
     cache shared across states returned the first state's ``Phi``: thermal
     nbar 0.5 read -4.0176 after Fock |1>, a classical state flagged
-    nonclassical.  The cache is now private to one search's kernel."""
+    nonclassical.  No ``Phi`` outlives a scorer call now."""
     fock, thermal = make_fock(1, 32), make_thermal(0.5, 32)
     with pytest.raises(TypeError):
         bochner_det(fock, [0.0, 1.8], cache={})
@@ -963,12 +959,28 @@ def test_bochner_search_counts_distinct_arguments():
     assert len(lattice) // 2 < refined.evaluations <= len(lattice) // 2 + 55
 
 
+@pytest.mark.parametrize("k, grid_n", [(2, 9), (3, 5)])
+def test_bochner_search_evaluations_count_kernel_points(monkeypatch, k, grid_n):
+    """``evaluations`` is the number of points the kernel receives, summed
+    over every scorer call of the search."""
+    received = []
+    real = moments._CharKernel.__call__
+
+    def counted(kernel, betas):
+        received.append(len(betas))
+        return real(kernel, betas)
+
+    monkeypatch.setattr(moments._CharKernel, "__call__", counted)
+    state = apply_squeeze(make_fock(0, 40), 0.3 * np.exp(0.4j))
+    result = bochner_search(state, k=k, radius=1.5, grid_n=grid_n, refine_iters=40)
+    assert len(received) > 1 and result.evaluations == sum(received)
+
+
 def test_bochner_search_warns_once_per_batched_call():
     state = make_fock(1, 16)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        # |beta|^2 reaches 4 = dim / 4 on the lattice; the final re-evaluation
-        # of the minimum reads the cache and computes nothing
+        # |beta|^2 reaches 4 = dim / 4 on the lattice
         bochner_search(state, k=2, radius=2.0, grid_n=5, refine_iters=0)
     assert [w.category for w in caught] == [OrderAccuracyWarning]
 
