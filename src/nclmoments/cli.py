@@ -19,7 +19,13 @@ Each verb accepts only the options it reads: ``--tolerance`` is
 (``moments``, ``criteria``, ``qfunc``, ``simulate``) and defaults to
 :data:`~nclmoments.serialize.DEFAULT_DIM` (64).  A state's ``dim``, from its
 spec or ``--dim``, is at most :data:`~nclmoments.serialize.MAX_DIM` (4096);
-a larger one exits 2 before the state is built.  ``--phi``, ``--tolerance``
+a larger one exits 2 before the state is built.  So do three more sizes,
+checked from the parsed arguments: ``moments --order`` and ``simulate
+--nmax`` above :data:`MAX_ORDER` (4095, ``MAX_DIM - 1``: every moment of
+order dim or more of a truncated state is 0), ``criteria --nmax`` above
+:data:`MAX_NMAX` (256; its determinant loop costs O(nmax^4)), and
+``simulate --depth`` above :data:`MAX_DEPTH` (18, a tree of
+``MAX_GRID_POINTS`` detectors).  ``--phi``, ``--tolerance``
 and ``--lambda-range`` must be finite, ``--samples`` finite and at least 1.
 A grid verb computes at most :data:`MAX_GRID_POINTS` points: ``sweep``'s
 lambda values per ``m`` and ``qfunc``'s ``--grid-n`` squared; ``qfunc`` also
@@ -71,6 +77,7 @@ from .measurement import (
 from .moments import ass_moment_tables, moment_table
 from .serialize import (
     DEFAULT_DIM,
+    MAX_DIM,
     parse_state_argument,
     read_json,
     records_from_json,
@@ -99,6 +106,20 @@ _STATE_VERBS = ("moments", "criteria", "qfunc", "simulate")
 # times dim coherent-state overlaps, at most ``MAX_GRID_POINTS * DEFAULT_DIM``
 # (2^24 complex values, 268 MB): a grid at the cap at the default dim 64.
 MAX_GRID_POINTS = 2**18
+
+# The largest moment order a table is built to: every moment of order dim or
+# more of a truncated state is 0.  ``moments --order`` and scheme A's
+# ``simulate --nmax`` are checked against it.
+MAX_ORDER = MAX_DIM - 1
+
+# The largest ``criteria --nmax``.  Its determinant loop costs O(nmax^4):
+# ``criteria --kind all`` on a coherent state took 0.6 s at nmax 256 and
+# 7.0 s at 512 on a 2-vCPU VM.  The ``d2`` table needs order 2 nmax = 512,
+# within ``MAX_ORDER``.
+MAX_NMAX = 256
+
+# The deepest scheme-A tree: 2^MAX_DEPTH = MAX_GRID_POINTS detectors.
+MAX_DEPTH = MAX_GRID_POINTS.bit_length() - 1
 
 
 def _parse_complex_pair(text: str, context: str) -> complex:
@@ -135,6 +156,11 @@ def _parse_range(text: str, context: str) -> tuple[float, float, float]:
     if step <= 0 or stop < start:
         raise ValidationError(f"{context} needs step > 0 and stop >= start")
     return start, stop, step
+
+
+def _check_cap(option: str, value: int, cap: int) -> None:
+    if value > cap:
+        raise ValidationError(f"{option} {value} is above the cap of {cap}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -216,6 +242,13 @@ def config_from_args(args: argparse.Namespace) -> argparse.Namespace:
         raise ValidationError("--dim must be positive")
     if args.out is None:
         args.out = _DEFAULT_OUT[args.verb]
+    if args.verb == "moments":
+        _check_cap("--order", args.order, MAX_ORDER)
+    if args.verb == "criteria":
+        _check_cap("--nmax", args.nmax, MAX_NMAX)
+    if args.verb == "simulate":
+        _check_cap("--nmax", args.nmax, MAX_ORDER)
+        _check_cap("--depth", args.depth, MAX_DEPTH)
     if args.samples is not None and not (
         math.isfinite(args.samples) and args.samples >= 1
     ):
@@ -364,6 +397,15 @@ def verb_invert(args: argparse.Namespace) -> int:
     return 0
 
 
+def _dim_hint(dim: int) -> str:
+    """The retry hint of a :class:`TruncationError` that suggests ``dim``."""
+    if dim > MAX_DIM:
+        return (f"hint: the retry dim {dim} is above the cap of {MAX_DIM}: "
+                f"no dim within the cap is enough")
+    return (f'hint: retry with --dim {dim} (or "dim": {dim} in the state spec, '
+            f"which overrides --dim)")
+
+
 _VERBS = {
     "moments": verb_moments,
     "criteria": verb_criteria,
@@ -393,7 +435,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (TruncationError, InsufficientOrderError, NumericConsistencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, TruncationError) and exc.suggested_dim:
-            print(f"hint: retry with --dim {exc.suggested_dim}", file=sys.stderr)
+            print(_dim_hint(exc.suggested_dim), file=sys.stderr)
         return 3
     except NclError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -30,9 +30,12 @@ quadratic form ``c^H T c`` of the moment table ``T[k, l] = <a^dag^k a^l>``
 over ``{1, a, ..., a^n}``.  One kernel evaluates it for a stack of
 coefficient rows: scheme A's are the binomial expansion of ``M^n`` for the
 tree mode ``M`` at every scanned phase, B's and C's the ``[v, u]`` rows of
-single detectors and their pairwise convolutions.  Scheme A is inverted
-order by order through the triangular structure of its rows; B and C by
-one least-squares solve of the same rows for the order-2 table.
+single detectors and their pairwise convolutions.  Every inversion goes
+back through the same rows: it subtracts the kernel's prediction of the
+known part of the table, ``c^H T_known c``, from the counts and solves for
+the rest.  Scheme A does so order by order, where one FFT of the rest and
+one division recover each order's new moments; B and C by one
+least-squares solve for the order-2 table.
 
 ``add_shot_noise`` perturbs any record by a seeded Gaussian of relative
 size ``1/sqrt(samples)``, emulating finite counting statistics.
@@ -43,7 +46,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Optional
 
 import numpy as np
@@ -272,38 +275,35 @@ def scheme_a_sample_and_fourier(
 def scheme_a_invert(record: FourierRecord) -> MomentTable:
     """Recover the moment table from a phase-scanned coincidence record.
 
-    Each order's harmonics ``m = 0..n``, in the kernel ``exp(i m (phi +
-    arg(alpha r0)))``, come from one FFT of its scan (exact: it has more
-    phases than the degree ``n`` of ``F_n``).  The moment ``<a^dag^k a^l>``
-    enters the harmonic ``m = k - l`` of ``F_n`` with weight
-    ``C(2^d, n) |c_k| |c_l|``, the tree-mode coefficients of
-    :func:`scheme_a_forward`.  Working upward in ``n``, the
-    harmonic ``m >= 0`` contains exactly one moment not yet known —
-    ``<a^dag^n a^{n-m}>`` — so each order is peeled off by subtracting the
-    reconstructed lower-order contributions.  Positivity validation of the
-    resulting table is relaxed because shot noise can push small diagonal
-    moments slightly negative.
+    Orders are solved upward in ``n`` through the forward model's own rows
+    ``c(phi)`` (:func:`_tree_rows` at the :func:`scheme_a_phases`).  Each
+    scan divided by ``C(2^d, n)`` is ``c^H T c``; the forward prediction of
+    the moments already known, orders below ``n``, is subtracted, and one
+    FFT of the rest gives its harmonics ``m = 0..n`` (exact: the scan has
+    more phases than twice the degree ``n``).  Since
+    ``conj(c_k(phi)) c_l(phi) = conj(c_k(0)) c_l(0) e^{i (k - l) phi}``, the
+    harmonic ``m`` of the rest holds one moment,
+    ``conj(c_n(0)) c_{n-m}(0) <a^dag^n a^{n-m}>``, and one division per
+    order recovers them all.  Positivity validation of the resulting table
+    is relaxed because shot noise can push small diagonal moments slightly
+    negative.
     """
     lo = record.lo
     _check_oscillator(
         abs(lo.r0 * lo.alpha), "phase scans carry no moment information"
     )
-    offset = cmath.phase(lo.alpha * lo.r0)
     size = record.n_max + 1
     vals = np.zeros((size, size), dtype=complex)
     vals[0, 0] = 1.0
-    for n in range(1, record.n_max + 1):
-        scan = [record.samples[(n, j)] for j in range(2 * n + 2)]
-        ms = np.arange(n + 1)
-        harmonics = np.fft.fft(scan)[ms] * np.exp(-1j * ms * offset) / len(scan)
-        mags = np.abs(_tree_rows(n, lo, record.depth, [0.0])[0])
-        weights = math.comb(2**record.depth, n) * np.outer(mags, mags)
-        for m in range(n, -1, -1):
-            # the known moments (k, k - m), k < n: a copy of the m-th subdiagonal
-            known = vals.diagonal(-m)[: n - m].copy()
-            acc = harmonics[m] - np.dot(weights.diagonal(-m)[: n - m].copy(), known)
-            vals[n, n - m] = acc / weights[n, n - m]
-            vals[n - m, n] = np.conj(vals[n, n - m])
+    for n in range(1, size):
+        phases = scheme_a_phases(n)
+        rows = _tree_rows(n, lo, record.depth, phases)
+        scan = np.array([record.samples[(n, j)] for j in range(len(phases))])
+        rest = scan / math.comb(2**record.depth, n) - _quadratic_forms(rows, vals).real
+        harmonics = np.fft.fft(rest) / len(phases)
+        c = rows[0]  # phase 0
+        vals[n, n::-1] = harmonics[: n + 1] / (np.conj(c[n]) * c[n::-1])
+        vals[:n, n] = np.conj(vals[n, :n])
     return MomentTable(vals, validate=False)
 
 
@@ -453,19 +453,14 @@ def add_shot_noise(record, samples: float, seed: int = 0):
     if not (math.isfinite(samples) and samples > 0):
         raise ValidationError(f"samples must be finite and positive, got {samples!r}")
     _check_count(seed, "seed")
-    rng = np.random.default_rng(seed)
-    scale = 1.0 / math.sqrt(samples)
-    if isinstance(record, DetectionRecord):
-        noisy = _perturbed(record.gammas, rng, scale)
-        return DetectionRecord(scheme=record.scheme, lo=record.lo, gammas=noisy)
-    if isinstance(record, FourierRecord):
-        noisy = _perturbed(record.samples, rng, scale)
-        return FourierRecord(
-            depth=record.depth, lo=record.lo, n_max=record.n_max, samples=noisy
+    field = {DetectionRecord: "gammas", FourierRecord: "samples"}.get(type(record))
+    if field is None:
+        raise ValidationError(
+            f"expected a DetectionRecord or FourierRecord, got {type(record).__name__}"
         )
-    raise ValidationError(
-        f"expected a DetectionRecord or FourierRecord, got {type(record).__name__}"
-    )
+    noisy = _perturbed(getattr(record, field), np.random.default_rng(seed),
+                       1.0 / math.sqrt(samples))
+    return replace(record, **{field: noisy})
 
 
 def _perturbed(values: Mapping, rng: np.random.Generator, scale: float) -> dict:

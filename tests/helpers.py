@@ -130,3 +130,49 @@ def long_hand_matrix(table, basis, phi: float) -> Array:
                     table, kappa, sigma + 1, phi
                 ) - xn_expectation(table, kappa + 2, sigma, phi)
     return vals
+
+
+def scheme_a_least_squares(record) -> Array:
+    """The moment table fitted to every sample of a scheme-A record at once.
+
+    An oracle for :func:`nclmoments.scheme_a_invert` that shares none of its
+    code.  The sample of order ``n`` at phase ``phi_j = 2 pi j / (2n + 2)``
+    is ``C(2^d, n) sum_{k,l<=n} conj(c_k) c_l T[k, l]`` with
+    ``c_k = C(n, k) u^k v^{n-k}``, ``u = t0 / sqrt(2^d)`` and
+    ``v = r0 alpha e^{i phi_j} / sqrt(2^d)``.  With ``T[0, 0] = 1`` fixed, the
+    real and imaginary parts of the entries ``k <= l`` are the unknowns of
+    one dense least-squares solve over all orders' samples.  Each row, then
+    each column, is scaled to unit norm, and one step of iterative
+    refinement follows.
+    """
+    lo, size = record.lo, record.n_max + 1
+    units = []
+    for k in range(size):
+        for l in range(k, size):
+            unit = np.zeros((size, size), dtype=complex)
+            unit[k, l] = 1.0
+            if k == l:
+                units.append(unit)
+            else:
+                units += [unit + unit.T, 1j * (unit - unit.T)]
+    known, units = units[0], np.array(units[1:])
+    root = math.sqrt(2.0**record.depth)
+    design, counts = [], []
+    for n in range(1, size):
+        weight = math.comb(2**record.depth, n)
+        for j in range(2 * n + 2):
+            v = lo.r0 * lo.alpha * np.exp(2j * math.pi * j / (2 * n + 2)) / root
+            c = np.zeros(size, dtype=complex)
+            c[: n + 1] = [math.comb(n, k) * (lo.t0 / root) ** k * v ** (n - k)
+                          for k in range(n + 1)]
+            forms = np.einsum("k,ukl,l->u", c.conj(), units, c).real
+            design.append(weight * forms)
+            counts.append(record.samples[(n, j)] - weight * (c.conj() @ known @ c).real)
+    design, counts = np.array(design), np.array(counts)
+    rows = np.linalg.norm(design, axis=1)
+    design, counts = design / rows[:, None], counts / rows
+    norms = np.linalg.norm(design, axis=0)
+    design /= norms
+    params = np.linalg.lstsq(design, counts, rcond=None)[0]
+    params += np.linalg.lstsq(design, counts - design @ params, rcond=None)[0]
+    return known + np.tensordot(params / norms, units, axes=1)

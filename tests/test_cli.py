@@ -532,6 +532,20 @@ def test_exit_code_truncation_with_hint(tmp_path, capsys):
     assert rc == 3
     err = capsys.readouterr().err
     assert "hint: retry with --dim" in err
+    assert err.endswith(
+        'hint: retry with --dim 76 (or "dim": 76 in the state spec, '
+        "which overrides --dim)\n"
+    )
+
+
+def test_truncation_hint_names_no_dim_above_the_cap(tmp_path, capsys):
+    """A retry dim above ``MAX_DIM`` would only exit 2, so none is suggested."""
+    spec = '{"type": "coherent", "alpha": 70, "dim": 4096}'
+    assert main(["moments", "--state", spec, "--out", str(tmp_path / "m.json")]) == 3
+    assert capsys.readouterr().err.endswith(
+        "hint: the retry dim 8192 is above the cap of 4096: "
+        "no dim within the cap is enough\n"
+    )
 
 
 def test_exit_code_singular_inversion(tmp_path, capsys):
@@ -644,6 +658,50 @@ def test_state_dim_above_the_cap_exits_2_before_any_state(
     assert capsys.readouterr().err == (
         f"error: state spec dim 100000 exceeds the cap {serialize.MAX_DIM}\n"
     )
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["moments", "--order", "100000"], "--order 100000 is above the cap of 4095"),
+    (["moments", "--order", "4096"], "--order 4096 is above the cap of 4095"),
+    (["criteria", "--nmax", "3000"], "--nmax 3000 is above the cap of 256"),
+    (["criteria", "--nmax", "257"], "--nmax 257 is above the cap of 256"),
+    (["simulate", "--scheme", "a", "--nmax", "200000", "--depth", "18"],
+     "--nmax 200000 is above the cap of 4095"),
+    (["simulate", "--scheme", "a", "--nmax", "1", "--depth", "100000000"],
+     "--depth 100000000 is above the cap of 18"),
+    (["simulate", "--scheme", "a", "--nmax", "1", "--depth", "19"],
+     "--depth 19 is above the cap of 18"),
+], ids=["order", "order-cap-and-one", "nmax", "nmax-cap-and-one", "scan-nmax",
+        "depth", "depth-cap-and-one"])
+def test_sizes_above_their_caps_exit_2_before_any_state(
+    argv, message, tmp_path, capsys, monkeypatch
+):
+    """Each of these once ended in a traceback: a 74.5 GiB table, a 275 MiB
+    index array, a 298 GiB scan and an ``OverflowError``."""
+    from nclmoments import serialize
+
+    def refuse(*args):
+        raise AssertionError("a state was built")
+
+    monkeypatch.setattr(serialize, "make_fock", refuse)
+    state = ["--state", '{"type": "fock", "n": 1}', "--out", str(tmp_path / "x")]
+    assert main(argv + state) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["moments", "--order", "4095"],
+    ["criteria", "--nmax", "256"],
+    ["simulate", "--scheme", "a", "--nmax", "4095", "--depth", "18"],
+])
+def test_sizes_at_their_caps_are_accepted(argv):
+    from nclmoments import serialize
+    from nclmoments.criteria import _hierarchy_basis
+
+    assert cli.MAX_ORDER == serialize.MAX_DIM - 1
+    assert 2**cli.MAX_DEPTH == cli.MAX_GRID_POINTS
+    assert _hierarchy_basis("d2", cli.MAX_NMAX).required_order() <= cli.MAX_ORDER
+    config_from_args(build_parser().parse_args(argv + ["--state", "{}"]))
 
 
 def test_state_dim_at_the_cap_is_accepted(monkeypatch):
