@@ -14,32 +14,20 @@ One verb produces one artifact; verbs compose through files:
 * ``invert``   — moment table (scheme a) or extracted moments (b, c)
   from a record produced by ``simulate``.
 
-Each verb accepts only the options it reads: ``--tolerance`` is
-``criteria``'s, and ``--dim`` is taken by the verbs that build a state
-(``moments``, ``criteria``, ``qfunc``, ``simulate``) and defaults to
-:data:`~nclmoments.serialize.DEFAULT_DIM` (64).  A state's ``dim``, from its
-spec or ``--dim``, is at most :data:`~nclmoments.serialize.MAX_DIM` (4096);
-a larger one exits 2 before the state is built.  So do three more sizes,
-checked from the parsed arguments: ``moments --order`` and ``simulate
---nmax`` above :data:`MAX_ORDER` (4095, ``MAX_DIM - 1``: every moment of
-order dim or more of a truncated state is 0), ``criteria --nmax`` above
-:data:`MAX_NMAX` (256; its determinant loop costs O(nmax^4)), and
-``simulate --depth`` above :data:`MAX_DEPTH` (18, a tree of
-``MAX_GRID_POINTS`` detectors).  ``--phi``, ``--tolerance``
-and ``--lambda-range`` must be finite, ``--samples`` finite and at least 1.
-A grid verb computes at most :data:`MAX_GRID_POINTS` points: ``sweep``'s
-lambda values per ``m`` and ``qfunc``'s ``--grid-n`` squared; ``qfunc`` also
-holds at most ``MAX_GRID_POINTS * DEFAULT_DIM`` coherent-state overlaps,
-``--grid-n`` squared times the state's ``dim``.  A larger grid exits 2
-before it is allocated.
-Record files are :func:`~nclmoments.serialize.records_to_json` documents.
+Each verb accepts only the options it reads.  :func:`build_parser` declares
+each option once: its flag, its default and the ``type`` that parses and
+checks it, so a value outside its range or cap exits 2 before any state is
+built.  The caps are the constants below; the README's "Command line"
+section lists every rule.  Record files are
+:func:`~nclmoments.serialize.records_to_json` documents.
 
 :func:`main` builds the argument parser on its first call and reuses it for
 every later call in the process.
 
-Exit codes: 0 success; 2 invalid input; 3 truncation or insufficient
-moment order; 4 singular inversion; 10 (``criteria`` only) nonclassicality
-witnessed by a negative classified determinant.
+Exit codes: 0 success; 2 invalid input; 3 truncation, insufficient
+moment order or a result that fails its consistency check (a determinant
+beyond the float range, say); 4 singular inversion; 10 (``criteria`` only)
+nonclassicality witnessed by a negative classified determinant.
 """
 
 from __future__ import annotations
@@ -47,7 +35,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -88,41 +76,57 @@ from .serialize import (
     write_json,
 )
 
-_DEFAULT_OUT = {
-    "moments": "moments.json",
-    "criteria": "criteria.json",
-    "sweep": "sweep.csv",
-    "qfunc": "qfunc.csv",
-    "simulate": "record.json",
-    "invert": "inverted.json",
-}
-
-
-_STATE_VERBS = ("moments", "criteria", "qfunc", "simulate")
-
 # The most points a grid verb computes: lambda values per m for ``sweep``,
-# ``--grid-n`` squared for ``qfunc``.  Checked from the parsed arguments
-# before anything is allocated.  ``qfunc`` also holds ``--grid-n`` squared
+# ``--grid-n`` squared for ``qfunc``.  Checked while the arguments are
+# parsed, before anything is allocated.  ``qfunc`` also holds ``--grid-n`` squared
 # times dim coherent-state overlaps, at most ``MAX_GRID_POINTS * DEFAULT_DIM``
 # (2^24 complex values, 268 MB): a grid at the cap at the default dim 64.
 MAX_GRID_POINTS = 2**18
 
-# The largest moment order a table is built to: every moment of order dim or
-# more of a truncated state is 0.  ``moments --order`` and scheme A's
-# ``simulate --nmax`` are checked against it.
-MAX_ORDER = MAX_DIM - 1
+# The largest ``moments --order``.  Under a 1.5 GB address-space limit on a
+# 2-vCPU VM, a thermal state's table and its JSON ran out of memory at
+# orders 4095 and 3071 and took 10 s at 2047.
+MAX_ORDER = 2047
 
-# The largest ``criteria --nmax``.  Its determinant loop costs O(nmax^4):
-# ``criteria --kind all`` on a coherent state took 0.6 s at nmax 256 and
-# 7.0 s at 512 on a 2-vCPU VM.  The ``d2`` table needs order 2 nmax = 512,
-# within ``MAX_ORDER``.
+# The largest ``criteria --nmax`` and scheme-A ``simulate --nmax``; both
+# cost O(nmax^4).  On a 2-vCPU VM ``criteria --kind all`` on a coherent
+# state took 0.6 s at nmax 256 and 7.0 s at 512, and scheme A 3.0 s at
+# nmax 256 (depth 8) and 153 s at 1024 (depth 10).
 MAX_NMAX = 256
 
 # The deepest scheme-A tree: 2^MAX_DEPTH = MAX_GRID_POINTS detectors.
 MAX_DEPTH = MAX_GRID_POINTS.bit_length() - 1
 
 
-def _parse_complex_pair(text: str, context: str) -> complex:
+def _checked(convert: Callable, test: Callable, message: str) -> Callable:
+    """An argparse ``type``: ``convert`` the text, then refuse a value that
+    fails ``test`` with ``message.format(value)``.
+
+    A :class:`ValidationError` passes through argparse to :func:`main`
+    (exit 2, ``error: message``); text that ``convert`` cannot read stays
+    argparse's usage error, named after ``convert`` (``invalid int value``).
+    """
+    def check(text: str):
+        value = convert(text)
+        if not test(value):
+            raise ValidationError(message.format(value))
+        return value
+
+    check.__name__ = convert.__name__
+    return check
+
+
+def _capped(option: str, cap: int) -> Callable:
+    return _checked(int, lambda n: n <= cap, f"{option} {{}} is above the cap of {cap}")
+
+
+def _finite(option: str, test: Callable = lambda x: x > 0,
+            rule: str = "finite and positive") -> Callable:
+    return _checked(float, lambda x: math.isfinite(x) and test(x),
+                    f"{option} must be {rule}")
+
+
+def _complex_pair(text: str) -> complex:
     parts = text.split(",")
     try:
         if len(parts) == 1:
@@ -131,153 +135,132 @@ def _parse_complex_pair(text: str, context: str) -> complex:
             return complex(float(parts[0]), float(parts[1]))
     except ValueError:
         pass
-    raise ValidationError(f"{context} must be 're' or 're,im', got {text!r}")
+    raise ValidationError(f"--lo-alpha must be 're' or 're,im', got {text!r}")
 
 
-def _parse_int_list(text: str, context: str) -> tuple[int, ...]:
+def _int_list(text: str) -> tuple[int, ...]:
     try:
-        values = tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise ValidationError(f"{context} must be comma-separated integers") from None
-    if not values:
-        raise ValidationError(f"{context} must not be empty")
-    return values
+        raise ValidationError("--m-list must be comma-separated integers") from None
 
-def _parse_range(text: str, context: str) -> tuple[float, float, float]:
+
+def _lambda_grid(text: str) -> list[float]:
+    """The lambdas of ``'start,stop,step'``, counted against the cap first."""
     parts = text.split(",")
     if len(parts) != 3:
-        raise ValidationError(f"{context} must be 'start,stop,step'")
+        raise ValidationError("--lambda-range must be 'start,stop,step'")
     try:
         start, stop, step = (float(p) for p in parts)
     except ValueError:
-        raise ValidationError(f"{context} must contain numbers") from None
+        raise ValidationError("--lambda-range must contain numbers") from None
     if not all(map(math.isfinite, (start, stop, step))):
-        raise ValidationError(f"{context} must be finite")
+        raise ValidationError("--lambda-range must be finite")
     if step <= 0 or stop < start:
-        raise ValidationError(f"{context} needs step > 0 and stop >= start")
-    return start, stop, step
-
-
-def _check_cap(option: str, value: int, cap: int) -> None:
-    if value > cap:
-        raise ValidationError(f"{option} {value} is above the cap of {cap}")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser; every option's default is declared once, here.
-
-    The defaults sit on the top-level parser and the verb parsers suppress
-    their own, so every verb's namespace carries every option, whether or
-    not the verb takes it.
-    """
-    parser = argparse.ArgumentParser(
-        prog="nclmoments",
-        description="Moment-based nonclassicality tests and homodyne-"
-        "correlation measurement simulation for single-mode states.",
-    )
-    parser.set_defaults(
-        state=None, dim=None, out=None, tolerance=DEFAULT_TOLERANCE,
-        order=4, phi=0.0, kind="all", nmax=4, scheme="a", depth=2,
-        lo_alpha="3,0", t0=math.sqrt(0.5), samples=None, seed=0, record=None,
-        m_list="2,3,4", lambda_range="1.05,2.0,0.05", grid_bound=2.0, grid_n=41,
-    )
-    sub = parser.add_subparsers(dest="verb", required=True)
-
-    def add_verb(name: str, summary: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
-        if name in _STATE_VERBS:
-            p.add_argument(
-                "--state",
-                required=True,
-                help="state spec: inline JSON or path to a JSON file",
-            )
-            p.add_argument("--dim", type=int, help="Fock truncation")
-        p.add_argument("--out", help="output file path")
-        return p
-
-    p = add_verb("moments", "tabulate <a^dag^k a^l>")
-    p.add_argument("--order", type=int, help="largest k and l")
-
-    p = add_verb("criteria", "determinant hierarchies and witnesses")
-    p.add_argument("--kind", choices=["aa", "quad", "xn", "d2", "all"])
-    p.add_argument("--nmax", type=int, help="largest hierarchy order")
-    p.add_argument("--phi", type=float, help="quadrature angle")
-    p.add_argument(
-        "--tolerance", type=float,
-        help="negativity threshold (scaled by matrix magnitude)",
-    )
-
-    p = add_verb("sweep", "witness sweep over (m, lambda)")
-    p.add_argument(
-        "--dim", type=int, help="accepted and unused: the sweep's moment "
-        "tables are exact and need no Fock truncation",
-    )
-    p.add_argument("--m-list", help="comma-separated orders m")
-    p.add_argument("--lambda-range", help="'start,stop,step' grid for lambda")
-
-    p = add_verb("qfunc", "Husimi distribution on a grid")
-    p.add_argument("--grid-bound", type=float, help="half-width")
-    p.add_argument("--grid-n", type=int, help="points per axis")
-
-    p = add_verb("simulate", "forward measurement record")
-    p.add_argument("--scheme", choices=["a", "b", "c"], required=True)
-    p.add_argument("--depth", type=int, help="scheme-a tree depth")
-    p.add_argument("--nmax", type=int, help="scheme-a largest order")
-    p.add_argument("--lo-alpha", help="oscillator amplitude 're,im'")
-    p.add_argument("--t0", type=float)
-    p.add_argument("--samples", type=float, help="shot-noise samples")
-    p.add_argument("--seed", type=int)
-
-    p = add_verb("invert", "recover moments from a record")
-    p.add_argument("--record", required=True, help="record JSON from 'simulate'")
-
-    return parser
-
-
-def config_from_args(args: argparse.Namespace) -> argparse.Namespace:
-    """Check and parse the options of ``args`` in place; the verbs read it."""
-    if args.verb in _STATE_VERBS and args.dim is None:
-        args.dim = DEFAULT_DIM
-    if args.dim is not None and args.dim < 1:
-        raise ValidationError("--dim must be positive")
-    if args.out is None:
-        args.out = _DEFAULT_OUT[args.verb]
-    if args.verb == "moments":
-        _check_cap("--order", args.order, MAX_ORDER)
-    if args.verb == "criteria":
-        _check_cap("--nmax", args.nmax, MAX_NMAX)
-    if args.verb == "simulate":
-        _check_cap("--nmax", args.nmax, MAX_ORDER)
-        _check_cap("--depth", args.depth, MAX_DEPTH)
-    if args.samples is not None and not (
-        math.isfinite(args.samples) and args.samples >= 1
-    ):
-        raise ValidationError("--samples must be finite and at least 1")
-    if not (math.isfinite(args.tolerance) and args.tolerance > 0):
-        raise ValidationError("--tolerance must be finite and positive")
-    if not math.isfinite(args.phi):
-        raise ValidationError("--phi must be finite")
-    args.lo_alpha = _parse_complex_pair(args.lo_alpha, "--lo-alpha")
-    args.m_list = _parse_int_list(args.m_list, "--m-list")
-    args.lambda_range = _parse_range(args.lambda_range, "--lambda-range")
-    start, stop, step = args.lambda_range
+        raise ValidationError("--lambda-range needs step > 0 and stop >= start")
     steps = (stop - start) / step
     if not math.isfinite(steps) or round(steps) + 1 > MAX_GRID_POINTS:
         raise ValidationError(
             f"--lambda-range asks for {steps + 1:.6g} values of lambda, "
             f"above the cap of {MAX_GRID_POINTS}"
         )
-    args.lambda_count = round(steps) + 1
-    if args.grid_n < 1:
-        raise ValidationError("--grid-n must be at least 1")
-    if args.grid_n**2 > MAX_GRID_POINTS:
-        raise ValidationError(
-            f"--grid-n {args.grid_n} asks for {args.grid_n}^2 grid points, "
-            f"above the cap of {MAX_GRID_POINTS}"
-        )
-    if not (math.isfinite(args.grid_bound) and args.grid_bound > 0):
-        raise ValidationError("--grid-bound must be finite and positive")
-    return args
+    lambdas = [
+        start + i * step
+        for i in range(round(steps) + 1)
+        if start + i * step <= stop + 1e-12
+    ]
+    if any(lam <= 0 or abs(lam - 1.0) < 1e-12 for lam in lambdas):
+        raise ValidationError("lambda grid must avoid 0 and the classical point 1")
+    return lambdas
+
+
+_dim = _checked(int, lambda n: n >= 1, "--dim must be positive")
+_grid_n = _checked(
+    _checked(int, lambda n: n >= 1, "--grid-n must be at least 1"),
+    lambda n: n**2 <= MAX_GRID_POINTS,
+    f"--grid-n {{0}} asks for {{0}}^2 grid points, above the cap of {MAX_GRID_POINTS}",
+)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser; each option's default and check are declared
+    once, at its ``add_argument``, so a verb's namespace holds its own
+    options, ``verb`` and the ``run`` function of the verb."""
+    parser = argparse.ArgumentParser(
+        prog="nclmoments",
+        description="Moment-based nonclassicality tests and homodyne-"
+        "correlation measurement simulation for single-mode states.",
+    )
+    sub = parser.add_subparsers(dest="verb", required=True)
+
+    def add_verb(name: str, run: Callable, out: str, summary: str,
+                 state: bool = True) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=run)
+        if state:
+            p.add_argument(
+                "--state",
+                required=True,
+                help="state spec: inline JSON or path to a JSON file",
+            )
+            p.add_argument("--dim", type=_dim, default=DEFAULT_DIM,
+                           help="Fock truncation")
+        p.add_argument("--out", default=out, help="output file path")
+        return p
+
+    p = add_verb("moments", verb_moments, "moments.json", "tabulate <a^dag^k a^l>")
+    p.add_argument("--order", type=_capped("--order", MAX_ORDER), default=4,
+                   help="largest k and l")
+
+    p = add_verb("criteria", verb_criteria, "criteria.json",
+                 "determinant hierarchies and witnesses")
+    p.add_argument("--kind", choices=["aa", "quad", "xn", "d2", "all"], default="all")
+    p.add_argument("--nmax", type=_capped("--nmax", MAX_NMAX), default=4,
+                   help="largest hierarchy order")
+    p.add_argument("--phi", type=_finite("--phi", math.isfinite, "finite"), default=0.0,
+                   help="quadrature angle")
+    p.add_argument(
+        "--tolerance", type=_finite("--tolerance"), default=DEFAULT_TOLERANCE,
+        help="negativity threshold (scaled by matrix magnitude)",
+    )
+
+    p = add_verb("sweep", verb_sweep, "sweep.csv", "witness sweep over (m, lambda)",
+                 state=False)
+    p.add_argument(
+        "--dim", type=_dim, help="accepted and unused: the sweep's moment "
+        "tables are exact and need no Fock truncation",
+    )
+    p.add_argument("--m-list", type=_int_list, default="2,3,4",
+                   help="comma-separated orders m")
+    p.add_argument("--lambda-range", type=_lambda_grid, default="1.05,2.0,0.05",
+                   help="'start,stop,step' grid for lambda")
+
+    p = add_verb("qfunc", verb_qfunc, "qfunc.csv", "Husimi distribution on a grid")
+    p.add_argument("--grid-bound", type=_finite("--grid-bound"), default=2.0,
+                   help="half-width")
+    p.add_argument("--grid-n", type=_grid_n, default=41, help="points per axis")
+
+    p = add_verb("simulate", verb_simulate, "record.json", "forward measurement record")
+    p.add_argument("--scheme", choices=["a", "b", "c"], required=True)
+    p.add_argument("--depth", type=_capped("--depth", MAX_DEPTH), default=2,
+                   help="scheme-a tree depth")
+    p.add_argument("--nmax", type=_capped("--nmax", MAX_NMAX), default=4,
+                   help="scheme-a largest order")
+    p.add_argument("--lo-alpha", type=_complex_pair, default="3,0",
+                   help="oscillator amplitude 're,im'")
+    p.add_argument("--t0", type=float, default=math.sqrt(0.5))
+    p.add_argument(
+        "--samples",
+        type=_finite("--samples", lambda x: x >= 1, "finite and at least 1"),
+        help="shot-noise samples",
+    )
+    p.add_argument("--seed", type=int, default=0)
+
+    p = add_verb("invert", verb_invert, "inverted.json",
+                 "recover moments from a record", state=False)
+    p.add_argument("--record", required=True, help="record JSON from 'simulate'")
+
+    return parser
 
 
 def verb_moments(args: argparse.Namespace) -> int:
@@ -322,14 +305,7 @@ def verb_criteria(args: argparse.Namespace) -> int:
 
 
 def verb_sweep(args: argparse.Namespace) -> int:
-    start, stop, step = args.lambda_range
-    lambdas = [
-        start + i * step
-        for i in range(args.lambda_count)
-        if start + i * step <= stop + 1e-12
-    ]
-    if any(lam <= 0 or abs(lam - 1.0) < 1e-12 for lam in lambdas):
-        raise ValidationError("lambda grid must avoid 0 and the classical point 1")
+    lambdas = args.lambda_range
     rows = []
     for m in sorted(args.m_list):
         values = ass_moment_tables(m, lambdas).values
@@ -406,16 +382,6 @@ def _dim_hint(dim: int) -> str:
             f"which overrides --dim)")
 
 
-_VERBS = {
-    "moments": verb_moments,
-    "criteria": verb_criteria,
-    "sweep": verb_sweep,
-    "qfunc": verb_qfunc,
-    "simulate": verb_simulate,
-    "invert": verb_invert,
-}
-
-
 # The parser of every main() call in this process: built by the first call,
 # since building it costs twenty parses and it is the same for every argv.
 _PARSER: Optional[argparse.ArgumentParser] = None
@@ -425,10 +391,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     global _PARSER
     if _PARSER is None:
         _PARSER = build_parser()
-    args = _PARSER.parse_args(argv)
     try:
-        config = config_from_args(args)
-        return _VERBS[args.verb](config)
+        args = _PARSER.parse_args(argv)
+        return args.run(args)
     except SingularInversionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

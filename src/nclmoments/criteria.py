@@ -69,7 +69,9 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import DuplicatePointError, ValidationError, _check_count
+from .errors import (
+    DuplicatePointError, NumericConsistencyError, ValidationError, _check_count,
+)
 from .moments import (
     MomentSource,
     MomentTable,
@@ -511,6 +513,8 @@ def determinant_hierarchy(
     is nonnegative for all states.  ``n_max`` is an integer, ``phi`` and
     ``tolerance`` are finite.  Each ``d_N`` is one ``det`` of a leading
     block; the table needs the basis's :meth:`~MonomialBasis.required_order`.
+    A ``d_N`` that leaves the float range raises
+    :class:`NumericConsistencyError`.
     """
     basis = _hierarchy_basis(kind, n_max)
     if not (math.isfinite(tolerance) and tolerance > 0.0):
@@ -522,12 +526,19 @@ def determinant_hierarchy(
     scale = float(np.max(np.abs(values)))
     tol_eff = tolerance * max(1.0, scale)
 
+    # an overflowing det is refused below, so numpy need not warn of it
+    with np.errstate(over="ignore", invalid="ignore"):
+        dets = [np.linalg.det(values[:n, :n])
+                for n in range(_REPORT_START[basis.kind], n_max + 1)]
     determinants = []
     first_negative: Optional[int] = None
-    for n in range(_REPORT_START[basis.kind], n_max + 1):
-        value = as_real(
-            complex(np.linalg.det(values[:n, :n])), f"leading {n}x{n} determinant"
-        )
+    for n, det in enumerate(dets, _REPORT_START[basis.kind]):
+        value = as_real(complex(det), f"leading {n}x{n} determinant")
+        if not math.isfinite(value):
+            raise NumericConsistencyError(
+                f"{basis.kind.value} determinant d_{n} is {value}: it leaves "
+                f"the float range"
+            )
         determinants.append((n, value))
         if (
             first_negative is None

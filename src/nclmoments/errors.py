@@ -52,7 +52,8 @@ class InsufficientOrderError(NclError):
 
 
 class NumericConsistencyError(NclError):
-    """Raised when a quantity that must be real carries a large imaginary part."""
+    """Raised when a quantity that must be real carries a large imaginary
+    part, or a determinant leaves the float range."""
 
 
 class SingularInversionError(NclError):

@@ -141,15 +141,10 @@ class FourierRecord:
     samples: Mapping[tuple[int, int], float]
 
     def __post_init__(self) -> None:
-        _check_count(self.depth, "tree depth")
         _check_count(self.n_max, "n_max")
         if self.n_max < 1:
             raise ValidationError("n_max must be at least 1")
-        if self.n_max > 2**self.depth:
-            raise ValidationError(
-                f"cannot correlate {self.n_max} detectors with a depth-"
-                f"{self.depth} tree ({2 ** self.depth} detectors)"
-            )
+        _subset_count(self.n_max, self.depth)
         keys = [(n, j) for n in range(1, self.n_max + 1) for j in range(2 * n + 2)]
         if set(self.samples) != set(keys):
             raise ValidationError("phase samples are incomplete for n_max")
@@ -197,6 +192,31 @@ def _check_oscillator(amp: float, action: str) -> None:
         )
 
 
+def _subset_count(n: int, depth: int) -> float:
+    """``C(2^d, n)``, the number of ``n``-detector subsets of a depth-``d`` tree.
+
+    Refuses an ``n`` above the tree's ``2^d`` detectors, and a tree whose
+    count for some order up to ``n`` leaves the float range; the largest is
+    at ``min(n, 2^(d-1))``.
+    """
+    _check_count(depth, "tree depth")
+    detectors = 2**depth
+    if n > detectors:
+        raise ValidationError(
+            f"cannot correlate {n} detectors with a depth-{depth} tree "
+            f"({detectors} detectors)"
+        )
+    largest = min(n, detectors // 2)
+    try:
+        float(math.comb(detectors, largest))
+    except OverflowError:
+        raise ValidationError(
+            f"C(2^{depth}, {largest}), the number of {largest}-detector subsets "
+            f"of a depth-{depth} tree, leaves the float range"
+        ) from None
+    return float(math.comb(detectors, n))
+
+
 def _tree_rows(n: int, lo: LOConfig, depth: int, phases) -> Array:
     """Coefficients ``c_k = C(n, k) u^k v^{n-k}`` of ``M^n``, one row per phase.
 
@@ -215,17 +235,12 @@ def _scheme_a_scan(
 ) -> Array:
     """``F_n = C(2^d, n) <:M^dag^n M^n:>`` at every oscillator phase."""
     _check_count(n, "correlation order n")
-    _check_count(depth, "tree depth")
     if n < 1:
         raise ValidationError("correlation order n must be at least 1")
-    if n > 2**depth:
-        raise ValidationError(
-            f"cannot correlate {n} detectors with a depth-{depth} tree"
-        )
+    weight = _subset_count(n, depth)
     table = resolve_table(source, n)
     rows = _tree_rows(n, lo, depth, phases)
-    counts = _coincidences(table, rows, f"scheme A coincidence F_{n}")
-    return math.comb(2**depth, n) * counts
+    return weight * _coincidences(table, rows, f"scheme A coincidence F_{n}")
 
 
 def scheme_a_forward(
@@ -264,6 +279,7 @@ def scheme_a_sample_and_fourier(
     record, derives the harmonics.  ``n_max`` and ``depth`` are integers.
     """
     _check_count(n_max, "n_max")
+    _subset_count(n_max, depth)
     table = resolve_table(source, n_max)
     samples: dict[tuple[int, int], float] = {}
     for n in range(1, n_max + 1):
@@ -299,7 +315,7 @@ def scheme_a_invert(record: FourierRecord) -> MomentTable:
         phases = scheme_a_phases(n)
         rows = _tree_rows(n, lo, record.depth, phases)
         scan = np.array([record.samples[(n, j)] for j in range(len(phases))])
-        rest = scan / math.comb(2**record.depth, n) - _quadratic_forms(rows, vals).real
+        rest = scan / _subset_count(n, record.depth) - _quadratic_forms(rows, vals).real
         harmonics = np.fft.fft(rest) / len(phases)
         c = rows[0]  # phase 0
         vals[n, n::-1] = harmonics[: n + 1] / (np.conj(c[n]) * c[n::-1])

@@ -4,6 +4,7 @@ import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -33,7 +34,7 @@ from nclmoments import (
     scheme_c_forward,
     witnesses,
 )
-from nclmoments.cli import build_parser, config_from_args, main
+from nclmoments.cli import build_parser, main
 from nclmoments.moments import as_real
 from nclmoments.serialize import (
     read_json,
@@ -382,28 +383,28 @@ def test_qfunc_refuses_bad_grid_before_any_work(option, value, tmp_path, capsys)
      "--grid-n 513 asks for 513^2 grid points"),
 ], ids=["tiny-step", "subnormal-step", "cap-and-one", "grid-40000", "grid-513"])
 def test_grid_verbs_refuse_grids_above_the_cap(argv, message):
-    """The grid size is checked from the arguments, before any allocation."""
-    args = build_parser().parse_args(argv)
+    """The grid size is checked while the arguments are parsed, before any
+    allocation."""
     with pytest.raises(ValidationError) as info:
-        config_from_args(args)
+        build_parser().parse_args(argv)
     assert str(info.value) == f"{message}, above the cap of {cli.MAX_GRID_POINTS}"
 
 
 @pytest.mark.parametrize("argv", [
-    ["sweep", "--lambda-range", "0,262143,1"],
+    ["sweep", "--lambda-range", "2,262145,1"],
     # (stop - start) / step is 262143.0000000001: still 262144 lambdas
     ["sweep", "--lambda-range", "0.286,0.548143,1e-6"],
     ["qfunc", "--state", THERMAL, "--grid-n", "512"],
 ])
 def test_grid_verbs_take_grids_at_the_cap(argv):
     assert cli.MAX_GRID_POINTS == 512**2
-    args = config_from_args(build_parser().parse_args(argv))
+    args = build_parser().parse_args(argv)
     if args.verb == "sweep":
-        assert args.lambda_count == cli.MAX_GRID_POINTS
+        assert len(args.lambda_range) == cli.MAX_GRID_POINTS
 
 
 def test_sweep_builds_the_lambda_count_it_checked(tmp_path, monkeypatch):
-    """``verb_sweep`` builds the grid that ``config_from_args`` counted."""
+    """``verb_sweep`` reads the grid that ``--lambda-range`` counted."""
     seen = []
 
     def tables(m, lams):
@@ -414,7 +415,7 @@ def test_sweep_builds_the_lambda_count_it_checked(tmp_path, monkeypatch):
     argv = ["sweep", "--m-list", "2", "--lambda-range", "1.1,1.5,0.1",
             "--out", str(tmp_path / "s.csv")]
     assert main(argv) == 2
-    assert len(seen[0]) == config_from_args(build_parser().parse_args(argv)).lambda_count
+    assert seen[0] == build_parser().parse_args(argv).lambda_range
     assert seen[0] == [1.1 + i * 0.1 for i in range(5)]
 
 
@@ -661,18 +662,20 @@ def test_state_dim_above_the_cap_exits_2_before_any_state(
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["moments", "--order", "100000"], "--order 100000 is above the cap of 4095"),
-    (["moments", "--order", "4096"], "--order 4096 is above the cap of 4095"),
+    (["moments", "--order", "100000"], "--order 100000 is above the cap of 2047"),
+    (["moments", "--order", "2048"], "--order 2048 is above the cap of 2047"),
     (["criteria", "--nmax", "3000"], "--nmax 3000 is above the cap of 256"),
     (["criteria", "--nmax", "257"], "--nmax 257 is above the cap of 256"),
     (["simulate", "--scheme", "a", "--nmax", "200000", "--depth", "18"],
-     "--nmax 200000 is above the cap of 4095"),
+     "--nmax 200000 is above the cap of 256"),
+    (["simulate", "--scheme", "a", "--nmax", "257", "--depth", "8"],
+     "--nmax 257 is above the cap of 256"),
     (["simulate", "--scheme", "a", "--nmax", "1", "--depth", "100000000"],
      "--depth 100000000 is above the cap of 18"),
     (["simulate", "--scheme", "a", "--nmax", "1", "--depth", "19"],
      "--depth 19 is above the cap of 18"),
 ], ids=["order", "order-cap-and-one", "nmax", "nmax-cap-and-one", "scan-nmax",
-        "depth", "depth-cap-and-one"])
+        "scan-nmax-cap-and-one", "depth", "depth-cap-and-one"])
 def test_sizes_above_their_caps_exit_2_before_any_state(
     argv, message, tmp_path, capsys, monkeypatch
 ):
@@ -690,18 +693,51 @@ def test_sizes_above_their_caps_exit_2_before_any_state(
 
 
 @pytest.mark.parametrize("argv", [
-    ["moments", "--order", "4095"],
+    ["moments", "--order", "2047"],
     ["criteria", "--nmax", "256"],
-    ["simulate", "--scheme", "a", "--nmax", "4095", "--depth", "18"],
+    ["simulate", "--scheme", "a", "--nmax", "256", "--depth", "18"],
 ])
 def test_sizes_at_their_caps_are_accepted(argv):
-    from nclmoments import serialize
     from nclmoments.criteria import _hierarchy_basis
 
-    assert cli.MAX_ORDER == serialize.MAX_DIM - 1
+    assert (cli.MAX_ORDER, cli.MAX_NMAX) == (2047, 256)
     assert 2**cli.MAX_DEPTH == cli.MAX_GRID_POINTS
     assert _hierarchy_basis("d2", cli.MAX_NMAX).required_order() <= cli.MAX_ORDER
-    config_from_args(build_parser().parse_args(argv + ["--state", "{}"]))
+    build_parser().parse_args(argv + ["--state", "{}"])
+
+
+def test_criteria_refuses_a_determinant_beyond_the_float_range(tmp_path, capsys):
+    """This once ended in a ``ValueError`` from the JSON writer (exit 1)."""
+    out = tmp_path / "c.json"
+    with pytest.warns(nclmoments.OrderAccuracyWarning):
+        rc = main(["criteria", "--state", '{"type": "thermal", "nbar": 0.5}',
+                   "--nmax", "24", "--kind", "d2", "--out", str(out)])
+    assert rc == 3
+    assert re.fullmatch(r"error: d2 determinant d_\d+ is (-?inf|nan): it leaves "
+                        r"the float range\n", capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_simulate_refuses_subset_counts_beyond_the_float_range(
+    tmp_path, capsys, monkeypatch
+):
+    """``C(2^18, 79)`` leaves the float range; scheme A once computed every
+    order before its ``OverflowError`` (exit 1)."""
+    from nclmoments import measurement
+
+    def refuse(*args):
+        raise AssertionError("an order was computed")
+
+    monkeypatch.setattr(measurement, "_tree_rows", refuse)
+    out = tmp_path / "r.json"
+    assert main(["simulate", "--scheme", "a", "--nmax", "79", "--depth", "18",
+                 "--state", '{"type": "fock", "n": 1, "dim": 16}',
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: C(2^18, 79), the number of 79-detector subsets of a depth-18 "
+        "tree, leaves the float range\n"
+    )
+    assert not out.exists()
 
 
 def test_state_dim_at_the_cap_is_accepted(monkeypatch):
@@ -817,8 +853,6 @@ def test_invert_rejects_incomplete_phase_scans(tmp_path, capsys, corrupt):
     assert "phase samples are incomplete for n_max" in capsys.readouterr().err
 
 
-STATE_VERBS = ("moments", "criteria", "qfunc", "simulate")
-
 VERB_ARGV = {
     "moments": ["--state", THERMAL],
     "criteria": ["--state", THERMAL],
@@ -828,26 +862,29 @@ VERB_ARGV = {
     "invert": ["--record", "rec.json"],
 }
 
+VERB_DEFAULTS = {
+    "moments": dict(dim=64, out="moments.json", order=4),
+    "criteria": dict(dim=64, out="criteria.json", kind="all", nmax=4, phi=0.0,
+                     tolerance=1e-9),
+    "sweep": dict(dim=None, out="sweep.csv", m_list=(2, 3, 4),
+                  lambda_range=[1.05 + i * 0.05 for i in range(20)]),
+    "qfunc": dict(dim=64, out="qfunc.csv", grid_bound=2.0, grid_n=41),
+    "simulate": dict(dim=64, out="record.json", depth=2, nmax=4, lo_alpha=3 + 0j,
+                     t0=math.sqrt(0.5), samples=None, seed=0),
+    "invert": dict(out="inverted.json"),
+}
+
 
 @pytest.mark.parametrize("verb", sorted(VERB_ARGV))
 def test_config_carries_parser_defaults(verb):
-    """Every verb's config holds the parser's defaults for options it omits."""
-    parser = build_parser()
-    config = config_from_args(parser.parse_args([verb] + VERB_ARGV[verb]))
-    default = parser.get_default
-    given = {"state", "scheme", "record"} & {
-        arg[2:] for arg in VERB_ARGV[verb] if arg.startswith("--")
-    }
-    for name in ("state", "order", "phi", "kind", "nmax", "scheme", "depth",
-                 "t0", "samples", "seed", "tolerance", "record", "grid_bound",
-                 "grid_n"):
-        if name not in given:
-            assert getattr(config, name) == default(name), name
-    assert config.dim == (64 if verb in STATE_VERBS else None)
-    assert config.lo_alpha == complex(*map(float, default("lo_alpha").split(",")))
-    assert config.m_list == tuple(map(int, default("m_list").split(",")))
-    assert config.lambda_range == tuple(
-        map(float, default("lambda_range").split(","))
+    """A verb's parsed configuration holds its own options, parsed and at
+    their declared defaults where omitted, plus ``verb`` and ``run``; it holds
+    no option of another verb."""
+    argv = VERB_ARGV[verb]
+    given = {opt[2:]: value for opt, value in zip(argv[::2], argv[1::2])}
+    args = build_parser().parse_args([verb] + argv)
+    assert vars(args) == dict(
+        VERB_DEFAULTS[verb], **given, verb=verb, run=getattr(cli, f"verb_{verb}")
     )
 
 
@@ -913,10 +950,10 @@ def test_large_ass_order_is_invalid_input(argv, tmp_path, capsys):
 
 def test_config_takes_given_options():
     parser = build_parser()
-    config = config_from_args(parser.parse_args([
+    config = parser.parse_args([
         "simulate", "--state", THERMAL, "--scheme", "a", "--nmax", "6",
         "--depth", "3", "--lo-alpha", "1,2", "--samples", "100", "--seed", "5",
-    ]))
+    ])
     assert (config.nmax, config.depth, config.lo_alpha) == (6, 3, 1 + 2j)
     assert (config.samples, config.seed) == (100.0, 5)
 

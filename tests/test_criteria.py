@@ -438,6 +438,17 @@ def test_hierarchy_validates_inputs():
         determinant_hierarchy(state, "bogus", 2)
 
 
+def test_hierarchy_refuses_a_determinant_beyond_the_float_range():
+    """The d2 matrix of thermal nbar 0.5 at n_max 24 reads moments of order
+    48 at dim 64; one of its leading determinants overflows, and a report
+    holding it once reached the JSON writer."""
+    with pytest.warns(OrderAccuracyWarning):
+        table = moment_table(make_thermal(0.5, 64), 48)
+    with pytest.raises(NumericConsistencyError, match=r"^d2 determinant d_\d+ is "
+                       r"(-?inf|nan): it leaves the float range$"):
+        determinant_hierarchy(table, "d2", 24)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_moment_matrix_refuses_non_finite_entries(bad):
     """The Hermitian check reads ``residue > tol``, which NaN passes."""

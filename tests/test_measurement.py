@@ -116,6 +116,14 @@ def test_fourier_record_detector_count_bound():
             depth=2, lo=LOConfig(3.0), n_max=1,
             samples={(1, 0): 1.0},  # needs 2n+2 = 4 phases
         )
+    # C(2^18, n) leaves the float range from n = 79 on: the record and the
+    # scan refuse such a tree before any order is computed
+    with pytest.raises(ValidationError, match="incomplete"):
+        FourierRecord(depth=18, lo=LOConfig(3.0), n_max=78, samples={})
+    with pytest.raises(ValidationError, match=r"C\(2\^18, 79\).*float range"):
+        FourierRecord(depth=18, lo=LOConfig(3.0), n_max=79, samples={})
+    with pytest.raises(ValidationError, match=r"C\(2\^11, 230\).*float range"):
+        scheme_a_sample_and_fourier(state, 230, LOConfig(3.0), 11)
 
 
 def test_fourier_record_is_its_samples():
