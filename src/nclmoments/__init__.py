@@ -8,6 +8,8 @@ laboratory, and constructs amplitude-squared squeezed states together
 with an independent closed-form moment oracle for them.
 """
 
+from types import ModuleType as _ModuleType
+
 from .criteria import (
     BasisKind,
     BochnerResult,
@@ -77,68 +79,11 @@ from .states import (
     q_function,
 )
 
-__all__ = [
-    "AssParams",
-    "BasisKind",
-    "BochnerResult",
-    "CriterionReport",
-    "DEFAULT_TOLERANCE",
-    "DensityState",
-    "DetectionRecord",
-    "DimensionError",
-    "DuplicatePointError",
-    "FockState",
-    "FourierRecord",
-    "HermiteOracle",
-    "InsufficientOrderError",
-    "LOConfig",
-    "MomentMatrix",
-    "MomentTable",
-    "MonomialBasis",
-    "NclError",
-    "NumericConsistencyError",
-    "OrderAccuracyWarning",
-    "SingularInversionError",
-    "TruncationError",
-    "ValidationError",
-    "WeakOscillatorWarning",
-    "add_shot_noise",
-    "apply_squeeze",
-    "as_real",
-    "asq_min_max",
-    "asq_variance",
-    "ass_moment_analytic",
-    "ass_moment_table",
-    "ass_moment_tables",
-    "ass_oracle",
-    "ass_params",
-    "bochner_det",
-    "bochner_search",
-    "build_matrix",
-    "build_matrix_d2",
-    "char_function",
-    "char_values",
-    "determinant_hierarchy",
-    "gegenbauer_c_m_sq",
-    "make_ass_state",
-    "make_coherent",
-    "make_fock",
-    "make_thermal",
-    "moment_table",
-    "principal_minor",
-    "q_function",
-    "resolve_table",
-    "s2_witnesses",
-    "s3",
-    "scheme_a_forward",
-    "scheme_a_invert",
-    "scheme_a_phases",
-    "scheme_a_sample_and_fourier",
-    "scheme_b_extract",
-    "scheme_b_forward",
-    "scheme_c_extract",
-    "scheme_c_forward",
-    "witnesses",
-]
+# The public names are the ones imported above, other than the submodules
+# that importing them binds.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)
 
 __version__ = "0.1.0"

@@ -17,17 +17,20 @@ One verb produces one artifact; verbs compose through files:
 Each verb accepts only the options it reads.  :func:`build_parser` declares
 each option once: its flag, its default and the ``type`` that parses and
 checks it, so a value outside its range or cap exits 2 before any state is
-built.  The caps are the constants below; the README's "Command line"
-section lists every rule.  Record files are
+built.  The two caps that span two options, ``sweep``'s rows and ``qfunc``'s
+coherent-state overlaps, are checked by their verbs, also before any state
+or table is built.  The caps are the constants below; the README's
+"Command line" section lists every rule.  Record files are
 :func:`~nclmoments.serialize.records_to_json` documents.
 
 :func:`main` builds the argument parser on its first call and reuses it for
 every later call in the process.
 
-Exit codes: 0 success; 2 invalid input; 3 truncation, insufficient
-moment order or a result that fails its consistency check (a determinant
-beyond the float range, say); 4 singular inversion; 10 (``criteria`` only)
-nonclassicality witnessed by a negative classified determinant.
+Exit codes: 0 success; 10 (``criteria`` only) nonclassicality witnessed
+by a negative classified determinant; otherwise the ``exit_code`` of the
+:class:`~nclmoments.errors.NclError` raised: 2 invalid input; 3 truncation,
+insufficient moment order or a result that fails its consistency check (a
+determinant beyond the float range, say); 4 singular inversion.
 """
 
 from __future__ import annotations
@@ -43,14 +46,7 @@ from .criteria import (
     _WITNESS_ORDER, BasisKind, DEFAULT_TOLERANCE, _hierarchy_basis, _witnesses,
     determinant_hierarchy, witnesses,
 )
-from .errors import (
-    InsufficientOrderError,
-    NclError,
-    NumericConsistencyError,
-    SingularInversionError,
-    TruncationError,
-    ValidationError,
-)
+from .errors import NclError, TruncationError, ValidationError
 from .measurement import (
     FourierRecord,
     LOConfig,
@@ -66,21 +62,25 @@ from .moments import ass_moment_tables, moment_table
 from .serialize import (
     DEFAULT_DIM,
     MAX_DIM,
+    _read_spec,
+    _spec_dim,
     parse_state_argument,
     read_json,
     records_from_json,
     records_to_json,
     report_to_json,
+    state_from_spec,
     table_to_json,
     write_csv,
     write_json,
 )
 
-# The most points a grid verb computes: lambda values per m for ``sweep``,
-# ``--grid-n`` squared for ``qfunc``.  Checked while the arguments are
-# parsed, before anything is allocated.  ``qfunc`` also holds ``--grid-n`` squared
-# times dim coherent-state overlaps, at most ``MAX_GRID_POINTS * DEFAULT_DIM``
-# (2^24 complex values, 268 MB): a grid at the cap at the default dim 64.
+# The most points a grid verb computes: rows (values of m times values of
+# lambda) for ``sweep``, ``--grid-n`` squared for ``qfunc``.  ``qfunc`` also
+# holds ``--grid-n`` squared times dim coherent-state overlaps, at most
+# ``MAX_GRID_POINTS * DEFAULT_DIM`` (2^24 complex values, 268 MB): a grid at
+# the cap at the default dim 64.  Each count is checked before any state is
+# built and before what it counts is allocated.
 MAX_GRID_POINTS = 2**18
 
 # The largest ``moments --order``.  Under a 1.5 GB address-space limit on a
@@ -306,6 +306,12 @@ def verb_criteria(args: argparse.Namespace) -> int:
 
 def verb_sweep(args: argparse.Namespace) -> int:
     lambdas = args.lambda_range
+    count = len(args.m_list) * len(lambdas)
+    if count > MAX_GRID_POINTS:
+        raise ValidationError(
+            f"--m-list and --lambda-range ask for {count} rows, "
+            f"above the cap of {MAX_GRID_POINTS}"
+        )
     rows = []
     for m in sorted(args.m_list):
         values = ass_moment_tables(m, lambdas).values
@@ -320,14 +326,16 @@ def verb_sweep(args: argparse.Namespace) -> int:
 def verb_qfunc(args: argparse.Namespace) -> int:
     from .states import q_function
 
-    state = parse_state_argument(args.state, args.dim)
-    overlaps = args.grid_n**2 * state.dim
+    spec = _read_spec(args.state)
+    dim = _spec_dim(spec, args.dim)
+    overlaps = args.grid_n**2 * dim
     if overlaps > MAX_GRID_POINTS * DEFAULT_DIM:
         raise ValidationError(
-            f"--grid-n {args.grid_n} at dim {state.dim} asks for {overlaps} "
+            f"--grid-n {args.grid_n} at dim {dim} asks for {overlaps} "
             f"coherent-state overlaps, above the cap of "
             f"{MAX_GRID_POINTS * DEFAULT_DIM}"
         )
+    state = state_from_spec(spec, args.dim)
     axis = np.linspace(-args.grid_bound, args.grid_bound, args.grid_n)
     grid = axis[:, None] + 1j * axis[None, :]
     values = q_function(state, grid)
@@ -394,17 +402,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _PARSER.parse_args(argv)
         return args.run(args)
-    except SingularInversionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except (TruncationError, InsufficientOrderError, NumericConsistencyError) as exc:
+    except NclError as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, TruncationError) and exc.suggested_dim:
             print(_dim_hint(exc.suggested_dim), file=sys.stderr)
-        return 3
-    except NclError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -521,7 +521,6 @@ def determinant_hierarchy(
         raise ValidationError(
             f"tolerance must be finite and positive, got {tolerance!r}"
         )
-    _check_angle(phi)
     values = build_matrix(source, basis, phi=phi).values
     scale = float(np.max(np.abs(values)))
     tol_eff = tolerance * max(1.0, scale)

@@ -1,9 +1,10 @@
 """Exception hierarchy and warning categories for :mod:`nclmoments`.
 
-The exceptions map onto the CLI exit-code contract:
+Each exception class carries the command line's exit code for it, as its
+``exit_code`` attribute:
 
 * :class:`ValidationError`, :class:`DimensionError`, :class:`DuplicatePointError`
-  — invalid inputs (exit code 2),
+  — invalid inputs (exit code 2, also that of :class:`NclError` itself),
 * :class:`TruncationError`, :class:`InsufficientOrderError`,
   :class:`NumericConsistencyError` — the truncated Fock space or the supplied
   moment table cannot support the requested computation (exit code 3),
@@ -18,6 +19,8 @@ import numpy as np
 
 class NclError(Exception):
     """Base class for all :mod:`nclmoments` errors."""
+
+    exit_code = 2
 
 
 class ValidationError(NclError):
@@ -42,6 +45,8 @@ class TruncationError(NclError):
         estimated; ``None`` otherwise.
     """
 
+    exit_code = 3
+
     def __init__(self, message: str, suggested_dim: int | None = None):
         super().__init__(message)
         self.suggested_dim = suggested_dim
@@ -50,14 +55,20 @@ class TruncationError(NclError):
 class InsufficientOrderError(NclError):
     """Raised when a moment table lacks the orders needed by a computation."""
 
+    exit_code = 3
+
 
 class NumericConsistencyError(NclError):
     """Raised when a quantity that must be real carries a large imaginary
     part, or a determinant leaves the float range."""
 
+    exit_code = 3
+
 
 class SingularInversionError(NclError):
     """Raised when measured data cannot be inverted (e.g. vanishing LO)."""
+
+    exit_code = 4
 
 
 class OrderAccuracyWarning(UserWarning):

@@ -44,7 +44,7 @@ size ``1/sqrt(samples)``, emulating finite counting statistics.
 from __future__ import annotations
 
 import cmath
-import itertools
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Mapping, Optional
@@ -61,7 +61,11 @@ from .operators import Array
 _WEAK_LO = 0.5
 _NOISE_FLOOR = 1e-6
 
-GAMMA_KEYS = ("g1", "g2", "g3", "g4", "g12", "g13", "g14", "g23", "g24", "g34")
+# The detector subsets of schemes B and C, in record order: the four
+# detectors, then their six pairs.  A subset's count is keyed ``g`` followed
+# by its detectors, and its row in ``_detector_rows`` is the product of theirs.
+_DETECTOR_SUBSETS = ((1,), (2,), (3,), (4,), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
+GAMMA_KEYS = tuple("g" + "".join(map(str, subset)) for subset in _DETECTOR_SUBSETS)
 
 
 @dataclass(frozen=True)
@@ -102,7 +106,8 @@ class DetectionRecord:
     """Mean counts and coincidences of a four-detector run.
 
     ``gammas`` holds the four mean intensities ``g1..g4`` and the six
-    pairwise normally ordered coincidences ``g12..g34``.
+    pairwise normally ordered coincidences ``g12..g34``: one count per
+    detector subset of ``_DETECTOR_SUBSETS``, keyed by ``GAMMA_KEYS``.
     """
 
     scheme: str
@@ -342,8 +347,11 @@ def _detector_rows(scheme: str, lo: LOConfig) -> Array:
         second = (-np.conj(lo.r0) * half, lo.t0 * lo.alpha * half)
         modes = [first, first, second, second]
     singles = [np.array([v, u], dtype=complex) for u, v in modes]
-    pairs = [np.convolve(b, c) for b, c in itertools.combinations(singles, 2)]
-    return np.array([np.append(b, 0.0) for b in singles] + pairs)
+    rows = np.zeros((len(_DETECTOR_SUBSETS), 3), dtype=complex)
+    for row, subset in zip(rows, _DETECTOR_SUBSETS):
+        product = functools.reduce(np.convolve, [singles[i - 1] for i in subset])
+        row[: len(product)] = product
+    return rows
 
 
 def _detector_record(

@@ -158,7 +158,8 @@ def moment_table(state: State, max_order: int) -> MomentTable:
     steps = np.arange(max_order, dtype=float)
     ones = np.ones_like(ns)
     falling = np.cumprod(np.hstack([ones, np.maximum(ns - steps, 0.0)]), axis=1)
-    rising = np.cumprod(np.hstack([ones, ns + 1.0 + steps]), axis=1)
+    # only the offsets' columns are read; the unread ones beyond them could overflow
+    rising = np.cumprod(np.hstack([ones, ns + 1.0 + steps[: offsets.max()]]), axis=1)
     scaled = np.zeros((len(diagonals), max_order + 1), dtype=complex)
     scaled[:, offsets] = np.sqrt(rising[:, offsets]) * diagonals
     values = (falling.T @ scaled)[lo, hi - lo]

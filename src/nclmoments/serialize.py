@@ -19,6 +19,7 @@ from .criteria import CriterionReport
 from .errors import ValidationError
 from .measurement import (
     GAMMA_KEYS,
+    _DETECTOR_SUBSETS,
     DetectionRecord,
     FourierRecord,
     LOConfig,
@@ -88,16 +89,8 @@ def complex_from_json(value: Any, context: str) -> complex:
         raise ValidationError(f"{context} is too large for a float") from None
 
 
-def state_from_spec(spec: Mapping[str, Any], default_dim: int = DEFAULT_DIM) -> State:
-    """Construct a state from its JSON specification.
-
-    ``{"type": "fock"|"coherent"|"thermal"|"squeezed_vacuum"|"ass",
-    parameters per type, "dim": integer}``; parameters are ``n`` (fock),
-    ``alpha`` (coherent), ``nbar`` (thermal), ``z`` (squeezed vacuum) and
-    ``m``/``lambda`` (amplitude-squared squeezed).  ``dim`` is optional and
-    defaults to ``default_dim``; either way it is at most :data:`MAX_DIM`,
-    checked before any state is built.
-    """
+def _spec_dim(spec: Any, default_dim: int) -> int:
+    """Check that ``spec`` is an object of a known type; return its checked ``dim``."""
     if not isinstance(spec, Mapping):
         raise ValidationError("state spec must be a JSON object")
     kind = spec.get("type")
@@ -110,6 +103,21 @@ def state_from_spec(spec: Mapping[str, Any], default_dim: int = DEFAULT_DIM) -> 
         raise ValidationError("state spec dim must be a positive integer")
     if dim > MAX_DIM:
         raise ValidationError(f"state spec dim {dim} exceeds the cap {MAX_DIM}")
+    return dim
+
+
+def state_from_spec(spec: Mapping[str, Any], default_dim: int = DEFAULT_DIM) -> State:
+    """Construct a state from its JSON specification.
+
+    ``{"type": "fock"|"coherent"|"thermal"|"squeezed_vacuum"|"ass",
+    parameters per type, "dim": integer}``; parameters are ``n`` (fock),
+    ``alpha`` (coherent), ``nbar`` (thermal), ``z`` (squeezed vacuum) and
+    ``m``/``lambda`` (amplitude-squared squeezed).  ``dim`` is optional and
+    defaults to ``default_dim``; either way it is at most :data:`MAX_DIM`,
+    checked before any state is built.
+    """
+    dim = _spec_dim(spec, default_dim)
+    kind = spec["type"]
     if kind == "fock":
         return make_fock(_integer(spec.get("n"), "state spec field 'n'"), dim)
     if kind == "coherent":
@@ -128,6 +136,12 @@ def state_from_spec(spec: Mapping[str, Any], default_dim: int = DEFAULT_DIM) -> 
 
 def parse_state_argument(arg: str, default_dim: int = DEFAULT_DIM) -> State:
     """Resolve a ``--state`` value: a JSON file path or an inline JSON object."""
+    return state_from_spec(_read_spec(arg), default_dim)
+
+
+def _read_spec(arg: str) -> Any:
+    """The decoded JSON of a ``--state`` value, read from the file it names
+    unless it starts with ``{``."""
     text = arg.strip()
     if not text.startswith("{"):
         path = Path(text)
@@ -137,10 +151,9 @@ def parse_state_argument(arg: str, default_dim: int = DEFAULT_DIM) -> State:
             )
         text = path.read_text()
     try:
-        spec = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"state spec is not valid JSON: {exc}") from exc
-    return state_from_spec(spec, default_dim)
 
 
 # -- moment tables -----------------------------------------------------------
@@ -232,31 +245,25 @@ def lo_from_json(doc: Mapping[str, Any]) -> LOConfig:
         raise ValidationError(f"LO config is missing field {exc}") from exc
 
 
-def _subset_of_key(key: str) -> list[int]:
-    return [int(ch) for ch in key[1:]]
-
-
-def _key_of_subset(subset: Sequence[int]) -> str:
-    key = "g" + "".join(str(_integer(i, "detector index")) for i in subset)
-    if key not in GAMMA_KEYS:
-        raise ValidationError(f"unknown detector subset {list(subset)!r}")
-    return key
-
-
 def detection_record_to_json(record: DetectionRecord) -> dict[str, Any]:
     gammas = [
-        {"subset": _subset_of_key(key), "value": record.gammas[key]}
-        for key in GAMMA_KEYS
+        {"subset": list(subset), "value": record.gammas[key]}
+        for subset, key in zip(_DETECTOR_SUBSETS, GAMMA_KEYS)
     ]
     return {"scheme": record.scheme, "lo": lo_to_json(record.lo), "gammas": gammas}
 
 
 def detection_record_from_json(doc: Mapping[str, Any]) -> DetectionRecord:
+    keys = dict(zip(_DETECTOR_SUBSETS, GAMMA_KEYS))
     try:
-        gammas = {
-            _key_of_subset(item["subset"]): _number(item["value"], "detection count")
-            for item in doc["gammas"]
-        }
+        gammas = {}
+        for item in doc["gammas"]:
+            subset = tuple(_integer(i, "detector index") for i in item["subset"])
+            if subset not in keys:
+                raise ValidationError(
+                    f"unknown detector subset {list(item['subset'])!r}"
+                )
+            gammas[keys[subset]] = _number(item["value"], "detection count")
         return DetectionRecord(
             scheme=str(doc["scheme"]), lo=lo_from_json(doc["lo"]), gammas=gammas
         )

@@ -225,12 +225,8 @@ def make_thermal(nbar: float, dim: int) -> DensityState:
             f"mean photon number must be finite and nonnegative, got {nbar!r}"
         )
     _check_dim(dim)
-    if nbar == 0.0:
-        probs = np.zeros(dim)
-        probs[0] = 1.0
-    else:
-        ratio = nbar / (1.0 + nbar)
-        probs = ratio ** np.arange(dim) / (1.0 + nbar)
+    ratio = nbar / (1.0 + nbar)
+    probs = ratio ** np.arange(dim) / (1.0 + nbar)
     trace = float(probs.sum())
     deficit = 1.0 - trace
     if deficit > _TRUNCATION_LOSS_TOL:

@@ -13,9 +13,11 @@ Array = np.ndarray
 def scan_harmonics(record) -> dict:
     """``{(n, m): harmonic}``, ``m = -n..n``, of a scheme-A record's scans.
 
-    One FFT per order in the kernel ``exp(i m (phi + arg(alpha r0)))``, the
-    expression :func:`nclmoments.scheme_a_invert` uses for ``m >= 0``; the
-    negative harmonics are read from the FFT too, not conjugated.
+    One FFT per order in the kernel ``exp(i m (phi + arg(alpha r0)))``, so
+    each harmonic is referred to the oscillator's phase; the negative
+    harmonics are read from the FFT too, not conjugated.  (The inversion,
+    :func:`nclmoments.scheme_a_invert`, divides the FFT of its residual scan
+    by ``conj(c_n) c_{n-m}`` instead.)
     """
     offset = np.angle(record.lo.alpha * record.lo.r0)
     out = {}

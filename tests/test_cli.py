@@ -18,6 +18,7 @@ from nclmoments import (
     BasisKind,
     LOConfig,
     MomentTable,
+    NclError,
     NumericConsistencyError,
     ValidationError,
     add_shot_noise,
@@ -391,16 +392,49 @@ def test_grid_verbs_refuse_grids_above_the_cap(argv, message):
 
 
 @pytest.mark.parametrize("argv", [
-    ["sweep", "--lambda-range", "2,262145,1"],
+    ["sweep", "--m-list", "2", "--lambda-range", "2,262145,1"],
     # (stop - start) / step is 262143.0000000001: still 262144 lambdas
-    ["sweep", "--lambda-range", "0.286,0.548143,1e-6"],
+    ["sweep", "--m-list", "2", "--lambda-range", "0.286,0.548143,1e-6"],
+    ["sweep", "--m-list", "2,3", "--lambda-range", "2,131073,1"],
     ["qfunc", "--state", THERMAL, "--grid-n", "512"],
 ])
-def test_grid_verbs_take_grids_at_the_cap(argv):
+def test_grid_verbs_take_grids_at_the_cap(argv, tmp_path, capsys, monkeypatch):
+    """A grid at the cap passes every count and reaches the first table."""
     assert cli.MAX_GRID_POINTS == 512**2
     args = build_parser().parse_args(argv)
     if args.verb == "sweep":
-        assert len(args.lambda_range) == cli.MAX_GRID_POINTS
+        assert len(args.m_list) * len(args.lambda_range) == cli.MAX_GRID_POINTS
+
+        def tables(m, lams):
+            raise ValidationError("reached the first table")
+
+        monkeypatch.setattr(cli, "ass_moment_tables", tables)
+        assert main(argv + ["--out", str(tmp_path / "s.csv")]) == 2
+        assert capsys.readouterr().err == "error: reached the first table\n"
+
+
+@pytest.mark.parametrize("m_list, lambda_range, rows", [
+    (",".join(["2"] * 1000), "1.05,263.193,0.001", 262144000),
+    ("2,3", "2,131074,1", 262146),
+], ids=["repeated-m", "cap-and-two"])
+def test_sweep_refuses_rows_above_the_cap(
+    m_list, lambda_range, rows, tmp_path, capsys, monkeypatch
+):
+    """The rows are counted before the first table; 1000 copies of one m at
+    the lambda cap once asked for 262,144,000 rows."""
+    def tables(m, lams):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(cli, "ass_moment_tables", tables)
+    out = tmp_path / "s.csv"
+    argv = ["sweep", "--m-list", m_list, "--lambda-range", lambda_range,
+            "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: --m-list and --lambda-range ask for {rows} rows, "
+        f"above the cap of {cli.MAX_GRID_POINTS}\n"
+    )
+    assert not out.exists()
 
 
 def test_sweep_builds_the_lambda_count_it_checked(tmp_path, monkeypatch):
@@ -423,8 +457,19 @@ def test_sweep_builds_the_lambda_count_it_checked(tmp_path, monkeypatch):
     (THERMAL, "512"),
     ('{"type": "fock", "n": 1, "dim": 4096}', "100"),
 ], ids=["dim-option", "spec-dim"])
-def test_qfunc_refuses_overlaps_above_the_cap(state, grid_n, tmp_path, capsys):
-    """``--grid-n`` squared times the state's dim is checked before the grid."""
+def test_qfunc_refuses_overlaps_above_the_cap(
+    state, grid_n, tmp_path, capsys, monkeypatch
+):
+    """``--grid-n`` squared times the state's dim is checked before the state
+    is built: a dim-4096 thermal state once took 3.5 s to build and then
+    exit 2."""
+    from nclmoments import serialize
+
+    def refuse(*args):
+        raise AssertionError("a state was built")
+
+    monkeypatch.setattr(serialize, "make_thermal", refuse)
+    monkeypatch.setattr(serialize, "make_fock", refuse)
     out = tmp_path / "q.csv"
     argv = ["qfunc", "--state", state, "--grid-n", grid_n, "--out", str(out)]
     if state == THERMAL:
@@ -559,6 +604,38 @@ def test_exit_code_singular_inversion(tmp_path, capsys):
     rc = main(["invert", "--record", str(record), "--out", str(tmp_path / "i.json")])
     assert rc == 4
     assert "error:" in capsys.readouterr().err
+
+
+def _error_classes(base=NclError):
+    return [base] + [c for sub in base.__subclasses__() for c in _error_classes(sub)]
+
+
+EXIT_CODES = {
+    "NclError": 2, "ValidationError": 2, "DimensionError": 2, "DuplicatePointError": 2,
+    "TruncationError": 3, "InsufficientOrderError": 3, "NumericConsistencyError": 3,
+    "SingularInversionError": 4,
+}
+
+
+def test_exit_codes_cover_every_error_class():
+    assert sorted(c.__name__ for c in _error_classes()) == sorted(EXIT_CODES)
+
+
+@pytest.mark.parametrize("name", sorted(EXIT_CODES))
+def test_main_exits_with_the_code_of_the_error_raised(
+    name, tmp_path, capsys, monkeypatch
+):
+    """``main`` returns the ``exit_code`` of whichever error a verb raises."""
+    error = getattr(nclmoments, name)
+
+    def table(*args):
+        raise error("raised by the verb")
+
+    monkeypatch.setattr(cli, "moment_table", table)
+    argv = ["moments", "--state", '{"type": "fock", "n": 1}',
+            "--out", str(tmp_path / "m.json")]
+    assert main(argv) == error.exit_code == EXIT_CODES[name]
+    assert capsys.readouterr().err == "error: raised by the verb\n"
 
 
 def test_exit_code_validation_errors(tmp_path, capsys):

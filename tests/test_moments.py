@@ -168,6 +168,23 @@ def test_moment_table_warns_once_past_half_dim():
     assert caught[0].filename == __file__
 
 
+@pytest.mark.parametrize("build, order", [
+    (lambda: make_thermal(0.5, 64), 146),
+    (lambda: apply_squeeze(make_fock(0, 64), 0.5), 150),
+], ids=["thermal", "squeezed-vacuum"])
+def test_moment_table_past_the_float_range_of_unread_factorials(build, order):
+    """The rising factorials are taken only up to the state's last offset.
+    Taken up to ``max_order``, the unread ones overflowed from these orders
+    on, and numpy's overflow warning is an error in this suite."""
+    state = build()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", OrderAccuracyWarning)
+        table = moment_table(state, order)
+        low = moment_table(state, 10)
+    assert np.isfinite(table.values).all()
+    np.testing.assert_allclose(table.values[:11, :11], low.values, rtol=1e-12, atol=0)
+
+
 ORDER_WARNING_CALLS = {
     "build_matrix": lambda: build_matrix(
         make_fock(1, 6), MonomialBasis.graded(BasisKind.QUAD, 4), 0.3

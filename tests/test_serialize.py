@@ -191,8 +191,23 @@ def test_detection_record_round_trip():
     record = scheme_b_forward(random_pure_state(24, 14), LOConfig(alpha=1.5))
     doc = detection_record_to_json(record)
     assert doc["scheme"] == "b"
+    assert [item["subset"] for item in doc["gammas"]] == [
+        [1], [2], [3], [4], [1, 2], [1, 3], [1, 4], [2, 3], [2, 4], [3, 4]
+    ]
     back = detection_record_from_json(doc)
     assert back.gammas == record.gammas
+
+
+@pytest.mark.parametrize("subset", [[12], [5], [2, 1], [1, 2, 3], []])
+def test_detection_record_refuses_unknown_subsets(subset):
+    """Only the ten subsets a record is written with are read back; ``[12]``
+    was once read as ``[1, 2]``."""
+    record = scheme_b_forward(random_pure_state(24, 14), LOConfig(alpha=1.5))
+    doc = detection_record_to_json(record)
+    doc["gammas"][4]["subset"] = subset
+    message = re.escape(f"unknown detector subset {subset}")
+    with pytest.raises(ValidationError, match=message):
+        detection_record_from_json(doc)
 
 
 def test_fourier_record_round_trip_preserves_inversion():

@@ -174,8 +174,10 @@ def test_thermal_moments_and_trace():
 
 
 def test_thermal_zero_temperature_is_vacuum():
-    state = make_thermal(0.0, 4)
-    assert state.matrix[0, 0] == 1.0
+    """The general formula, ``0 ** 0 = 1`` included, gives the exact vacuum."""
+    vacuum = np.zeros((4, 4), dtype=complex)
+    vacuum[0, 0] = 1.0
+    np.testing.assert_array_equal(make_thermal(0.0, 4).matrix, vacuum)
 
 
 def test_thermal_truncation_error():
