@@ -77,10 +77,12 @@ from .serialize import (
 
 # The most points a grid verb computes: rows (values of m times values of
 # lambda) for ``sweep``, ``--grid-n`` squared for ``qfunc``.  ``qfunc`` also
-# holds ``--grid-n`` squared times dim coherent-state overlaps, at most
-# ``MAX_GRID_POINTS * DEFAULT_DIM`` (2^24 complex values, 268 MB): a grid at
-# the cap at the default dim 64.  Each count is checked before any state is
-# built and before what it counts is allocated.
+# computes ``--grid-n`` squared times dim coherent-state overlaps, at most
+# ``MAX_GRID_POINTS * DEFAULT_DIM`` (2^24): a grid at the cap at the default
+# dim 64.  ``q_function`` holds the overlaps of 1024 points at a time, so
+# that cap bounds time, not memory (a thermal state at the cap peaked at
+# 48 MB RSS on a 2-vCPU VM).  Each count is checked before any state is
+# built.
 MAX_GRID_POINTS = 2**18
 
 # The largest ``moments --order``.  Under a 1.5 GB address-space limit on a

@@ -10,6 +10,7 @@ significant digits (enough for a lossless float round trip).
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 from typing import Any, Mapping, Sequence, Union
 
@@ -40,6 +41,8 @@ STATE_TYPES = ("fock", "coherent", "thermal", "squeezed_vacuum", "ass")
 DEFAULT_DIM = 64
 # Largest Fock truncation of a state spec: a density matrix of 2^24 entries.
 MAX_DIM = 2**12
+# write_csv formats and writes this many rows at a time.
+_CSV_ROWS = 1024
 
 
 def complex_to_json(z: complex) -> list[float]:
@@ -140,20 +143,21 @@ def parse_state_argument(arg: str, default_dim: int = DEFAULT_DIM) -> State:
 
 
 def _read_spec(arg: str) -> Any:
-    """The decoded JSON of a ``--state`` value, read from the file it names
-    unless it starts with ``{``."""
+    """The decoded JSON of a ``--state`` value: the value itself if it starts
+    with ``{``, else the file it names, read by :func:`read_json`."""
     text = arg.strip()
-    if not text.startswith("{"):
-        path = Path(text)
-        if not path.is_file():
-            raise ValidationError(
-                f"state argument {arg!r} is neither inline JSON nor an existing file"
-            )
-        text = path.read_text()
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"state spec is not valid JSON: {exc}") from exc
+    if text.startswith("{"):
+        try:
+            return json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"state spec is not valid JSON: {exc}") from exc
+    # os.path.isfile, unlike Path.is_file, answers False for a name the
+    # system refuses (too long, or holding a null byte) instead of raising.
+    if not os.path.isfile(text):
+        raise ValidationError(
+            f"state argument {arg!r} is neither inline JSON nor an existing file"
+        )
+    return read_json(text)
 
 
 # -- moment tables -----------------------------------------------------------
@@ -265,6 +269,8 @@ def detection_record_from_json(doc: Mapping[str, Any]) -> DetectionRecord:
                 raise ValidationError(
                     f"unknown detector subset {list(item['subset'])!r}"
                 )
+            if keys[subset] in gammas:
+                raise ValidationError(f"duplicate detector subset {list(subset)!r}")
             gammas[keys[subset]] = _number(item["value"], "detection count")
         return DetectionRecord(
             scheme=str(doc["scheme"]), lo=lo_from_json(doc["lo"]), gammas=gammas
@@ -307,6 +313,13 @@ def fourier_record_from_json(doc: Mapping[str, Any]) -> FourierRecord:
             n_max=_integer(doc["n_max"], "record n_max"),
             samples=samples,
         )
+        # The record holds each (n, j) of its orders once, so more entries
+        # than keys means a repeated sample.
+        if len(doc["samples"]) != len(samples):
+            raise ValidationError(
+                f"the record lists {len(doc['samples'])} samples for "
+                f"{len(samples)} distinct (n, j)"
+            )
         for n in range(1, record.n_max + 1):
             for j, phi in enumerate(scheme_a_phases(n).tolist()):
                 if phis[n, j] != phi:
@@ -371,9 +384,11 @@ def write_json(path: Union[str, Path], doc: Any) -> None:
 
 
 def read_json(path: Union[str, Path]) -> Any:
+    """The decoded JSON of a UTF-8 file; a file that cannot be read, decoded
+    or parsed raises :class:`ValidationError`."""
     try:
-        return json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValidationError(f"cannot read JSON from {path}: {exc}") from exc
 
 
@@ -386,7 +401,12 @@ def write_csv(
 
     ``rows`` is a 2-D array of floats with one column per header field.
     Every value is written as ``format(v, ".17g")`` would write it, which
-    round-trips losslessly; non-finite values are refused.
+    round-trips losslessly; non-finite values are refused.  The whole array
+    is checked before the file is opened.  The rows are then formatted and
+    written ``_CSV_ROWS`` (1024) at a time, each block by one ``%`` on a
+    repeated line template, so the memory held beyond ``rows`` is one
+    block's values and text (under 0.2 MB for three columns), whatever the
+    number of rows.
     """
     try:
         values = np.asarray(rows, dtype=float)
@@ -398,6 +418,9 @@ def write_csv(
         )
     if not np.isfinite(values).all():
         raise ValidationError("cannot serialize non-finite values to CSV")
-    line = ",".join(["%.17g"] * len(header))
-    lines = [",".join(header)] + [line % tuple(row) for row in values.tolist()]
-    Path(path).write_text("\n".join(lines) + "\n")
+    line = ",".join(["%.17g"] * len(header)) + "\n"
+    with Path(path).open("w") as out:
+        out.write(",".join(header) + "\n")
+        for start in range(0, len(values), _CSV_ROWS):
+            block = values[start : start + _CSV_ROWS]
+            out.write((line * len(block)) % tuple(block.ravel().tolist()))

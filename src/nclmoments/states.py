@@ -49,6 +49,8 @@ _SQUEEZE_TAIL_TOL = 1e-8
 _EXP_SAFE = 256.0
 _Q_BLOCK = 32
 _Q_FAR = 1e12
+# q_function evaluates its grid this many points at a time.
+_Q_POINTS = 1024
 
 
 @dataclass(frozen=True)
@@ -437,17 +439,42 @@ def q_function(state: State, grid: Array) -> Array:
 
     The overlaps ``<n|alpha>`` come from the recurrence of
     :func:`_coherent_overlaps`, which keeps full precision where
-    ``exp(-|alpha|^2/2)`` underflows.  A pure state is contracted with one
-    vector-matrix product, a density matrix with one matrix product and a
-    column-wise dot.
+    ``exp(-|alpha|^2/2)`` underflows.  The grid is evaluated
+    ``_Q_POINTS`` (1024) points at a time by :func:`_q_block`, so its
+    working memory is set by the state's dimension, not by the grid: one
+    ``dim x 1024`` complex array of overlaps for a pure state, two for a
+    density matrix, 16 kB per level each (1 MB at dim 64).  Beyond that
+    only the 8-byte result per point grows with the grid, so the CLI's cap
+    on ``qfunc`` overlaps bounds its time rather than its memory.  A block
+    of a pure state is contracted with a product in place and one column
+    sum; a block of a density matrix with one matrix product, a conjugate
+    and a product in place, and one column sum.  A column sum adds the
+    levels in order, so no point's value depends on the blocking or on
+    BLAS threads (a vector-matrix product sums a column in an order set by
+    how BLAS splits the grid).  A lone last point joins the block before
+    it, since NumPy sums a one-column array pairwise.
     """
     pts = np.asarray(grid, dtype=complex)
     if not np.isfinite(pts).all():
         raise ValidationError("q_function grid points must be finite")
-    coh = _coherent_overlaps(pts.reshape(-1), state.dim)
-    if isinstance(state, FockState):
-        vals = np.abs(state.amplitudes.conj() @ coh) ** 2 / math.pi
-    else:
-        vals = np.sum(coh.conj() * (state.matrix @ coh), axis=0).real / math.pi
-    vals = np.maximum(vals, 0.0)
+    flat = pts.reshape(-1)
+    vals = np.empty(flat.size)
+    edges = [*range(0, flat.size, _Q_POINTS), flat.size]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]  # a lone last point joins the block before it
+    for lo, hi in zip(edges, edges[1:]):
+        vals[lo:hi] = _q_block(state, flat[lo:hi])
+    vals /= math.pi
+    np.maximum(vals, 0.0, out=vals)
     return vals.reshape(pts.shape)
+
+
+def _q_block(state: State, points: Array) -> Array:
+    """``pi Q`` at one block of points; its arrays are freed on return."""
+    coh = _coherent_overlaps(points, state.dim)
+    if isinstance(state, FockState):
+        coh *= state.amplitudes.conj()[:, None]
+        return np.abs(coh.sum(axis=0)) ** 2
+    weighted = state.matrix @ coh
+    weighted *= np.conjugate(coh, out=coh)
+    return weighted.sum(axis=0).real

@@ -1,11 +1,13 @@
 """Shared fixtures-by-hand: random states and brute-force moment oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 
 from nclmoments import DensityState, FockState, MonomialBasis, build_matrix
 from nclmoments.operators import create, destroy
+from nclmoments.states import _coherent_overlaps
 
 Array = np.ndarray
 
@@ -28,6 +30,32 @@ def scan_harmonics(record) -> dict:
         row = np.fft.fft(scan)[ms] * np.exp(-1j * ms * offset) / count
         out.update({(n, int(m)): complex(c) for m, c in zip(ms, row)})
     return out
+
+
+def traced_peak(call) -> int:
+    """The peak of memory traced while ``call()`` runs, in bytes.
+
+    NumPy reports its array buffers to ``tracemalloc``, so the peak counts
+    the arrays ``call`` holds at once as well as its Python objects.
+    """
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def whole_grid_q(state, points) -> np.ndarray:
+    """``q_function`` at 1-D ``points`` without blocks: the overlaps of
+    every point at once, contracted by the same per-element operations."""
+    coh = _coherent_overlaps(points, state.dim)
+    if isinstance(state, FockState):
+        vals = np.abs(np.sum(coh * state.amplitudes.conj()[:, None], axis=0)) ** 2 / math.pi
+    else:
+        vals = np.sum(coh.conj() * (state.matrix @ coh), axis=0).real / math.pi
+    return np.maximum(vals, 0.0)
 
 
 def random_pure_state(dim: int, seed: int) -> FockState:

@@ -1,16 +1,20 @@
 """End-to-end CLI behavior: verbs, file composition, exit codes."""
 
 import argparse
+import hashlib
 import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 import warnings
 
 import numpy as np
 import pytest
+
+from helpers import whole_grid_q
 
 import nclmoments
 from nclmoments import cli, moments
@@ -220,6 +224,33 @@ def test_qfunc_csv_lists_the_grid_row_by_row(tmp_path):
     values = q_function(make_thermal(0.7, 48), axis[:, None] + 1j * axis[None, :])
     rows = [(axis[i], axis[j], values[i, j]) for i in range(9) for j in range(9)]
     assert out.read_text() == _csv_text(["re_alpha", "im_alpha", "q_value"], rows)
+
+
+def test_readme_qfunc_csvs_keep_their_bytes(tmp_path):
+    """The README's ``qfunc`` examples, a pure and a mixed state, write the
+    CSV that the whole-grid evaluation and a row-at-a-time writer write.
+
+    The digests are compared with a reference computed here, not pinned as
+    literals: the last bit of ``np.exp`` differs between NumPy's SIMD
+    levels, so the bytes differ between machines (both qfunc files change
+    when NumPy runs without AVX-512).
+    """
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as f:
+        block = f.read().split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    lines = block.split("```", 1)[0].replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("nclmoments qfunc ")]
+    assert len(commands) == 2
+    for argv in commands:
+        opts = dict(zip(argv[1::2], argv[2::2]))
+        out = tmp_path / opts["--out"]
+        assert main([*argv[:-1], str(out)]) == 0
+        n, bound = int(opts["--grid-n"]), float(opts["--grid-bound"])
+        axis = np.linspace(-bound, bound, n)
+        grid = (axis[:, None] + 1j * axis[None, :]).reshape(-1)
+        values = whole_grid_q(state_from_spec(json.loads(opts["--state"])), grid)
+        rows = zip(np.repeat(axis, n).tolist(), np.tile(axis, n).tolist(), values.tolist())
+        want = _csv_text(["re_alpha", "im_alpha", "q_value"], rows).encode()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == hashlib.sha256(want).hexdigest()
 
 
 def test_sweep_rows_equal_the_one_lambda_tables(tmp_path):
@@ -659,6 +690,16 @@ def test_exit_code_validation_errors(tmp_path, capsys):
     assert main(["invert", "--record", str(tmp_path / "missing.json"),
                  "--out", out]) == 2
     capsys.readouterr()
+
+
+def test_undecodable_json_files_exit_2(tmp_path, capsys):
+    """A record or state file of random bytes is invalid input, not a crash."""
+    path = tmp_path / "random.bin"
+    path.write_bytes(bytes(np.random.default_rng(5).integers(0, 256, 300, dtype=np.uint8)))
+    out = str(tmp_path / "x.json")
+    assert main(["invert", "--record", str(path), "--out", out]) == 2
+    assert main(["criteria", "--state", str(path), "--out", out]) == 2
+    assert capsys.readouterr().err.count("error: cannot read JSON") == 2
 
 
 def test_invert_rejects_non_numeric_record_value(tmp_path, capsys):

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from helpers import random_pure_state
+from helpers import random_pure_state, traced_peak
 from nclmoments import (
     DensityState,
     FockState,
@@ -217,6 +217,24 @@ def test_detection_record_refuses_unknown_subsets(subset):
         detection_record_from_json(doc)
 
 
+def test_detection_record_refuses_a_repeated_subset():
+    """A second count for one subset is refused, not read over the first."""
+    record = scheme_b_forward(random_pure_state(24, 14), LOConfig(alpha=1.5))
+    doc = detection_record_to_json(record)
+    doc["gammas"].append({"subset": [1], "value": 123.0})
+    with pytest.raises(ValidationError, match=re.escape("duplicate detector subset [1]")):
+        detection_record_from_json(doc)
+
+
+def test_fourier_record_refuses_a_repeated_sample():
+    """A second sample for one ``(n, j)`` is refused, not read over the first."""
+    record = scheme_a_sample_and_fourier(random_pure_state(24, 15), 3, LOConfig(3.0), 2)
+    doc = fourier_record_to_json(record)
+    doc["samples"].append({**doc["samples"][0], "value": 123.0})
+    with pytest.raises(ValidationError, match="lists 19 samples for 18 distinct"):
+        fourier_record_from_json(doc)
+
+
 def test_fourier_record_round_trip_preserves_inversion():
     state = random_pure_state(24, 15)
     record = scheme_a_sample_and_fourier(state, 3, LOConfig(3.0), 2)
@@ -252,6 +270,27 @@ def test_write_json_deterministic(tmp_path):
     assert read_json(path) == {"b": 1, "a": [1.0, 2.0]}
     with pytest.raises(ValueError):
         write_json(path, {"x": float("nan")})
+
+
+def test_json_files_that_are_not_utf8_are_refused(tmp_path):
+    """Both readers of JSON files, the record reader and a ``--state`` file,
+    refuse undecodable bytes with a ValidationError."""
+    path = tmp_path / "random.bin"
+    path.write_bytes(bytes(np.random.default_rng(5).integers(0, 256, 300, dtype=np.uint8)))
+    with pytest.raises(ValidationError, match="cannot read JSON"):
+        read_json(path)
+    with pytest.raises(ValidationError, match="cannot read JSON"):
+        parse_state_argument(str(path))
+
+
+def test_state_argument_refuses_unreadable_names(tmp_path):
+    """A name the system refuses is neither inline JSON nor a file; a
+    directory cannot be read."""
+    for name in ("a" * 5000, "spec\0.json"):
+        with pytest.raises(ValidationError, match="neither inline JSON nor"):
+            parse_state_argument(name)
+    with pytest.raises(ValidationError, match="cannot read JSON"):
+        read_json(tmp_path)
 
 
 def test_write_json_is_one_compact_line_of_sorted_keys(tmp_path):
@@ -302,6 +341,17 @@ def test_write_csv_bytes_equal_per_value_format(tmp_path):
 def test_write_csv_refuses_non_finite_and_misshapen_rows(tmp_path, rows, message):
     with pytest.raises(ValidationError, match=message):
         write_csv(tmp_path / "bad.csv", ["x", "y"], rows)
+
+
+def test_write_csv_memory_does_not_grow_with_the_rows(tmp_path):
+    """2^16 rows of three fields hold at most 2 MiB at once; all their
+    lines at once take about 17 MiB."""
+    rows = np.random.default_rng(9).standard_normal((2**16, 3))
+    path = tmp_path / "big.csv"
+    assert traced_peak(lambda: write_csv(path, ["a", "b", "c"], rows)) < 2 * 2**20
+    assert path.read_text() == "a,b,c\n" + "".join(
+        "%.17g,%.17g,%.17g\n" % tuple(row) for row in rows.tolist()
+    )
 
 
 def test_write_csv(tmp_path):

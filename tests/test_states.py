@@ -7,7 +7,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from helpers import random_density_state
+from helpers import random_density_state, traced_peak, whole_grid_q
 
 from nclmoments import (
     AssParams,
@@ -24,8 +24,14 @@ from nclmoments import (
     make_thermal,
     q_function,
 )
+from nclmoments import states
 from nclmoments.operators import create, destroy, number, squeeze_matrix
-from nclmoments.states import State, _hermite_seeds, _squeeze_amplitudes
+from nclmoments.states import (
+    _Q_POINTS,
+    State,
+    _hermite_seeds,
+    _squeeze_amplitudes,
+)
 
 
 def test_fock_state_is_unit_vector():
@@ -531,3 +537,53 @@ def test_q_function_refuses_non_finite_points():
     for bad in (np.inf, np.nan, complex(0.0, -np.inf)):
         with pytest.raises(ValidationError, match="finite"):
             q_function(make_fock(0, 8), np.array([0.0, bad]))
+
+
+# The density case runs blocks of 4 points: a dim-1800 matrix product over
+# four blocks of the real size takes about 30 s.
+@pytest.mark.parametrize("mixed, block", [(False, _Q_POINTS), (True, 4)],
+                         ids=["pure", "density"])
+def test_q_function_blocks_give_the_whole_grid_values(mixed, block, monkeypatch):
+    """Four blocks, with FAR_POINTS (which alone take two squarings of the
+    scaled start) at the first and last point of a block, on the edge
+    between two, inside one and in the short last block, and none in the
+    third: every value equals the whole-grid one."""
+    monkeypatch.setattr(states, "_Q_POINTS", block)
+    dim = 1800
+    kets = [_coherent_amplitudes(36 + 15j, dim), _coherent_amplitudes(39j, dim)]
+    if mixed:
+        state = DensityState(0.6 * np.outer(kets[0], kets[0].conj())
+                             + 0.4 * np.outer(kets[1], kets[1].conj()))
+    else:
+        state = FockState(kets[0])
+    count = 3 * block + 2
+    rng = np.random.default_rng(3)
+    points = 30.0 * rng.random(count) * np.exp(2j * np.pi * rng.random(count))
+    at = [0, block - 1, block, block + 1, 3 * block, count - 1]
+    points[at] = FAR_POINTS
+    got = q_function(state, points)
+    assert got[at].max() > 0.1
+    assert np.array_equal(got, whole_grid_q(state, points))
+
+
+@pytest.mark.parametrize("state", [make_coherent(2.0 + 1.0j, 64), make_thermal(1.5, 64)],
+                         ids=["pure", "density"])
+def test_q_function_gives_a_lone_last_point_its_whole_grid_value(state, monkeypatch):
+    """Nine points in blocks of four.  NumPy sums a one-column array
+    pairwise rather than row by row, so the ninth point is evaluated with
+    the block before it, as a one-point block it would differ in its last
+    bits."""
+    monkeypatch.setattr(states, "_Q_POINTS", 4)
+    axis = np.linspace(-3.0, 3.0, 3)
+    points = (axis[:, None] + 1j * axis[None, :]).reshape(-1)
+    assert np.array_equal(q_function(state, points), whole_grid_q(state, points))
+
+
+@pytest.mark.parametrize("state", [make_coherent(0.5, 64), make_thermal(0.5, 64)],
+                         ids=["pure", "density"])
+def test_q_function_memory_does_not_grow_with_the_grid(state):
+    """A 128 x 128 grid at dim 64 holds at most 4 MiB at once.  The grid's
+    whole overlap array alone is 16 MiB; a block's is 1 MiB."""
+    axis = np.linspace(-3.0, 3.0, 128)
+    grid = axis[:, None] + 1j * axis[None, :]
+    assert traced_peak(lambda: q_function(state, grid)) < 4 * 2**20
