@@ -5,9 +5,10 @@ One verb produces one artifact; verbs compose through files:
 * ``moments``  — moment table of a state (JSON).
 * ``criteria`` — determinant hierarchies and witnesses of one moment table.
 * ``sweep``    — amplitude-squared squeezing witnesses over an
-  ``(m, lambda)`` grid (CSV), from one exact stacked table per ``m``
-  (:func:`~nclmoments.moments.ass_moment_tables`) and one witness-kernel
-  call per ``m``; it accepts ``--dim`` but uses no Fock truncation.
+  ``(m, lambda)`` grid (CSV), 1024 rows at a time whatever their ``m``:
+  one exact stacked table (:func:`~nclmoments.moments.ass_moment_tables`)
+  and one witness-kernel call per block; it accepts ``--dim`` but uses no
+  Fock truncation.
 * ``qfunc``    — Husimi distribution on a square grid (CSV).
 * ``simulate`` — forward measurement record for scheme a, b or c (JSON),
   optionally with seeded shot noise.
@@ -84,6 +85,10 @@ from .serialize import (
 # 48 MB RSS on a 2-vCPU VM).  Each count is checked before any state is
 # built.
 MAX_GRID_POINTS = 2**18
+
+# ``sweep`` tabulates and scores this many rows at a time, so its working
+# memory beyond the output does not grow with the row cap.
+_SWEEP_ROWS = 1024
 
 # The largest ``moments --order``.  Under a 1.5 GB address-space limit on a
 # 2-vCPU VM, a thermal state's table and its JSON ran out of memory at
@@ -321,14 +326,19 @@ def verb_sweep(args: argparse.Namespace) -> int:
             f"--m-list and --lambda-range ask for {count} rows, "
             f"above the cap of {MAX_GRID_POINTS}"
         )
-    rows = []
-    for m in sorted(args.m_list):
-        values = ass_moment_tables(m, lambdas).values
-        n_means = values[:, 1, 1].real
-        for lam, w, n_mean in zip(lambdas, _witnesses(values, 0.0), n_means):
-            rows.append((lam, float(m), w["s3"], w["asq_min"], w["asq_max"], n_mean))
+    orders = [m for m in sorted(args.m_list) for _ in lambdas]
+    lams = lambdas * len(args.m_list)
+    rows = np.empty((count, 6))
+    for start in range(0, count, _SWEEP_ROWS):
+        block = slice(start, start + _SWEEP_ROWS)
+        values = ass_moment_tables(orders[block], lams[block]).values
+        w = _witnesses(values, 0.0)
+        rows[block] = np.column_stack([
+            lams[block], orders[block], w["s3"], w["asq_min"], w["asq_max"],
+            values[:, 1, 1].real,
+        ])
     write_csv(args.out, ["lambda", "m", "s3", "asq_min", "asq_max", "n_mean"], rows)
-    print(f"wrote {args.out} ({len(rows)} rows)")
+    print(f"wrote {args.out} ({count} rows)")
     return 0
 
 

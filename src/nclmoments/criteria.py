@@ -39,11 +39,12 @@ Witnesses: ``s3`` (the ``aa`` principal minor over ``{1, a^dag^2, a^2}``),
 ``s2A``/``s2B`` (``quad`` principal minors over ``{x, x p}`` and
 ``{1, x p}``), the amplitude-squared quadrature variances, and the Bochner
 determinants of the normally ordered characteristic function.  One kernel
-evaluates the first five for a table or a stack of tables, with one stacked
-determinant for every ``s3`` and one for every ``s2`` pair.  The ``sweep``
-verb calls it once per ``m``; :func:`witnesses` is its one-table call, made
-once per state by the ``criteria`` verb, and :func:`s3`, :func:`s2_witnesses`
-and :func:`asq_min_max` are views of it.  A report holds its hierarchy alone.
+evaluates the first five for a table or a stack of tables in whole-array
+passes, with one stacked determinant for every ``s3`` and one for every
+``s2`` pair.  The ``sweep`` verb calls it once per block of 1024 rows;
+:func:`witnesses` is its one-table call, made once per state by the
+``criteria`` verb, and :func:`s3`, :func:`s2_witnesses` and
+:func:`asq_min_max` are views of it.  A report holds its hierarchy alone.
 
 One scorer forms every Bochner determinant ``det [Phi(beta_i - beta_j)]``
 for a stack of point rows, decides which rows have coinciding points, and
@@ -76,6 +77,7 @@ from .moments import (
     MomentSource,
     MomentTable,
     _CharKernel,
+    _residue_mask,
     as_real,
     resolve_table,
 )
@@ -337,46 +339,58 @@ _S2_BASIS = MonomialBasis(BasisKind.QUAD, ((0, 0), (0, 1), (1, 1)))
 _S2_MINORS = np.array([[1, 2], [0, 2]])
 
 
-def _asq_pair(values: Array) -> tuple[complex, float]:
-    """``<a^4> - <a^2>^2`` and the real ``<a^dag^2 a^2> - |<a^2>|^2`` of one table.
+def _asq_pair(values: Array) -> tuple[Array, Array]:
+    """``<a^4> - <a^2>^2`` and ``<a^dag^2 a^2> - |<a^2>|^2`` of every table.
 
-    In Python scalars: NumPy's vectorized complex multiply and ``abs`` differ
-    from them in the last ulp.
+    ``values`` is a stack ``(n, K+1, K+1)``; both results are complex arrays
+    of ``n``, bit for bit the same expressions in Python scalars: the square
+    is Python's complex product ``(x x - y y) + i (x y + y x)``, ``np.hypot``
+    is ``abs()`` of a Python complex, and ``|<a^2>|^2`` is Python's float
+    power (C ``pow``, which differs from ``x * x`` in the last bit for about
+    one value in 1300).
     """
-    a2 = complex(values[0, 2])
-    b = complex(values[0, 4]) - a2**2
-    c = as_real(complex(values[2, 2]) - abs(a2) ** 2, "amplitude-squared covariance")
-    return b, c
+    a2 = values[:, 0, 2]
+    x, y = a2.real, a2.imag
+    square = np.empty_like(a2)
+    square.real, square.imag = x * x - y * y, x * y + y * x
+    magnitude_sq = np.hypot(x, y).astype(object) ** 2
+    return values[:, 0, 4] - square, values[:, 2, 2] - magnitude_sq.astype(float)
 
 
-def _witnesses(values: Array, phi: float) -> list[dict[str, float]]:
+def _witnesses(values: Array, phi: float) -> dict[str, Array]:
     """``s3``, ``s2A``, ``s2B``, ``asq_min`` and ``asq_max`` of every table.
 
     ``values`` is one table ``(K+1, K+1)`` or a stack ``(..., K+1, K+1)``
-    with ``K >= 4``; the result has one dict per table, in row-major order.
-    Every ``s3`` matrix is taken in one stacked determinant and every ``s2``
-    minor in another, which gives the bits of one ``det`` per matrix.  Each
-    table's imaginary residues are checked in the order ``asq`` covariance,
-    ``s2A``, ``s2B``, ``s3``; the first table that fails raises.
+    with ``K >= 4``; each witness is a float array with one value per table,
+    in row-major order.  Every ``s3`` matrix is taken in one stacked
+    determinant and every ``s2`` minor in another, which gives the bits of
+    one ``det`` per matrix.  A table's imaginary residues are checked in the
+    order ``asq`` covariance, ``s2A``, ``s2B``, ``s3``, and the first table
+    that fails raises: each check reads the tables up to that one.
     """
     stack = values.reshape((-1,) + values.shape[-2:])
     s3_dets = np.linalg.det(_gather(stack, _S3_BASIS))
     corner = _WITNESS_ORDER + 1
     s2 = _gather(_rotate(stack[:, :corner, :corner], phi), _S2_BASIS)
-    s2_dets = np.linalg.det(s2[:, _S2_MINORS[:, :, None], _S2_MINORS[:, None, :]])
-    out = []
-    for table, s3_det, (s2a_det, s2b_det) in zip(stack, s3_dets, s2_dets):
-        b, c = _asq_pair(table)
-        s2a = as_real(complex(s2a_det), "principal minor")
-        s2b = as_real(complex(s2b_det), "principal minor")
-        out.append({
-            "s3": as_real(complex(s3_det), "principal minor"),
-            "s2A": s2a,
-            "s2B": s2b,
-            "asq_min": 2.0 * (c - abs(b)),
-            "asq_max": 2.0 * (c + abs(b)),
-        })
-    return out
+    s2a, s2b = np.linalg.det(s2[:, _S2_MINORS[:, :, None], _S2_MINORS[:, None, :]]).T
+    b, c = _asq_pair(stack)
+    checks = (
+        (c, "amplitude-squared covariance"),
+        (s2a, "principal minor"),
+        (s2b, "principal minor"),
+        (s3_dets, "principal minor"),
+    )
+    failing = np.logical_or.reduce([_residue_mask(v) for v, _ in checks])
+    stop = int(failing.argmax()) + 1 if failing.any() else failing.size
+    c, s2a, s2b, s3_dets = (as_real(v[:stop], context) for v, context in checks)
+    abs_b = np.hypot(b.real, b.imag)
+    return {
+        "s3": s3_dets,
+        "s2A": s2a,
+        "s2B": s2b,
+        "asq_min": 2.0 * (c - abs_b),
+        "asq_max": 2.0 * (c + abs_b),
+    }
 
 
 def witnesses(source: MomentSource, phi: float = 0.0) -> dict[str, float]:
@@ -385,7 +399,8 @@ def witnesses(source: MomentSource, phi: float = 0.0) -> dict[str, float]:
     ``s2A``/``s2B`` are taken at the finite angle ``phi``; a table needs order 4.
     """
     _check_angle(phi)
-    return _witnesses(resolve_table(source, _WITNESS_ORDER).values, phi)[0]
+    found = _witnesses(resolve_table(source, _WITNESS_ORDER).values, phi)
+    return {name: float(values[0]) for name, values in found.items()}
 
 
 def s3(source: MomentSource) -> float:
@@ -418,8 +433,9 @@ def asq_variance(source: MomentSource, phi: float = 0.0) -> float:
     exceeds this by ``4 <n> + 2``.
     """
     _check_angle(phi)
-    b, c = _asq_pair(resolve_table(source, _WITNESS_ORDER).values)
-    return 2.0 * (np.exp(2j * phi) * b).real + 2.0 * c
+    b, c = _asq_pair(resolve_table(source, _WITNESS_ORDER).values[None])
+    c = as_real(complex(c[0]), "amplitude-squared covariance")
+    return 2.0 * (np.exp(2j * phi) * complex(b[0])).real + 2.0 * c
 
 
 def asq_min_max(source: MomentSource) -> tuple[float, float]:

@@ -82,11 +82,14 @@ class MomentTable:
     """Dense table of the moments ``<a^dag^k a^l>`` for ``k, l <= max_order``.
 
     ``values[..., k, l]`` holds ``<a^dag^k a^l>``; leading axes stack tables,
-    each validated against its own scale ``max|T|``, and single-table readers
-    refuse a stack (:func:`resolve_table`).  Tables built from states are
-    exactly conjugate-symmetric; tables reconstructed from simulated
-    measurement records may violate diagonal positivity by the size of the
-    injected noise, which is why that check can be relaxed.
+    each validated on its own, and single-table readers refuse a stack
+    (:func:`resolve_table`).  Each pair ``T_kl``, ``conj(T_lk)`` must agree
+    to ``1e-10 max(1, sqrt(|T_kk T_ll|))``, the scale of the two diagonal
+    moments that bound it, and each diagonal moment must be at least
+    ``-1e-12 max(1, max|T|)``.  Tables built from states, exact tables and
+    inverted tables are exactly conjugate-symmetric; tables reconstructed
+    from simulated measurement records may violate diagonal positivity by
+    the size of the injected noise, which is why that check can be relaxed.
     """
 
     values: Array
@@ -101,8 +104,12 @@ class MomentTable:
         if not np.isfinite(scale).all():
             raise ValidationError("moment table entries must be finite")
         floor = np.maximum(1.0, scale)
-        residue = np.abs(stack - stack.conj().transpose(0, 2, 1)).max(axis=(1, 2))
-        bad = residue > _SYMMETRY_TOL * floor
+        # |T_kl| <= sqrt(T_kk T_ll) for a state, so each entry pair is held
+        # to the scale of its own two diagonal moments
+        root = np.sqrt(np.abs(np.diagonal(stack, axis1=1, axis2=2)))
+        bound = _SYMMETRY_TOL * np.maximum(1.0, root[:, :, None] * root[:, None, :])
+        residue = np.abs(stack - stack.conj().transpose(0, 2, 1))
+        bad = residue > bound
         if bad.any():
             raise ValidationError(
                 f"moment table is not conjugate-symmetric (residue {residue[bad][0]:.3e})"
@@ -180,32 +187,38 @@ def moment_table(state: State, max_order: int) -> MomentTable:
 
 
 def ass_moment_tables(
-    m: int, lams: Sequence[float], max_order: int = 4
+    m: Union[int, Sequence[int]], lams: Sequence[float], max_order: int = 4
 ) -> MomentTable:
     """Exact moment tables of the amplitude-squared squeezed states ``(m, lam)``.
 
-    One stacked table, ``values[i]`` for ``lams[i]``, in one batched pass.
-    Each state is ``U s`` for the seed ``s = H_m(i gamma a^dag)|0>`` (see
-    :func:`nclmoments.states.make_ass_state`), and ``U^dag a U = b`` with
-    ``b = mu a + nu a^dag``, so ``<a^dag^k a^l> = <b^k s|b^l s>``.  The seed
-    lives on ``m + 1`` levels and each ``b`` raises the top level by one, so
-    the Gram matrix of ``v_l = b^l s`` on ``m + 1 + max_order`` levels is the
-    table with no truncation: there is no ``dim``, no matrix exponential and
-    no :class:`~nclmoments.errors.TruncationError`.  The Hermite expansion of
-    the seed is done once for all ``lam``; the seeds are stacked, ``b`` is
+    One stacked table, ``values[i]`` for row ``i``, in one batched pass.  An
+    integer ``m`` is the order of every row; a sequence gives each ``lams[i]``
+    its own order ``m[i]``.  Each state is ``U s`` for the seed
+    ``s = H_m(i gamma a^dag)|0>`` (see :func:`nclmoments.states.make_ass_state`),
+    and ``U^dag a U = b`` with ``b = mu a + nu a^dag``, so
+    ``<a^dag^k a^l> = <b^k s|b^l s>``.  A seed lives on ``m + 1`` levels and
+    each ``b`` raises the top level by one, so the Gram matrix of
+    ``v_l = b^l s`` on ``m + 1 + max_order`` levels is the table with no
+    truncation: there is no ``dim``, no matrix exponential and no
+    :class:`~nclmoments.errors.TruncationError`.  The seeds are stacked,
+    zero-padded to the largest ``m + 1 + max_order`` of the rows, ``b`` is
     applied to the whole stack and the Gram matrices come from one batched
-    product.  Each seed's norm is checked against its closed-form
+    product; the padding adds exact zeros, so a row's table does not depend
+    on the other rows.  Each seed's norm is checked against its closed-form
     ``|c_m|^2``.
     """
     _check_count(max_order, "max_order")
-    params = [ass_params(m, lam) for lam in lams]
-    dim = m + 1 + max_order
+    orders = list(m) if np.ndim(m) else [m] * len(lams)
+    if len(orders) != len(lams):
+        raise ValidationError(f"{len(orders)} orders m for {len(lams)} values of lam")
+    params = [ass_params(order, lam) for order, lam in zip(orders, lams)]
+    dim = max(p.m for p in params) + 1 + max_order
     a = destroy(dim)
     mu = np.array([p.mu for p in params], dtype=complex)[:, None]
     nu = np.array([p.nu for p in params], dtype=complex)[:, None]
-    # Each row of a stack is one lam's vector: ``v @ a.T`` applies ``a`` and
-    # ``v @ a.conj()`` applies ``a^dag`` to every row.
-    vectors = [_hermite_seeds(m, params, dim)]
+    # Each row of a stack is one state's vector: ``v @ a.T`` applies ``a``
+    # and ``v @ a.conj()`` applies ``a^dag`` to every row.
+    vectors = [_hermite_seeds(params, dim)]
     for _ in range(max_order):
         v = vectors[-1]
         vectors.append(mu * (v @ a.T) + nu * (v @ a.conj()))
@@ -218,8 +231,8 @@ def ass_moment_tables(
 def ass_moment_table(m: int, lam: float, max_order: int = 4) -> MomentTable:
     """Exact moment table of the amplitude-squared squeezed state ``(m, lam)``.
 
-    The one-``lam`` view of :func:`ass_moment_tables`; exact for every
-    ``lam``, with no truncation.
+    The one-row view of :func:`ass_moment_tables`; exact for every ``lam``,
+    with no truncation.
     """
     return MomentTable(ass_moment_tables(m, [lam], max_order).values[0])
 
@@ -256,6 +269,13 @@ def _residue_exceeds(residue, magnitude, floor=max):
     return residue > _IMAG_TOL * floor(1.0, magnitude)
 
 
+def _residue_mask(values: Array) -> Array:
+    """Where the array ``values`` breaks the rule of :func:`_residue_exceeds`."""
+    # np.hypot, unlike np.abs, is bit-equal to abs() of a Python complex
+    magnitude = np.hypot(values.real, values.imag)
+    return _residue_exceeds(np.abs(values.imag), magnitude, np.fmax)
+
+
 def as_real(value: Union[complex, Array], context: str) -> Union[float, Array]:
     """Collapse a nominally real expectation, or an array of them, to float.
 
@@ -266,9 +286,7 @@ def as_real(value: Union[complex, Array], context: str) -> Union[float, Array]:
     checked in one pass and comes back as its real part.
     """
     if isinstance(value, np.ndarray):
-        # np.hypot, unlike np.abs, is bit-equal to abs() of a Python complex
-        magnitude = np.hypot(value.real, value.imag)
-        bad = _residue_exceeds(np.abs(value.imag), magnitude, np.fmax)
+        bad = _residue_mask(value)
         first = complex(value.flat[bad.argmax()]) if bad.any() else None
         result = value.real
     else:

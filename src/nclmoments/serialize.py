@@ -1,10 +1,15 @@
 """Flat-file exchange formats: state specs, tables, reports, records.
 
 All JSON documents are emitted on one compact line with sorted keys, so
-rerunning a deterministic computation produces byte-identical files.
-Complex numbers are serialized as two-element ``[re, im]`` arrays.  CSV
-files use a comma separator, ``.`` decimal point, a header row and 17
-significant digits (enough for a lossless float round trip).
+rerunning a deterministic computation on the same machine produces
+byte-identical files.  Byte identity holds per machine only: NumPy picks
+its SIMD kernels by CPU feature, and on x86-64 a ``qfunc`` CSV has other
+bytes at the AVX-512, AVX2 and baseline levels (``sweep`` CSVs have kept
+theirs).  Complex numbers are serialized as two-element ``[re, im]``
+arrays.  CSV files use a comma separator, ``.`` decimal point, a header row
+and 17 significant digits (enough for a lossless float round trip).  A
+file that cannot be written raises
+:class:`~nclmoments.errors.ValidationError`.
 """
 
 from __future__ import annotations
@@ -377,10 +382,13 @@ def write_json(path: Union[str, Path], doc: Any) -> None:
     """Write a JSON document deterministically: one compact line, sorted keys.
 
     Without ``indent``, ``json`` runs its C encoder.  Non-finite floats are
-    refused.
+    refused, and a file that cannot be written raises :class:`ValidationError`.
     """
     text = json.dumps(doc, separators=(",", ":"), sort_keys=True, allow_nan=False)
-    Path(path).write_text(text + "\n")
+    try:
+        Path(path).write_text(text + "\n")
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from exc
 
 
 def read_json(path: Union[str, Path]) -> Any:
@@ -406,7 +414,8 @@ def write_csv(
     written ``_CSV_ROWS`` (1024) at a time, each block by one ``%`` on a
     repeated line template, so the memory held beyond ``rows`` is one
     block's values and text (under 0.2 MB for three columns), whatever the
-    number of rows.
+    number of rows.  A file that cannot be written raises
+    :class:`ValidationError`.
     """
     try:
         values = np.asarray(rows, dtype=float)
@@ -419,8 +428,11 @@ def write_csv(
     if not np.isfinite(values).all():
         raise ValidationError("cannot serialize non-finite values to CSV")
     line = ",".join(["%.17g"] * len(header)) + "\n"
-    with Path(path).open("w") as out:
-        out.write(",".join(header) + "\n")
-        for start in range(0, len(values), _CSV_ROWS):
-            block = values[start : start + _CSV_ROWS]
-            out.write((line * len(block)) % tuple(block.ravel().tolist()))
+    try:
+        with Path(path).open("w") as out:
+            out.write(",".join(header) + "\n")
+            for start in range(0, len(values), _CSV_ROWS):
+                block = values[start : start + _CSV_ROWS]
+                out.write((line * len(block)) % tuple(block.ravel().tolist()))
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from exc

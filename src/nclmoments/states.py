@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 import numpy as np
-from numpy.polynomial import hermite as np_hermite
 
 from .errors import DimensionError, TruncationError, ValidationError, _check_count
 from .operators import Array
@@ -330,33 +329,55 @@ def apply_squeeze(state: FockState, z: complex) -> FockState:
     return FockState(out / math.sqrt(norm_sq))
 
 
-def _hermite_seeds(m: int, params: Sequence[AssParams], dim: int) -> Array:
+def _hermite_coefficients(m: int) -> list[float]:
+    """Coefficients of ``x^k``, ``k <= m``, of the physicists' Hermite polynomial ``H_m``.
+
+    The closed form ``H_m(x) = sum_j (-1)^j m! / (j! (m - 2j)!) (2x)^{m - 2j}``,
+    each coefficient an exact integer rounded once to a float.
+    """
+    coeffs = [0.0] * (m + 1)
+    for j in range(m // 2 + 1):
+        k = m - 2 * j
+        coeffs[k] = float(
+            (-1) ** j * math.factorial(m) * 2**k // (math.factorial(j) * math.factorial(k))
+        )
+    return coeffs
+
+
+def _hermite_seeds(params: Sequence[AssParams], dim: int) -> Array:
     """Normalized Fock amplitudes of the seeds ``H_m(i gamma a^dag)|0>`` on ``dim`` levels.
 
-    One row per parameter set, all of order ``m``.  ``H_m`` is the
-    physicists' Hermite polynomial, expanded into monomials once for the
-    whole stack; the monomial ``(i gamma a^dag)^k`` contributes
-    ``(i gamma)^k sqrt(k!)`` to ``|k>``.  The seeds only populate photon
-    numbers with the parity of ``m``.  Each row's numeric norm is checked
-    against its closed-form ``c_m_sq``.
+    One row per parameter set, each of its own order ``m``.  The monomial
+    ``(i gamma a^dag)^k`` of ``H_m`` contributes ``(i gamma)^k sqrt(k!)`` to
+    ``|k>``, so a seed only populates photon numbers with the parity of its
+    ``m``.  Each row's squared norm is summed level by level in order, so it
+    does not depend on ``dim`` or on the other rows, and is checked against
+    its closed-form ``c_m_sq``; the first row that disagrees raises.
     """
-    if m >= dim:
-        raise DimensionError(f"seed order m={m} does not fit in dim {dim}")
-    basis = np.zeros(m + 1)
-    basis[m] = 1.0
-    power_coeffs = np_hermite.herm2poly(basis)  # coefficient of x^k at index k
-    ks = np.arange(m + 1)
+    orders = [p.m for p in params]
+    top = max(orders)
+    if top >= dim:
+        raise DimensionError(f"seed order m={top} does not fit in dim {dim}")
+    coeffs = np.zeros((top + 1, top + 1))
+    for m in set(orders):
+        coeffs[m, : m + 1] = _hermite_coefficients(m)
+    ks = np.arange(top + 1)
     sqrt_fact = np.sqrt([float(math.factorial(k)) for k in ks])
     gammas = np.array([p.gamma for p in params], dtype=complex).reshape(-1, 1)
     amps = np.zeros((len(params), dim), dtype=complex)
-    amps[:, : m + 1] = power_coeffs * (1j * gammas) ** ks * sqrt_fact
-    norm_sq = np.sum(np.abs(amps) ** 2, axis=1)
-    for p, seed_norm_sq in zip(params, norm_sq):
-        if abs(1.0 / seed_norm_sq - p.c_m_sq) > 1e-8 * p.c_m_sq:
-            raise ValidationError(
-                "numeric seed normalization disagrees with its closed form at "
-                f"lam={p.lam!r}; got {1.0 / seed_norm_sq!r}, expected {p.c_m_sq!r}"
-            )
+    amps[:, : top + 1] = coeffs[orders] * (1j * gammas) ** ks * sqrt_fact
+    norm_sq = np.zeros(len(params))
+    for level in np.abs(amps[:, : top + 1].T) ** 2:
+        norm_sq += level
+    c_m_sq = np.array([p.c_m_sq for p in params])
+    bad = np.abs(1.0 / norm_sq - c_m_sq) > 1e-8 * c_m_sq
+    if bad.any():
+        first = int(bad.argmax())
+        p = params[first]
+        raise ValidationError(
+            "numeric seed normalization disagrees with its closed form at "
+            f"lam={p.lam!r}; got {1.0 / float(norm_sq[first])!r}, expected {p.c_m_sq!r}"
+        )
     return amps / np.sqrt(norm_sq)[:, None]
 
 
@@ -380,7 +401,7 @@ def make_ass_state(m: int, lam: float, dim: int) -> tuple[FockState, AssParams]:
     """
     params = ass_params(m, lam)
     _check_dim(dim)
-    seed = _hermite_seeds(m, [params], dim)[0]
+    seed = _hermite_seeds([params], dim)[0]
     return apply_squeeze(FockState(seed), -params.z), params
 
 

@@ -270,9 +270,9 @@ def test_sweep_rows_equal_the_one_lambda_tables(tmp_path):
 
 
 def test_sweep_builds_one_table_per_m(tmp_path, monkeypatch):
-    """Each m's lambda grid is one stacked table, and the CSV is byte for byte
-    that of the one-lambda route: ``ass_moment_table`` and ``witnesses`` per
-    lambda."""
+    """The rows of every m, up to 1024 of them, are one stacked table, and the
+    CSV is byte for byte that of the one-lambda route: ``ass_moment_table``
+    and ``witnesses`` per lambda."""
     lams = [1.05 + i * 0.05 for i in range(20)]
     rows = []
     for m in (2, 3, 4):
@@ -292,9 +292,48 @@ def test_sweep_builds_one_table_per_m(tmp_path, monkeypatch):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--m-list", "4,2,3", "--lambda-range", "1.05,2.0,0.05",
                  "--out", str(out)]) == 0
-    assert shapes == [(20, 5, 5)] * 3
+    assert shapes == [(60, 5, 5)]
     header = ["lambda", "m", "s3", "asq_min", "asq_max", "n_mean"]
     assert out.read_text() == _csv_text(header, rows)
+
+
+def test_sweep_rows_depend_on_neither_blocking_nor_m_order(tmp_path):
+    """1200 rows span a block edge, and the first block mixes both orders; the
+    CSV is byte for byte the per-m sweeps' rows, in sorted m order."""
+    grid = "1.05,7.04,0.01"
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--m-list", "3,2", "--lambda-range", grid,
+                 "--out", str(out)]) == 0
+    parts = []
+    for m in (2, 3):
+        part = tmp_path / f"sweep-{m}.csv"
+        assert main(["sweep", "--m-list", str(m), "--lambda-range", grid,
+                     "--out", str(part)]) == 0
+        parts.append(part.read_text().splitlines(keepends=True))
+    assert len(parts[0]) == len(parts[1]) == 1 + 600
+    assert 2 * 600 > cli._SWEEP_ROWS > 600
+    assert out.read_text() == "".join(parts[0] + parts[1][1:])
+
+
+def test_sweep_below_lambda_1_equals_the_one_lambda_route(tmp_path):
+    """Complex tables of four orders mixed in one block, row by row against
+    ``ass_moment_table`` and ``witnesses``, to 1e-15 relative.  On x86-64
+    (NumPy 2.4, at its AVX-512, AVX2 and baseline SIMD levels) none of the
+    1584 values differs at all; the bound leaves room for other kernels."""
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--m-list", "2,3,4,5", "--lambda-range", "0.3,0.95,0.01",
+                 "--out", str(out)]) == 0
+    got = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert got.shape == (4 * 66, 6)
+    want = []
+    for lam, m in got[:, :2]:
+        table = ass_moment_table(int(m), lam)
+        w = witnesses(table)
+        want.append((lam, m, w["s3"], w["asq_min"], w["asq_max"], table.entry(1, 1).real))
+    want = np.array(want)
+    assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want)), (
+        f"{np.count_nonzero(got != want)} of {got.size} values differ"
+    )
 
 
 CRITERIA_SPECS = [
@@ -700,6 +739,20 @@ def test_undecodable_json_files_exit_2(tmp_path, capsys):
     assert main(["invert", "--record", str(path), "--out", out]) == 2
     assert main(["criteria", "--state", str(path), "--out", out]) == 2
     assert capsys.readouterr().err.count("error: cannot read JSON") == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--m-list", "2", "--out"],
+    ["qfunc", "--state", THERMAL, "--grid-n", "5", "--out"],
+    ["criteria", "--state", THERMAL, "--out"],
+], ids=["sweep", "qfunc", "criteria"])
+def test_an_unwritable_output_exits_2(argv, tmp_path, capsys):
+    """An output path in a missing directory is invalid input, not a traceback."""
+    out = tmp_path / "missing" / "out.file"
+    assert main(argv + [str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+    assert not out.parent.exists()
 
 
 def test_invert_rejects_non_numeric_record_value(tmp_path, capsys):
@@ -1192,7 +1245,11 @@ def test_simulate_refuses_a_non_finite_or_small_sample_budget(value, tmp_path, c
 
 
 def _bright_table(alpha: complex, covariance_residue: complex) -> MomentTable:
-    """A coherent table whose ``<a^dag^2 a^2>`` carries an imaginary residue."""
+    """A coherent table whose ``<a^dag^2 a^2>`` carries an imaginary residue.
+
+    The residue stays within that entry's symmetry tolerance,
+    ``1e-10 |<a^dag^2 a^2>|``, and beyond the covariance check's ``1e-8``.
+    """
     k = np.arange(5)
     values = np.conj(alpha) ** k[:, None] * alpha ** k[None, :]
     values[2, 2] += covariance_residue
@@ -1201,7 +1258,7 @@ def _bright_table(alpha: complex, covariance_residue: complex) -> MomentTable:
 
 def test_sweep_raises_at_the_first_inconsistent_lambda(tmp_path, monkeypatch, capsys):
     """The first λ whose witnesses fail their check is the one reported."""
-    bad = {1: _bright_table(30 + 20j, 1j), 3: _bright_table(25 + 10j, 3j)}
+    bad = {1: _bright_table(30 + 20j, 1e-6j), 3: _bright_table(25 + 10j, 3e-6j)}
     exact = cli.ass_moment_tables
 
     def tampered(m, lams):

@@ -477,16 +477,16 @@ def test_a_report_reads_no_moment_beyond_its_basis():
     """An order-4 defect fails the witnesses but not an order-2 report.
 
     The exact table of the real coherent state ``alpha = 10`` with an
-    imaginary residue ``1e-6`` on the real moment ``<a^dag^2 a^2>``, the
+    imaginary residue ``1e-7`` on the real moment ``<a^dag^2 a^2>``, the
     order-4 entry whose imaginary part a witness checks unsymmetrized: the
-    symmetry check lets it pass at the table's scale ``1e8``, and the
+    symmetry check lets it pass at the entry's scale ``1e4``, and the
     witnesses' covariance check refuses it.  ``quad`` n_max 3 reads only
     moments ``<a^dag^k a^l>`` with ``k + l <= 2``.
     """
     k = np.arange(5)
     exact = 10.0 ** (k[:, None] + k[None, :]) + 0j
     values = exact.copy()
-    values[2, 2] += 1e-6j
+    values[2, 2] += 1e-7j
     table = MomentTable(values)
     report = determinant_hierarchy(table, "quad", 3)
     assert report == determinant_hierarchy(MomentTable(exact), "quad", 3)
@@ -541,6 +541,14 @@ def matrix_by_matrix_witnesses(table, phi):
         "asq_min": 2.0 * (c - abs(b)),
         "asq_max": 2.0 * (c + abs(b)),
     }
+
+
+def kernel_rows(found: dict) -> list[dict]:
+    """The witness kernel's arrays as one dict of floats per table."""
+    count = len(found["s3"])
+    assert all(values.shape == (count,) for values in found.values())
+    return [{name: float(values[i]) for name, values in found.items()}
+            for i in range(count)]
 
 
 def matrix_by_matrix_report(table, kind, n_max, phi):
@@ -625,17 +633,17 @@ def test_witness_kernel_slices_equal_one_table_calls():
     """Each table of a stack gets the bits of its one-table calls."""
     stack = ass_moment_tables(3, [0.5, 0.8, 1.3, 1.7, 2.4, 3.1]).values
     tables = [MomentTable(values) for values in stack]
-    got = criteria._witnesses(stack.reshape(2, 3, 5, 5), 0.37)
+    got = kernel_rows(criteria._witnesses(stack.reshape(2, 3, 5, 5), 0.37))
     assert len(got) == len(tables)
     for table, witnesses in zip(tables, got):
-        assert witnesses == criteria._witnesses(table.values, 0.37)[0]
+        assert [witnesses] == kernel_rows(criteria._witnesses(table.values, 0.37))
         assert witnesses == matrix_by_matrix_witnesses(table, 0.37)
         assert witnesses["s3"] == s3(table)
         assert (witnesses["s2A"], witnesses["s2B"]) == s2_witnesses(table, 0.37)
         assert (witnesses["asq_min"], witnesses["asq_max"]) == asq_min_max(table)
     # tables above the witness order: the kernel reads only orders <= 4
     tables = [moment_table(random_density_state(64, seed), 8) for seed in range(4)]
-    got = criteria._witnesses(np.stack([t.values for t in tables]), 0.0)
+    got = kernel_rows(criteria._witnesses(np.stack([t.values for t in tables]), 0.0))
     assert got == [matrix_by_matrix_witnesses(t, 0.0) for t in tables]
 
 
@@ -644,8 +652,9 @@ def test_witness_checks_run_in_the_matrix_by_matrix_order(monkeypatch):
     calls = []
 
     def record(value, context):
-        calls.append((context, value))
-        return float(value.real)
+        # the witness kernel checks arrays, here of one table
+        calls.append((context, np.ravel(value).tolist()))
+        return value.real
 
     monkeypatch.setattr(criteria, "as_real", record)
     table = moment_table(random_density_state(64, 7), 8)
@@ -673,8 +682,9 @@ def tampered_coherent_table(seed: int, covariance_residue: complex = 0.0) -> Mom
 
     Its moment matrices are nearly singular with entries up to ~1e13, so
     their determinants carry imaginary roundoff beyond ``as_real``'s bound.
-    ``covariance_residue`` is added to ``<a^dag^2 a^2>``; the table's scale
-    lets the symmetry check pass it.
+    ``covariance_residue`` is added to ``<a^dag^2 a^2>``; that entry's own
+    scale, ``|alpha|^4`` (above ``2.6e10`` for every seed used), lets the
+    symmetry check pass a residue of ``1j``.
     """
     rng = np.random.default_rng(seed)
     alpha = complex(*rng.normal(size=2)) * 10 ** rng.uniform(0, 3)

@@ -190,6 +190,19 @@ def test_ass_moment_tables_batch_matches_oracle(m):
         assert table.tobytes() == ass_moment_table(m, lam).values.tobytes(), (m, lam)
 
 
+def test_ass_moment_tables_rows_of_mixed_orders_equal_their_own_calls():
+    """A sequence of orders gives each row its own; a row's table is the bits
+    of its one-row call, whatever the other rows' orders."""
+    orders = [0, 9, 2, 5, 2, 0, 98]
+    lams = [0.3, 1.7, 2.2, 0.8, 0.45, 1.3, 1.05]
+    mixed = ass_moment_tables(orders, lams).values
+    assert mixed.shape == (len(orders), 5, 5)
+    for m, lam, table in zip(orders, lams, mixed):
+        assert table.tobytes() == ass_moment_table(m, lam).values.tobytes(), (m, lam)
+    with pytest.raises(ValidationError, match="2 orders m for 3 values of lam"):
+        ass_moment_tables([2, 3], [1.2, 1.4, 1.6])
+
+
 def test_ass_moment_tables_checks_each_seed_norm(monkeypatch):
     """A closed-form |c_m|^2 that disagrees with one seed's norm is refused for that lambda."""
     def skewed(m, lam):

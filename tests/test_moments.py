@@ -435,6 +435,23 @@ def test_moment_table_holds_each_table_of_a_stack_to_its_own_scale():
     MomentTable(np.stack([bright, _negative(dim)]), validate=False)
 
 
+def test_moment_table_holds_each_entry_pair_to_its_diagonal_scale():
+    """The coherent table ``alpha = 10`` with ``1e-6j`` on ``<a^dag^2 a^2>``
+    (``1e4``) is refused, although its whole-table scale ``max|T| = 1e8``
+    would let the residue ``2e-6`` through; ``1e-7j`` is within the entry's
+    tolerance ``1e-6``."""
+    for residue, refused in ((1e-6j, True), (1e-7j, False), (0.0, False)):
+        values = _coherent_values(10.0)
+        values[2, 2] += residue
+        if refused:
+            with pytest.raises(ValidationError, match="residue 2.000e-06"):
+                MomentTable(values)
+            with pytest.raises(ValidationError, match="conjugate-symmetric"):
+                MomentTable(np.stack([_coherent_values(10.0), values]))
+        else:
+            MomentTable(values)
+
+
 def _skew(values: np.ndarray) -> np.ndarray:
     out = values.copy()
     out[1, 2] += 1e-9

@@ -276,7 +276,7 @@ def squeeze_inputs(dim: int) -> list:
     inputs = [vacuum]
     for m, lam in [(2, 1.5), (3, 0.7), (5, 1.2)]:
         if m < dim:
-            inputs.append(_hermite_seeds(m, [ass_params(m, lam)], dim)[0])
+            inputs.append(_hermite_seeds([ass_params(m, lam)], dim)[0])
     rng = np.random.default_rng(dim)
     for _ in range(2):
         raw = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
@@ -304,7 +304,7 @@ def test_squeeze_matches_dense_expm(dim):
 def test_ass_state_is_the_dense_squeeze_of_its_seed():
     for m, lam, dim in [(2, 1.5, 64), (3, 0.7, 96), (4, 1.8, 128)]:
         state, params = make_ass_state(m, lam, dim)
-        seed = _hermite_seeds(m, [params], dim)[0]
+        seed = _hermite_seeds([params], dim)[0]
         want = squeeze_matrix(-params.z, dim) @ seed
         assert np.max(np.abs(state.amplitudes - want / np.linalg.norm(want))) <= 1e-13
 
