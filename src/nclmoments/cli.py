@@ -228,7 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_verb("criteria", verb_criteria, "criteria.json",
                  "determinant hierarchies and witnesses")
-    p.add_argument("--kind", choices=["aa", "quad", "xn", "d2", "all"], default="all")
+    p.add_argument("--kind", choices=[kind.value for kind in BasisKind] + ["all"],
+                   default="all")
     p.add_argument("--nmax", type=_capped("--nmax", MAX_NMAX), default=4,
                    help="largest hierarchy order")
     p.add_argument("--phi", type=_finite("--phi", math.isfinite, "finite"), default=0.0,

@@ -36,7 +36,9 @@ back through the same rows: it subtracts the kernel's prediction of the
 known part of the table, ``c^H T_known c``, from the counts and solves for
 the rest.  Scheme A does so order by order, where one FFT of the rest and
 one division recover each order's new moments; B and C by one
-least-squares solve for the order-2 table.
+least-squares solve for the order-2 table, whose moment matrix their two
+extracts read through one projection.  A B/C record keys each of its ten
+counts by its detector subset, ``(1,)`` to ``(3, 4)``.
 
 ``add_shot_noise`` perturbs any record by a seeded Gaussian of relative
 size ``1/sqrt(samples)``, emulating finite counting statistics.
@@ -63,10 +65,9 @@ _WEAK_LO = 0.5
 _NOISE_FLOOR = 1e-6
 
 # The detector subsets of schemes B and C, in record order: the four
-# detectors, then their six pairs.  A subset's count is keyed ``g`` followed
-# by its detectors, and its row in ``_detector_rows`` is the product of theirs.
+# detectors, then their six pairs.  A record keys each count by its subset,
+# and a subset's row in ``_detector_rows`` is the product of its detectors'.
 _DETECTOR_SUBSETS = ((1,), (2,), (3,), (4,), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
-GAMMA_KEYS = tuple("g" + "".join(map(str, subset)) for subset in _DETECTOR_SUBSETS)
 
 
 @dataclass(frozen=True)
@@ -103,26 +104,25 @@ class LOConfig:
 class DetectionRecord:
     """Mean counts and coincidences of a four-detector run.
 
-    ``gammas`` holds the four mean intensities ``g1..g4`` and the six
-    pairwise normally ordered coincidences ``g12..g34``: one count per
-    detector subset of ``_DETECTOR_SUBSETS``, keyed by ``GAMMA_KEYS``.
+    ``gammas`` holds the four mean intensities and the six pairwise normally
+    ordered coincidences, each keyed by its detector subset, ``(1,)`` to ``(3, 4)``.
     """
 
     scheme: str
     lo: LOConfig
-    gammas: Mapping[str, float]
+    gammas: Mapping[tuple[int, ...], float]
 
     def __post_init__(self) -> None:
         if self.scheme not in ("b", "c"):
             raise ValidationError(f"unknown detection scheme {self.scheme!r}")
-        missing = set(GAMMA_KEYS) - set(self.gammas)
-        extra = set(self.gammas) - set(GAMMA_KEYS)
+        missing = set(_DETECTOR_SUBSETS) - set(self.gammas)
+        extra = set(self.gammas) - set(_DETECTOR_SUBSETS)
         if missing or extra:
             raise ValidationError(
                 f"gamma keys mismatch: missing {sorted(missing)}, "
-                f"unexpected {sorted(extra)}"
+                f"unexpected {sorted(extra, key=repr)}"
             )
-        gammas = {k: float(self.gammas[k]) for k in GAMMA_KEYS}
+        gammas = {k: float(self.gammas[k]) for k in _DETECTOR_SUBSETS}
         if not all(map(math.isfinite, gammas.values())):
             raise ValidationError("detector counts must be finite")
         object.__setattr__(self, "gammas", gammas)
@@ -330,7 +330,7 @@ def scheme_a_invert(record: FourierRecord) -> MomentTable:
 
 
 def _detector_rows(scheme: str, lo: LOConfig) -> Array:
-    """Rows ``c`` of the ten counts, in ``GAMMA_KEYS`` order, for both directions.
+    """Rows ``c`` of the ten counts, in record order, for both directions.
 
     Detector ``i`` sees ``u_i a + v_i``: a single count's row is ``[v, u, 0]``
     and a pair's is the convolution of the two single rows.
@@ -358,7 +358,7 @@ def _detector_record(
     """Mean counts and pairwise coincidences: the kernel over the scheme's rows."""
     rows, context = _detector_rows(scheme, lo), f"scheme {scheme.upper()} count"
     values = _coincidences(resolve_table(source, 2), rows, context)
-    return DetectionRecord(scheme=scheme, lo=lo, gammas=dict(zip(GAMMA_KEYS, values)))
+    return DetectionRecord(scheme, lo, dict(zip(_DETECTOR_SUBSETS, values)))
 
 
 def _order_two_table(*records: DetectionRecord) -> MomentTable:
@@ -372,7 +372,7 @@ def _order_two_table(*records: DetectionRecord) -> MomentTable:
     Directions the counts do not fix come out at minimum norm.
     """
     rows = np.vstack([_detector_rows(r.scheme, r.lo) for r in records])
-    counts = np.array([r.gammas[key] for r in records for key in GAMMA_KEYS])
+    counts = np.array([r.gammas[key] for r in records for key in _DETECTOR_SUBSETS])
     known = np.diag([1.0, 0.0, 0.0]).astype(complex)
     eye = np.eye(3)
     units = []
@@ -386,6 +386,18 @@ def _order_two_table(*records: DetectionRecord) -> MomentTable:
     params = np.linalg.lstsq(design / norms[:, None], residual / norms, rcond=None)[0]
     values = known + np.tensordot(params, units, axes=1)
     return MomentTable(values, validate=False)
+
+
+def _projection(records: list, gain: complex, kind: str, names: dict) -> dict:
+    """``<a^dag a>``, then each name's ``(i, j)`` entry of the ``kind`` moment
+    matrix of the records' order-2 table at ``theta = arg(gain)``, then ``theta``.
+    """
+    _check_oscillator(abs(gain), "quadratures cannot be extracted")
+    table = _order_two_table(*records)
+    theta = cmath.phase(gain)
+    m = build_matrix(table, MonomialBasis.graded(kind, 3), theta).values.real
+    return {"n": table.entry(1, 1).real, **{k: m[ij] for k, ij in names.items()},
+            "theta": theta}
 
 
 def scheme_b_forward(source: MomentSource, lo: LOConfig) -> DetectionRecord:
@@ -407,14 +419,8 @@ def scheme_b_extract(record: DetectionRecord) -> dict[str, float]:
     """
     if record.scheme != "b":
         raise ValidationError(f"expected a scheme-b record, got {record.scheme!r}")
-    _check_oscillator(abs(record.lo.alpha), "quadratures cannot be extracted")
-    table = _order_two_table(record)
-    theta = cmath.phase(record.lo.alpha)
-    m = build_matrix(table, MonomialBasis.graded("quad", 3), theta).values.real
-    return {
-        "n": table.entry(1, 1).real, "x": m[0, 1], "p": m[0, 2],
-        "xx": m[1, 1], "pp": m[2, 2], "xp": m[1, 2], "theta": theta,
-    }
+    names = {"x": (0, 1), "p": (0, 2), "xx": (1, 1), "pp": (2, 2), "xp": (1, 2)}
+    return _projection([record], record.lo.alpha, "quad", names)
 
 
 def scheme_c_forward(source: MomentSource, lo: LOConfig) -> DetectionRecord:
@@ -450,14 +456,8 @@ def scheme_c_extract(
     if abs(blocked.lo.t0 - lo.t0) > 1e-12:
         raise ValidationError("records use different beam splitters")
     gain = np.conj(lo.t0) * lo.r0 * lo.alpha
-    _check_oscillator(abs(gain), "quadratures cannot be extracted")
-    table = _order_two_table(record, blocked)
-    theta = cmath.phase(gain)
-    m = build_matrix(table, MonomialBasis.graded("xn", 3), theta).values.real
-    return {
-        "n": table.entry(1, 1).real, "x": m[0, 1], "nn": m[2, 2],
-        "nx": m[1, 2], "xx": m[1, 1], "theta": theta,
-    }
+    names = {"x": (0, 1), "nn": (2, 2), "nx": (1, 2), "xx": (1, 1)}
+    return _projection([record, blocked], gain, "xn", names)
 
 
 # -- shot noise -------------------------------------------------------------
@@ -466,10 +466,11 @@ def scheme_c_extract(
 def add_shot_noise(record, samples: float, seed: int = 0):
     """Perturb a record by seeded Gaussian noise of relative size ``1/sqrt(samples)``.
 
-    ``samples`` must be finite and positive.  Each stored value ``v`` becomes ``v + g * max(|v|, 1e-6) / sqrt(samples)``
-    with independent standard normals ``g`` drawn in a fixed canonical order
-    (sorted gamma keys, or phase samples sorted by ``(n, j)``), so equal
-    seeds (integers ``>= 0``) give reproducible noise.  A phase-scan record
+    ``samples`` must be finite and positive.  Each stored value ``v`` becomes
+    ``v + g * max(|v|, 1e-6) / sqrt(samples)`` with independent standard
+    normals ``g`` drawn in a fixed canonical order (counts by sorted detector
+    subset, phase samples by ``(n, j)``), so equal seeds (integers ``>= 0``)
+    give reproducible noise.  A phase-scan record
     holds only its samples, so its inversion reads the noisy ones.
     """
     if not (math.isfinite(samples) and samples > 0):

@@ -6,7 +6,8 @@ byte-identical files.  Byte identity holds per machine only: NumPy picks
 its SIMD kernels by CPU feature, and on x86-64 a ``qfunc`` CSV has other
 bytes at the AVX-512, AVX2 and baseline levels (``sweep`` CSVs have kept
 theirs).  Complex numbers are serialized as two-element ``[re, im]``
-arrays.  CSV files use a comma separator, ``.`` decimal point, a header row
+arrays, and a scheme-B/C record's counts as one array in detector-subset
+order.  CSV files use a comma separator, ``.`` decimal point, a header row
 and 17 significant digits (enough for a lossless float round trip).  A
 file that cannot be written raises
 :class:`~nclmoments.errors.ValidationError`.
@@ -24,7 +25,6 @@ import numpy as np
 from .criteria import CriterionReport
 from .errors import ValidationError
 from .measurement import (
-    GAMMA_KEYS,
     _DETECTOR_SUBSETS,
     DetectionRecord,
     FourierRecord,
@@ -256,27 +256,26 @@ def lo_from_json(doc: Mapping[str, Any]) -> LOConfig:
     return lo
 
 
+# A scheme-B/C record's "gammas", as the reader's messages name it.
+_GAMMAS = "gammas ({} numbers: the counts of detector subsets {}, in order)".format(
+    len(_DETECTOR_SUBSETS),
+    ", ".join("(%s)" % ", ".join(map(str, s)) for s in _DETECTOR_SUBSETS),
+)
+
+
 def detection_record_to_json(record: DetectionRecord) -> dict[str, Any]:
-    gammas = [
-        {"subset": list(subset), "value": record.gammas[key]}
-        for subset, key in zip(_DETECTOR_SUBSETS, GAMMA_KEYS)
-    ]
+    gammas = [record.gammas[subset] for subset in _DETECTOR_SUBSETS]
     return {"scheme": record.scheme, "lo": lo_to_json(record.lo), "gammas": gammas}
 
 
 def detection_record_from_json(doc: Mapping[str, Any]) -> DetectionRecord:
-    keys = dict(zip(_DETECTOR_SUBSETS, GAMMA_KEYS))
+    """The record of a document whose ``"gammas"`` lists one count per subset."""
     try:
-        gammas = {}
-        for item in doc["gammas"]:
-            subset = tuple(_integer(i, "detector index") for i in item["subset"])
-            if subset not in keys:
-                raise ValidationError(
-                    f"unknown detector subset {list(item['subset'])!r}"
-                )
-            if keys[subset] in gammas:
-                raise ValidationError(f"duplicate detector subset {list(subset)!r}")
-            gammas[keys[subset]] = _number(item["value"], "detection count")
+        counts = doc["gammas"]
+        if not isinstance(counts, list) or len(counts) != len(_DETECTOR_SUBSETS):
+            raise ValidationError(f"{_GAMMAS} must be a list")
+        gammas = {subset: _number(value, f"{_GAMMAS} entry {i}")
+                  for i, (subset, value) in enumerate(zip(_DETECTOR_SUBSETS, counts))}
         return DetectionRecord(
             scheme=str(doc["scheme"]), lo=lo_from_json(doc["lo"]), gammas=gammas
         )

@@ -32,6 +32,13 @@ def scan_harmonics(record) -> dict:
     return out
 
 
+def old_gamma_layout(gammas: list) -> list:
+    """A B/C record's ten counts as the per-subset ``{"subset", "value"}``
+    objects of earlier versions' record files."""
+    subsets = [[1], [2], [3], [4], [1, 2], [1, 3], [1, 4], [2, 3], [2, 4], [3, 4]]
+    return [{"subset": s, "value": v} for s, v in zip(subsets, gammas)]
+
+
 def traced_peak(call) -> int:
     """The peak of memory traced while ``call()`` runs, in bytes.
 

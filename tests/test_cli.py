@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import whole_grid_q
+from helpers import old_gamma_layout, whole_grid_q
 
 import nclmoments
 from nclmoments import cli, moments
@@ -761,7 +761,7 @@ def test_invert_rejects_non_numeric_record_value(tmp_path, capsys):
         "simulate", "--state", THERMAL, "--scheme", "b", "--out", str(record),
     ]) == 0
     doc = read_json(record)
-    doc["record"]["gammas"][0]["value"] = "abc"
+    doc["record"]["gammas"][0] = "abc"
     record.write_text(json.dumps(doc))
     rc = main(["invert", "--record", str(record), "--out", str(tmp_path / "i.json")])
     assert rc == 2
@@ -937,7 +937,7 @@ def _set_sample(doc):
 
 
 def _set_gamma(doc):
-    doc["record"]["gammas"][0]["value"] = math.inf
+    doc["record"]["gammas"][0] = math.inf
 
 
 def _set_alpha(doc):
@@ -970,7 +970,7 @@ def _set_alpha_true(doc):
 
 
 def _set_count_string(doc):
-    doc["record"]["gammas"][0]["value"] = "0.5"
+    doc["record"]["gammas"][0] = "0.5"
 
 
 def _set_sample_true(doc):
@@ -1033,6 +1033,36 @@ def test_invert_rejects_incomplete_phase_scans(tmp_path, capsys, corrupt):
     rc = main(["invert", "--record", str(record), "--out", str(tmp_path / "i.json")])
     assert rc == 2
     assert "phase samples are incomplete for n_max" in capsys.readouterr().err
+
+
+GAMMA_EDITS = {
+    "old-layout": old_gamma_layout,
+    "nine": lambda gammas: gammas[:9],
+    "eleven": lambda gammas: gammas + [gammas[0]],
+    "not-a-number": lambda gammas: gammas[:4] + [[gammas[4], 0.0]] + gammas[5:],
+}
+
+
+@pytest.mark.parametrize("edit", sorted(GAMMA_EDITS))
+@pytest.mark.parametrize("scheme, key", [("b", "record"), ("c", "blocked")])
+def test_invert_rejects_other_gamma_layouts(tmp_path, capsys, scheme, key, edit):
+    """A B/C record's ``"gammas"`` is a list of ten numbers in subset order;
+    the per-subset objects of earlier versions, another length or an entry
+    that is not a number exit 2, naming the expected layout."""
+    record = tmp_path / "rec.json"
+    assert main([
+        "simulate", "--state", THERMAL, "--scheme", scheme, "--out", str(record),
+    ]) == 0
+    doc = read_json(record)
+    doc[key]["gammas"] = GAMMA_EDITS[edit](doc[key]["gammas"])
+    record.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = main(["invert", "--record", str(record), "--out", str(tmp_path / "i.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "malformed detection record: gammas (10 numbers: the counts of detector " \
+           "subsets (1), (2), (3), (4), (1, 2)" in err
+    assert "Traceback" not in err
 
 
 def _set_phi(doc):

@@ -45,7 +45,7 @@ from nclmoments import (
 )
 from nclmoments.cli import main
 from nclmoments import measurement
-from nclmoments.measurement import GAMMA_KEYS
+from nclmoments.measurement import _DETECTOR_SUBSETS as SUBSETS
 from nclmoments.moments import as_real
 from nclmoments.operators import destroy
 from nclmoments.serialize import (
@@ -81,12 +81,25 @@ def test_lo_config_validation():
 def test_detection_record_validation():
     lo = LOConfig(alpha=1.0)
     gammas = {k: 0.0 for k in
-              ("g1", "g2", "g3", "g4", "g12", "g13", "g14", "g23", "g24", "g34")}
+              [(1,), (2,), (3,), (4,), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]}
     DetectionRecord(scheme="b", lo=lo, gammas=gammas)
     with pytest.raises(ValidationError):
         DetectionRecord(scheme="a", lo=lo, gammas=gammas)
     with pytest.raises(ValidationError):
-        DetectionRecord(scheme="b", lo=lo, gammas={"g1": 0.0})
+        DetectionRecord(scheme="b", lo=lo, gammas={(1,): 0.0})
+
+
+def test_detection_record_refuses_string_and_mixed_keys():
+    """Counts are keyed by detector subset; the old ``"g1"``..``"g34"`` keys,
+    alone or beside subset keys, are refused, and the message that lists
+    keys of mixed types is still a :class:`ValidationError`."""
+    lo = LOConfig(alpha=1.0)
+    strings = {"g" + "".join(map(str, s)): 0.0 for s in SUBSETS}
+    mixed = {**{s: 0.0 for s in SUBSETS[1:]}, "g1": 0.0}
+    extra = {**{s: 0.0 for s in SUBSETS}, "g12": 0.0, (5,): 0.0}
+    for gammas in (strings, mixed, extra):
+        with pytest.raises(ValidationError, match="gamma keys mismatch"):
+            DetectionRecord(scheme="b", lo=lo, gammas=gammas)
 
 
 def test_records_reject_non_finite_values():
@@ -95,7 +108,7 @@ def test_records_reject_non_finite_values():
     record = scheme_b_forward(make_thermal(0.5, 32), LOConfig(2.0))
     with pytest.raises(ValidationError):
         DetectionRecord(
-            scheme="b", lo=record.lo, gammas=dict(record.gammas, g13=math.inf)
+            scheme="b", lo=record.lo, gammas={**record.gammas, (1, 3): math.inf}
         )
     scan = scheme_a_sample_and_fourier(make_thermal(0.5, 32), 2, LOConfig(2.0), 1)
     with pytest.raises(ValidationError):
@@ -267,13 +280,13 @@ def test_four_detector_forward_matches_operator_route(scheme, name):
         out2 = (-np.conj(lo.r0) * a + lo.t0 * lo.alpha * one) / math.sqrt(2.0)
         modes = [out1, out1, out2, out2]
         record = scheme_c_forward(state, lo)
-    for key in GAMMA_KEYS:
+    for subset in SUBSETS:
         op = one
-        for ch in key[1:]:
-            op = modes[int(ch) - 1] @ op
-        assert record.gammas[key] == pytest.approx(
+        for i in subset:
+            op = modes[i - 1] @ op
+        assert record.gammas[subset] == pytest.approx(
             normal_count(state, op), rel=1e-12
-        ), key
+        ), subset
 
 
 @pytest.mark.parametrize("seed", [0, 7, 23])
@@ -491,7 +504,7 @@ def extract(scheme, records):
 
 
 def stacked_counts(records):
-    return np.array([r.gammas[key] for r in records for key in GAMMA_KEYS])
+    return np.array([r.gammas[key] for r in records for key in SUBSETS])
 
 
 def reference_moments(table, scheme, theta):
@@ -540,9 +553,9 @@ def test_extraction_is_the_least_squares_inverse(scheme):
         moved, offset = [], 0
         for record in records:
             gammas = {k: record.gammas[k] + shift[offset + i]
-                      for i, k in enumerate(GAMMA_KEYS)}
+                      for i, k in enumerate(SUBSETS)}
             moved.append(DetectionRecord(scheme=scheme, lo=record.lo, gammas=gammas))
-            offset += len(GAMMA_KEYS)
+            offset += len(SUBSETS)
         got = extract(scheme, moved)
         for key, value in want.items():
             assert abs(got[key] - value) <= 1e-12 * max(1.0, abs(value)), key
@@ -672,6 +685,26 @@ def test_add_shot_noise_relative_scale():
         ]
         assert max(rels) < 5.0 / math.sqrt(samples)
         assert max(rels) > 0.01 / math.sqrt(samples)
+
+
+@pytest.mark.parametrize("scheme", ["b", "c"])
+def test_add_shot_noise_draws_in_sorted_subset_order(scheme):
+    """The ten normals of one seed go to the counts in sorted-subset order,
+    (1), (1, 2), (1, 3), (1, 4), (2), ..., (4): the order in which the
+    sorted ``"g1"``..``"g34"`` keys of earlier versions drew them, so a
+    seed gives every count the noise it had before the counts were keyed
+    by subset."""
+    state = random_pure_state(16, 12)
+    forward = scheme_b_forward if scheme == "b" else scheme_c_forward
+    record = forward(state, LOConfig(alpha=1.5 - 0.5j, t0=0.8))
+    order = sorted(SUBSETS)
+    assert order == sorted(SUBSETS, key=lambda s: "g" + "".join(map(str, s)))
+    g = np.random.default_rng(19).standard_normal(10)
+    noisy = add_shot_noise(record, 1e4, seed=19)
+    scale = 1.0 / math.sqrt(1e4)  # a factor, as the noise applies it
+    for subset, draw in zip(order, g):
+        v = record.gammas[subset]
+        assert noisy.gammas[subset] == v + draw * max(abs(v), 1e-6) * scale
 
 
 @pytest.mark.parametrize("scan", [False, True])

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from helpers import random_pure_state, traced_peak
+from helpers import old_gamma_layout, random_pure_state, traced_peak
 from nclmoments import (
     DensityState,
     FockState,
@@ -198,31 +198,28 @@ def test_detection_record_round_trip():
     record = scheme_b_forward(random_pure_state(24, 14), LOConfig(alpha=1.5))
     doc = detection_record_to_json(record)
     assert doc["scheme"] == "b"
-    assert [item["subset"] for item in doc["gammas"]] == [
-        [1], [2], [3], [4], [1, 2], [1, 3], [1, 4], [2, 3], [2, 4], [3, 4]
-    ]
+    subsets = [(1,), (2,), (3,), (4,), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
+    assert doc["gammas"] == [record.gammas[s] for s in subsets]
     back = detection_record_from_json(doc)
     assert back.gammas == record.gammas
 
 
-@pytest.mark.parametrize("subset", [[12], [5], [2, 1], [1, 2, 3], []])
-def test_detection_record_refuses_unknown_subsets(subset):
-    """Only the ten subsets a record is written with are read back; ``[12]``
-    was once read as ``[1, 2]``."""
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc.update(gammas=old_gamma_layout(doc["gammas"])),
+    lambda doc: doc["gammas"].pop(),
+    lambda doc: doc["gammas"].append(0.5),
+    lambda doc: doc.update(gammas={"(1)": 0.5}),
+    lambda doc: doc.update(gammas=None),
+], ids=["old-layout", "nine", "eleven", "object", "null"])
+def test_detection_record_refuses_other_gamma_layouts(edit):
+    """``"gammas"`` is a list of ten numbers; any other layout is refused,
+    and the message names the expected one."""
     record = scheme_b_forward(random_pure_state(24, 14), LOConfig(alpha=1.5))
     doc = detection_record_to_json(record)
-    doc["gammas"][4]["subset"] = subset
-    message = re.escape(f"unknown detector subset {subset}")
-    with pytest.raises(ValidationError, match=message):
-        detection_record_from_json(doc)
-
-
-def test_detection_record_refuses_a_repeated_subset():
-    """A second count for one subset is refused, not read over the first."""
-    record = scheme_b_forward(random_pure_state(24, 14), LOConfig(alpha=1.5))
-    doc = detection_record_to_json(record)
-    doc["gammas"].append({"subset": [1], "value": 123.0})
-    with pytest.raises(ValidationError, match=re.escape("duplicate detector subset [1]")):
+    edit(doc)
+    layout = ("gammas (10 numbers: the counts of detector subsets (1), (2), (3), (4), "
+              "(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4), in order)")
+    with pytest.raises(ValidationError, match=re.escape(layout)):
         detection_record_from_json(doc)
 
 
@@ -252,7 +249,7 @@ def test_fourier_record_round_trip_preserves_inversion():
     ({"scheme": "d"}, "unknown scheme tag 'd'"),
     ({"scheme": ["b"]}, "unknown scheme tag"),
     ({"scheme": "c", "record": {}}, "lacks ['blocked']"),
-    ({"scheme": "b", "record": {"scheme": "b", "gammas": [],
+    ({"scheme": "b", "record": {"scheme": "b", "gammas": [0.5] * 10,
                                 "lo": {"alpha": 1.0, "t0": 0.6}}},
      "LO config is missing field 'r0'"),
 ])
