@@ -590,7 +590,8 @@ def _bochner_dets(kernel: _CharKernel, points: Array) -> tuple[Array, Array, int
     diffs = points[:, upper] - points[:, lower]
     close = np.abs(diffs) < _MIN_SEPARATION
     args = diffs[~close.any(axis=1)]
-    flip = (args.real < 0) | ((args.real == 0) & (args.imag < 0))
+    # complex order is lexicographic: (real, imag) < (0, 0)
+    flip = args < 0
     distinct, inverse = np.unique(np.where(flip, -args, args), return_inverse=True)
     phi = kernel(distinct) if distinct.size else distinct
     values = phi[inverse].reshape(args.shape)
@@ -598,7 +599,7 @@ def _bochner_dets(kernel: _CharKernel, points: Array) -> tuple[Array, Array, int
     mats = np.zeros((len(args), k, k), dtype=complex)
     mats[:, upper, lower] = values
     mats[:, lower, upper] = values.conj()
-    mats[:, range(k), range(k)] = 1.0
+    mats.reshape(len(args), k * k)[:, :: k + 1] = 1.0
     return close, np.linalg.det(mats), len(distinct)
 
 
@@ -654,9 +655,13 @@ def _refine(
     standard normal, skips the proposal if a point leaves the disc or two
     points coincide, and accepts it if it lowers the determinant.  The next
     ``_WALK_BLOCK`` proposals from the current points are scored in one
-    :func:`_bochner_dets` call; the first that improves is accepted and the
-    walk resumes at the step after it.  This accepts exactly what a walk
-    scored one step at a time accepts; the proposals scored behind an
+    :func:`_bochner_dets` call; the first that improves, found by one
+    comparison over the block, is accepted and the walk resumes at the step
+    after it.  The imaginary-residue check of :func:`as_real` runs once over
+    the determinants up to and including that one (all of them when none
+    improves), so it raises on the first value a walk scored one step at a
+    time would raise on and never reads one behind the accepted step.  This
+    accepts exactly what that walk accepts; the proposals scored behind an
     accepted one only add to the returned count of ``Phi`` arguments.
     """
     k = len(best_points)
@@ -675,15 +680,30 @@ def _refine(
         inside = np.flatnonzero((np.abs(proposals) <= radius).all(axis=1))
         close, dets, computed = _bochner_dets(kernel, proposals[inside])
         evaluations += computed
-        for step, det in zip(inside[~close.any(axis=1)], dets):
-            value = as_real(complex(det), "Bochner determinant")
-            if value < best_value:
-                best_value = value
-                best_points = [complex(b) for b in proposals[step]]
-                stop = start + int(step) + 1
-                break
+        better = np.flatnonzero(dets.real < best_value)
+        values = as_real(dets[: better[0] + 1] if better.size else dets,
+                         "Bochner determinant")
+        if better.size:
+            step = inside[~close.any(axis=1)][better[0]]
+            best_value = float(values[-1])
+            best_points = [complex(b) for b in proposals[step]]
+            stop = start + int(step) + 1
         start = stop
     return best_value, best_points, evaluations
+
+
+def _lattice(radius: float, grid_n: int) -> Array:
+    """The origin, then the points of the square lattice of side ``grid_n``
+    on ``[-radius, radius]^2`` inside ``0 < |beta| <= radius``, row by row
+    (real part outer, imaginary part inner)."""
+    axis = np.linspace(-radius, radius, grid_n)
+    grid = np.empty((grid_n, grid_n), dtype=complex)
+    grid.real, grid.imag = axis[:, None], axis
+    grid = grid.reshape(-1)
+    # np.hypot is bit-equal to abs() of a Python complex, so points on the
+    # circle stay in
+    modulus = np.hypot(grid.real, grid.imag)
+    return np.concatenate([[0j], grid[(0.0 < modulus) & (modulus <= radius)]])
 
 
 def bochner_search(
@@ -720,13 +740,7 @@ def bochner_search(
     _check_count(seed, "seed")
     _check_count(refine_iters, "refine_iters")
     kernel = _CharKernel(state)
-    axis = np.linspace(-radius, radius, grid_n)
-    lattice = [0.0 + 0.0j] + [
-        complex(re, im)
-        for re in axis
-        for im in axis
-        if 0.0 < abs(complex(re, im)) <= radius
-    ]
+    lattice = _lattice(radius, grid_n)
     count = len(lattice) - 1
     if count < k - 1:
         raise ValidationError(
@@ -744,7 +758,7 @@ def bochner_search(
             [rng_seed.choice(count, size=k - 1, replace=False) for _ in range(draws)]
         ) + 1
     tuples = np.column_stack([np.zeros(len(tuples), dtype=int), tuples])
-    points = np.array(lattice)[tuples]
+    points = lattice[tuples]
     close, dets, scanned = _bochner_dets(kernel, points)
     if not dets.size:
         raise DuplicatePointError(f"every lattice tuple at radius {radius!r} coincides")

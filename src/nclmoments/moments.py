@@ -332,8 +332,8 @@ class _CharKernel:
 
     plus ``sum_n g_n^{(0)} rho[n, n]``, where ``theta = arg beta``.  The
     ``g`` obey the Laguerre three-term recurrence in ``n``.  The constructor
-    holds everything that depends on the state alone: the offset diagonals,
-    the recurrence coefficients of every row and the row widths.
+    holds everything that depends on the state alone: the offset diagonals
+    and the recurrence coefficients of every row.
 
     ``|g_n^{(d)}| = e^{x/2} |<n+d|D(beta)|n>| <= e^{x/2}``, so leaving out
     ``rho[n, n+d]`` moves ``Phi`` by at most ``e^{x/2}`` times its weight
@@ -345,10 +345,18 @@ class _CharKernel:
 
     A call runs the recurrence once per distinct ``|beta|^2`` of its points,
     vectorized over (modulus, offset) and contracted against the diagonals
-    row by row, so memory stays at points x offsets; rows whose kept
-    diagonals are all zero add nothing and are skipped.  The phases are
-    applied per point.  The trim depends on the state alone, so every
-    point's value is the one a call on that point alone gives, bit for bit.
+    row by row.  Each row's coefficients and diagonal are stored padded to
+    every kept offset, zero where ``n + d`` leaves the basis, and a call
+    updates a few preallocated points x offsets buffers in place, one ufunc
+    per operation, so memory stays at points x offsets.  Each element sees
+    the operations of the recurrence sliced to its row's width, in the same
+    order; a column past the width has zero coefficients, so its ``g`` turns
+    to +-0 and adds only +-0.  (That needs every ``g`` finite; as
+    ``|g| <= e^{|beta|^2/2}``, one overflows only from ``|beta|^2`` near
+    1400.)  Rows whose kept diagonals are all zero skip the sum, and the
+    step past the last row is not run.  The phases are applied per point.
+    The trim depends on the state alone, so every point's value is the one
+    a call on that point alone gives, bit for bit.
     """
 
     def __init__(self, state: State) -> None:
@@ -373,21 +381,21 @@ class _CharKernel:
         self.log_fact = log_fact[offsets]
         # g_{n+1} = ((2n + 1 + d - x) g_n - sqrt(n (n + d)) g_{n-1}) / sqrt((n + 1) (n + 1 + d))
         ns = np.arange(len(diagonals))[:, None]
-        lead = 2 * ns + 1 + offsets
-        lag = np.sqrt(ns * (ns + offsets))
-        norm = 1.0 / np.sqrt((ns + 1) * (ns + 1 + offsets))
-        # offset d stays in the basis while n + d < dim; offsets are sorted
-        active = np.searchsorted(offsets, dim - ns[:, 0])
+        # offset d stays in the basis while n + d < dim; past it the
+        # coefficients are zero
+        inside = ns + offsets < dim
+        lead = np.where(inside, 2 * ns + 1 + offsets, 0.0)
+        lag = np.where(inside, np.sqrt(ns * (ns + offsets)), 0.0)
+        norm = np.where(inside, 1.0 / np.sqrt((ns + 1) * (ns + 1 + offsets)), 0.0)
+        # (diagonal or None when the row carries no weight, lead, lag, norm);
+        # nothing reads g past the last row, so it has no coefficients
         self.rows = [
-            (
-                width,
-                diagonals[n, :width] if diagonals[n, :width].any() else None,
-                lead[n, :width],
-                lag[n, :width],
-                norm[n, :width],
+            (diagonal if weighted else None, *coefficients)
+            for diagonal, weighted, *coefficients in zip(
+                diagonals, diagonals.any(axis=1), lead, lag, norm
             )
-            for n, width in enumerate(active)
         ]
+        self.rows[-1] = (self.rows[-1][0], None, None, None)
         self.phase_rate = 1j * offsets
         self.lower_sign = np.where(offsets > 0, 1 - 2 * (offsets % 2), 0)
 
@@ -413,13 +421,20 @@ class _CharKernel:
                 1.0,
                 np.exp(0.5 * (offsets * np.log(xs) - self.log_fact)),
             )
-        g_prev = np.zeros_like(g)
+        prev, nxt, t = np.zeros_like(g), np.empty_like(g), np.empty_like(g)
         acc = np.zeros(g.shape, dtype=complex)
-        for width, diagonal, lead, lag, norm in self.rows:
-            g_now = g[:, :width]
+        term = np.empty_like(acc)
+        for diagonal, lead, lag, norm in self.rows:
             if diagonal is not None:
-                acc[:, :width] += g_now * diagonal
-            g, g_prev = ((lead - xs) * g_now - lag * g_prev[:, :width]) * norm, g_now
+                np.add(acc, np.multiply(g, diagonal, out=term), out=acc)
+            if lead is None:
+                break
+            # ((lead - x) g - lag prev) norm, each operation as one ufunc
+            np.subtract(lead, xs, out=nxt)
+            np.multiply(nxt, g, out=nxt)
+            np.subtract(nxt, np.multiply(lag, prev, out=t), out=nxt)
+            np.multiply(nxt, norm, out=nxt)
+            prev, g, nxt = g, nxt, prev
         upper = np.exp(self.phase_rate * np.angle(pts)[:, None]) * acc[inverse]
         return upper.sum(axis=1) + (self.lower_sign * upper.conj()).sum(axis=1)
 
@@ -431,10 +446,10 @@ def char_values(state: State, betas: Sequence[complex]) -> Array:
     Laguerre recurrence per distinct ``|beta|^2`` over the rows and offsets
     above the state's roundoff floor, so a value is within
     ``e^{|beta|^2/2} 2^-53`` of the sum over every entry of ``rho``; memory
-    at points x offsets.  Points must be finite
-    (:class:`~nclmoments.errors.ValidationError`).  Warns once per call when
-    some ``|beta|^2`` reaches ``dim / 4``: the displaced state then leaks past
-    the cutoff and ``<D(beta)>`` degrades.
+    at a few points x offsets buffers, updated in place row by row.  Points
+    must be finite (:class:`~nclmoments.errors.ValidationError`).  Warns
+    once per call when some ``|beta|^2`` reaches ``dim / 4``: the displaced
+    state then leaks past the cutoff and ``<D(beta)>`` degrades.
     """
     return _CharKernel(state)(betas)
 

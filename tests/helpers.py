@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 
 from nclmoments import DensityState, FockState, MonomialBasis, build_matrix
+from nclmoments.moments import _CharKernel, _offset_diagonals
 from nclmoments.operators import create, destroy
 from nclmoments.states import _coherent_overlaps
 
@@ -213,3 +214,49 @@ def scheme_a_least_squares(record) -> Array:
     params = np.linalg.lstsq(design, counts, rcond=None)[0]
     params += np.linalg.lstsq(design, counts - design @ params, rcond=None)[0]
     return known + np.tensordot(params / norms, units, axes=1)
+
+
+def sliced_char_values(state, betas) -> Array:
+    """``char_values`` by the row loop of earlier versions (reference).
+
+    Each row's coefficients and diagonal are sliced to the offsets still in
+    the basis (``n + d < dim``), and each step makes fresh arrays.  It reads
+    the kernel's trim (its row count and offsets) and nothing else, so the
+    kernel's padded rows updated in place must match it bit for bit.  It
+    does not warn.
+    """
+    kernel = _CharKernel(state)
+    dim, offsets = state.dim, kernel.offsets
+    all_offsets, diagonals = _offset_diagonals(state, dim)
+    diagonals = diagonals[: len(kernel.rows), np.searchsorted(all_offsets, offsets)]
+    log_fact = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1.0, dim)))])[offsets]
+    ns = np.arange(len(diagonals))[:, None]
+    lead = 2 * ns + 1 + offsets
+    lag = np.sqrt(ns * (ns + offsets))
+    norm = 1.0 / np.sqrt((ns + 1) * (ns + 1 + offsets))
+    active = np.searchsorted(offsets, dim - ns[:, 0])
+    rows = [
+        (
+            width,
+            diagonals[n, :width] if diagonals[n, :width].any() else None,
+            lead[n, :width],
+            lag[n, :width],
+            norm[n, :width],
+        )
+        for n, width in enumerate(active)
+    ]
+    pts = np.asarray(betas, dtype=complex).reshape(-1)
+    xs, inverse = np.unique(np.abs(pts) ** 2, return_inverse=True)
+    xs = xs[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = np.where(offsets == 0, 1.0, np.exp(0.5 * (offsets * np.log(xs) - log_fact)))
+    g_prev = np.zeros_like(g)
+    acc = np.zeros(g.shape, dtype=complex)
+    for width, diagonal, lead_n, lag_n, norm_n in rows:
+        g_now = g[:, :width]
+        if diagonal is not None:
+            acc[:, :width] += g_now * diagonal
+        g, g_prev = ((lead_n - xs) * g_now - lag_n * g_prev[:, :width]) * norm_n, g_now
+    upper = np.exp(1j * offsets * np.angle(pts)[:, None]) * acc[inverse]
+    lower_sign = np.where(offsets > 0, 1 - 2 * (offsets % 2), 0)
+    return upper.sum(axis=1) + (lower_sign * upper.conj()).sum(axis=1)

@@ -36,6 +36,7 @@ from nclmoments import (
     OrderAccuracyWarning,
     ValidationError,
     apply_squeeze,
+    as_real,
     ass_moment_tables,
     asq_min_max,
     asq_variance,
@@ -942,6 +943,27 @@ def seeding_lattice(radius: float, grid_n: int) -> list[complex]:
     ]
 
 
+@pytest.mark.parametrize(
+    "radius, grid_n", [(2.0, 2), (2.0, 3), (2.0, 9), (2.0, 16), (2.0, 17), (1.5, 9), (2.0, 11)]
+)
+def test_bochner_lattice_is_the_comprehension(radius, grid_n):
+    """The array lattice holds the comprehension's points, in its order,
+    bit for bit, the origin first."""
+    got = criteria._lattice(radius, grid_n)
+    want = np.array([0j] + seeding_lattice(radius, grid_n))
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_bochner_lattice_keeps_points_on_the_circle():
+    """At radius 2 and side 11, twelve lattice points, -1.2 + 1.6i among
+    them, have a modulus of 2.0 exactly: they stay in, as ``abs()`` of a
+    Python complex keeps them."""
+    lattice = criteria._lattice(2.0, 11)
+    rim = [complex(b) for b in lattice if abs(complex(b)) == 2.0]
+    assert complex(-1.2, 1.6) in rim and len(rim) == 12
+
+
 SEEDING_STATES = {
     "squeezed": lambda: apply_squeeze(make_fock(0, 40), 0.3 * np.exp(0.4j)),
     "rank-3 rho": lambda: random_density_state(40, 4),
@@ -1056,6 +1078,102 @@ def unscored_blocks(refine_iters, outside, accepted):
         hits = [it for it in steps if it in accepted]
         start = hits[0] + 1 if hits else stop
     return found
+
+
+def loop_refine(kernel, best_value, best_points, radius, seed, refine_iters):
+    """The walk with each block's determinants read one at a time
+    (reference): ``as_real`` on each in turn, up to the first that improves."""
+    k = len(best_points)
+    rng = np.random.default_rng(seed + 1)
+    noise = rng.standard_normal((refine_iters, k - 1, 2)).view(complex)[..., 0]
+    scales = np.array([0.25 * radius * 0.97**it for it in range(refine_iters)])
+    start = evaluations = 0
+    while start < refine_iters:
+        stop = min(start + criteria._WALK_BLOCK, refine_iters)
+        proposals = np.zeros((stop - start, k), dtype=complex)
+        proposals[:, 1:] = (
+            np.array(best_points[1:]) + scales[start:stop, None] * noise[start:stop]
+        )
+        inside = np.flatnonzero((np.abs(proposals) <= radius).all(axis=1))
+        close, dets, computed = criteria._bochner_dets(kernel, proposals[inside])
+        evaluations += computed
+        for step, det in zip(inside[~close.any(axis=1)], dets):
+            value = as_real(complex(det), "Bochner determinant")
+            if value < best_value:
+                best_value = value
+                best_points = [complex(b) for b in proposals[step]]
+                stop = start + int(step) + 1
+                break
+        start = stop
+    return best_value, best_points, evaluations
+
+
+def crafted_scorer(blocks):
+    """A stand-in for ``criteria._bochner_dets`` on two-point rows: every
+    third row is close, and the other rows read the next crafted block's
+    values in turn (10.0, which never improves, past its end and after the
+    last block)."""
+    blocks = iter(blocks)
+
+    def score(kernel, points):
+        close = np.zeros((len(points), 1), dtype=bool)
+        close[1::3] = True
+        scored = int(np.count_nonzero(~close.any(axis=1)))
+        dets = (list(next(blocks, [])) + [10.0] * scored)[:scored]
+        return close, np.array(dets, dtype=complex), 7 * len(points) + 1
+
+    return score
+
+
+WALK_START = (0.0, [0j, 0.1 + 0.2j])
+
+
+def test_bochner_walk_raises_on_a_residue_before_the_first_improvement(monkeypatch):
+    """A residue ahead of the first improving determinant raises what the
+    one-at-a-time loop raises, naming that determinant."""
+    block = [1.0, 2.0 + 1e-3j, -1.0]
+    with pytest.raises(NumericConsistencyError) as scalar:
+        as_real(complex(block[1]), "Bochner determinant")
+    for walk in (criteria._refine, loop_refine):
+        monkeypatch.setattr(criteria, "_bochner_dets", crafted_scorer([block]))
+        with pytest.raises(NumericConsistencyError) as raised:
+            walk(None, *WALK_START, 1.5, 0, 40)
+        assert str(raised.value) == str(scalar.value)
+
+
+def test_bochner_walk_reads_nothing_behind_the_accepted_determinant(monkeypatch):
+    """A residue behind the first improving determinant is never read: the
+    step before it is accepted, and the walk and the loop agree."""
+    blocks = [[1.0, -1.0, 2.0 + 1e-3j], [3.0, -2.0], [0.5, 0.5, -2.5, -9.0 + 1.0j]]
+    results = []
+    for walk in (criteria._refine, loop_refine):
+        monkeypatch.setattr(criteria, "_bochner_dets", crafted_scorer(blocks))
+        results.append(walk(None, *WALK_START, 1.5, 0, 40))
+    assert results[0] == results[1]
+    assert results[0][0] == -2.5
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_bochner_walk_accepts_what_the_loop_accepts(monkeypatch, k):
+    """Over a whole walk, with determinants drawn from the proposals, the
+    accepted steps, the value and the count of arguments are the loop's."""
+
+    def score(kernel, points):
+        close = np.abs(points[:, 1:].real).min(axis=1) < 0.05
+        free = points[~close, 1:]
+        dets = np.sin(7 * free.real).sum(axis=1) + np.cos(5 * free.imag).sum(axis=1)
+        pairs = k * (k - 1) // 2
+        return (
+            np.repeat(close[:, None], pairs, axis=1),
+            dets + 1e-12j * dets,
+            3 * len(points),
+        )
+
+    monkeypatch.setattr(criteria, "_bochner_dets", score)
+    start = (0.5, [0j] + [0.3 + 0.1j * i for i in range(1, k)])
+    got = criteria._refine(None, *start, 1.5, 4, 120)
+    want = loop_refine(None, *start, 1.5, 4, 120)
+    assert got == want and got[0] < start[0]
 
 
 WALK_STATES = {

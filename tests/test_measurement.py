@@ -715,8 +715,9 @@ def test_add_shot_noise_equals_the_per_value_loop(scan):
               else scheme_b_forward(state, LOConfig(alpha=1.5)))
     values = record.samples if scan else record.gammas
     rng = np.random.default_rng(11)
+    scale = 1.0 / math.sqrt(1e4)  # a factor, as the noise applies it
     want = {
-        key: v + rng.standard_normal() * max(abs(v), 1e-6) / math.sqrt(1e4)
+        key: v + rng.standard_normal() * max(abs(v), 1e-6) * scale
         for key, v in sorted(values.items())
     }
     noisy = add_shot_noise(record, 1e4, seed=11)

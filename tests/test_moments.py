@@ -27,6 +27,8 @@ from helpers import (
     quad_expectation,
     random_density_state,
     random_pure_state,
+    sliced_char_values,
+    traced_peak,
 )
 from nclmoments import (
     BasisKind,
@@ -803,3 +805,83 @@ def test_char_values_warns_once_per_call():
         char_values(state, [2.5, 3.0, -2.5j, 0.5])
         char_values(state, [0.5, 1.0j])
     assert [w.category for w in caught] == [OrderAccuracyWarning]
+
+
+def same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    return got.shape == want.shape and np.array_equal(
+        got.view(np.uint64), want.view(np.uint64)
+    )
+
+
+# The origin (the 0^0 = 1 branch) and points sharing |beta|^2 = 0.25,
+# 1.25 and 2.89 at different phases.
+PIN_POINTS = np.array(
+    [0.0, 0.4 + 0.3j, -0.3 - 0.4j, 0.5j, 0.3 - 0.4j, 1.1 - 0.2j, -0.2 + 1.1j, 1.7, -1.7j]
+)
+PIN_STATES = {
+    # every row narrows: n + d leaves the basis
+    "rank-3 rho, dim 5": lambda: random_density_state(5, 2),
+    "rank-4 rho, dim 12": lambda: random_density_state(12, 9, rank=4),
+    # rows 0-2 carry no weight
+    "fock 3": lambda: make_fock(3, 16),
+    # the odd rows carry no weight
+    "squeezed vacuum": lambda: apply_squeeze(make_fock(0, 32), 0.45 + 0.1j),
+    "coherent": lambda: make_coherent(0.9 * np.exp(0.3j), 24),
+    "thermal nbar 0.5": lambda: make_thermal(0.5, 32),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PIN_STATES))
+def test_char_kernel_matches_the_sliced_row_loop(name):
+    """The padded rows updated in place give the sliced loop's values bit
+    for bit: a column past its row's width only adds +-0."""
+    state = PIN_STATES[name]()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", OrderAccuracyWarning)
+        got = char_values(state, PIN_POINTS)
+    assert same_bits(got, sliced_char_values(state, PIN_POINTS))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    dim=st.integers(2, 24),
+    seed=st.integers(0, 2**16),
+    rank=st.integers(0, 3),
+    count=st.integers(1, 12),
+)
+def test_char_kernel_matches_the_sliced_row_loop_on_random_states(dim, seed, rank, count):
+    """Rank 0 draws a pure state, higher ranks a mixture; the points reach
+    past the ``dim / 4`` warning."""
+    state = (
+        random_density_state(dim, seed, rank=rank) if rank
+        else random_pure_state(dim, seed)
+    )
+    rng = np.random.default_rng(seed)
+    betas = 2.0 * rng.random(count) * np.exp(2j * np.pi * rng.random(count))
+    betas = np.concatenate([betas, [0.0], -betas[:2], betas[:2].conj()])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", OrderAccuracyWarning)
+        got = char_values(state, betas)
+    assert same_bits(got, sliced_char_values(state, betas))
+
+
+def test_char_kernel_matches_the_sliced_row_loop_past_the_warning():
+    state = random_density_state(8, 5)
+    betas = [0.5, 2.0j, -1.5 + 1.0j]  # |beta|^2 reaches 4 > dim / 4
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = char_values(state, betas)
+    assert [w.category for w in caught] == [OrderAccuracyWarning]
+    assert same_bits(got, sliced_char_values(state, betas))
+
+
+def test_char_kernel_memory_stays_at_points_times_offsets():
+    """A call holds a few points x offsets buffers, never one per row: a
+    float array per row of 40 or more would add 20 units of points x
+    offsets complex values."""
+    kernel = _CharKernel(apply_squeeze(make_fock(0, 64), 0.45 + 0.1j))
+    rng = np.random.default_rng(0)
+    betas = 1.9 * np.sqrt(rng.random(4096)) * np.exp(2j * np.pi * rng.random(4096))
+    assert len(kernel.rows) >= 40
+    unit = betas.size * len(kernel.offsets) * 16
+    assert traced_peak(lambda: kernel(betas)) < 10 * unit
