@@ -301,12 +301,22 @@ def build_matrix(
     ``e^{i (k - l) phi}`` on the entries of the table the basis reads.
     ``aa`` bases have no angle.
     """
+    return MomentMatrix(basis=basis, phi=phi, values=_matrix_values(source, basis, phi))
+
+
+def _matrix_values(source: MomentSource, basis: MonomialBasis, phi: float) -> Array:
+    """The entries of :func:`build_matrix`, exactly Hermitian where finite.
+
+    Both callers refuse an entry that leaves the float range, so numpy need
+    not warn of it.
+    """
     _check_angle(phi)
     order = basis.required_order()
     values = resolve_table(source, order).values
     if basis.kind is not BasisKind.AA:
         values = _rotate(values[: order + 1, : order + 1], phi)
-    return MomentMatrix(basis=basis, phi=phi, values=_gather(values, basis))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _gather(values, basis)
 
 
 def _gather(values: Array, basis: MonomialBasis) -> Array:
@@ -505,6 +515,16 @@ def _hierarchy_basis(kind: Union[BasisKind, str], n_max: int) -> MonomialBasis:
             f"n_max={n_max} is below the first reportable order "
             f"{report_start} of kind {kind.value!r}"
         )
+    return _checked_basis(kind, int(n_max))
+
+
+@functools.lru_cache(maxsize=128)
+def _checked_basis(kind: BasisKind, n_max: int) -> MonomialBasis:
+    """:func:`_hierarchy_basis` past its checks, built once per ``(kind, n_max)``.
+
+    Only checked orders reach the cache, so ``4.0`` or ``True``, which hash
+    like ``4`` and ``1``, are refused before they could find an entry.
+    """
     if kind is BasisKind.XN_WEIGHTED:
         return MonomialBasis.number_chain(n_max)
     return MonomialBasis.graded(kind, n_max)
@@ -526,16 +546,21 @@ def determinant_hierarchy(
     is nonnegative for all states.  ``n_max`` is an integer, ``phi`` and
     ``tolerance`` are finite.  Each ``d_N`` is one ``det`` of a leading
     block; the table needs the basis's :meth:`~MonomialBasis.required_order`.
-    A ``d_N`` that leaves the float range raises
-    :class:`NumericConsistencyError`.
+    The matrix is the one :func:`build_matrix` gives, taken before it is
+    wrapped in a :class:`MomentMatrix`: it is Hermitian by construction, so
+    only its finiteness is checked (:class:`ValidationError`).  The basis
+    is built once per checked ``(kind, n_max)``.  A ``d_N`` that leaves the
+    float range raises :class:`NumericConsistencyError`.
     """
     basis = _hierarchy_basis(kind, n_max)
     if not (math.isfinite(tolerance) and tolerance > 0.0):
         raise ValidationError(
             f"tolerance must be finite and positive, got {tolerance!r}"
         )
-    values = build_matrix(source, basis, phi=phi).values
+    values = _matrix_values(source, basis, phi)
     scale = float(np.max(np.abs(values)))
+    if not math.isfinite(scale):
+        raise ValidationError("moment matrix entries must be finite")
     tol_eff = tolerance * max(1.0, scale)
 
     # an overflowing det is refused below, so numpy need not warn of it

@@ -306,15 +306,25 @@ def _offset_diagonals(state: State, count: int) -> tuple[Array, Array]:
     ``W`` is zero where ``n + d_j`` leaves the basis.  Offsets whose diagonal
     is exactly zero and rows past the last nonzero one are dropped, so a
     diagonal ``rho`` keeps one column and ``|n>`` keeps ``n + 1`` rows.
+    Rows past the last nonzero amplitude, or the last nonzero row of
+    ``rho``, hold exact zeros, so they are cut before ``W`` is built; the
+    offsets they would add are all zero as well.
     """
-    dim = state.dim
-    cols = np.arange(dim)[:, None] + np.arange(min(count, dim))
     if isinstance(state, FockState):
-        amps = np.concatenate([state.amplitudes, np.zeros(count)])
-        diagonals = amps[:dim, None] * amps[cols].conj()
+        size = int(np.flatnonzero(state.amplitudes)[-1]) + 1
+        amps = np.concatenate([state.amplitudes[:size], np.zeros(count)])
+        cols = np.arange(size)[:, None] + np.arange(min(count, size))
+        diagonals = amps[:size, None] * amps[cols].conj()
     else:
-        padded = np.concatenate([state.matrix, np.zeros((dim, count))], axis=1)
-        diagonals = padded[np.arange(dim)[:, None], cols]
+        # the last nonzero diagonal entry bounds the rows of most states;
+        # the whole scan runs only when a row past it is not zero
+        size = int(np.flatnonzero(np.diagonal(state.matrix))[-1]) + 1
+        if state.matrix[size:].any():
+            size = int(np.flatnonzero(state.matrix.any(axis=1))[-1]) + 1
+        width = min(count, state.dim)
+        padded = np.concatenate([state.matrix[:size], np.zeros((size, width))], axis=1)
+        cols = np.arange(size)[:, None] + np.arange(width)
+        diagonals = padded[np.arange(size)[:, None], cols]
     nonzero = diagonals != 0
     offsets = np.flatnonzero(nonzero.any(axis=0))
     rows = np.flatnonzero(nonzero.any(axis=1))[-1] + 1

@@ -40,6 +40,9 @@ from .operators import Array
 _NORM_TOL = 1e-12
 _TRACE_TOL = 1e-10
 _EIG_TOL = 1e-10
+# DensityState checks the Hermitian residue and the eigenvalue floor on the
+# leading block outside which the entries have at most this Frobenius norm.
+_SUPPORT_BUDGET = 1e-13
 _TRUNCATION_LOSS_TOL = 1e-10
 _SQUEEZE_TAIL_TOL = 1e-8
 # q_function's overlap recurrence: exp(-x) and its square are normal floats
@@ -77,9 +80,43 @@ class FockState:
         return self.amplitudes.size
 
 
+def _support(mat: Array) -> int:
+    """The smallest ``k`` whose tail has Frobenius norm at most ``_SUPPORT_BUDGET``.
+
+    The tail is every entry with row or column ``>= k``.  Its squared norm
+    is at most the sum over ``i >= k`` of row ``i``'s and column ``i``'s
+    weights ``|m_ij|^2`` (the corner counts twice), which is what is held
+    to ``_SUPPORT_BUDGET^2``.  At least one row is kept.
+    """
+    # entries past 1e154 square to inf and keep their rows, as they should
+    with np.errstate(over="ignore"):
+        weights = np.square(mat.real)
+        weights += np.square(mat.imag)
+    lines = weights.sum(axis=0) + weights.sum(axis=1)
+    tail = np.cumsum(lines[::-1])[::-1]
+    return max(1, int(np.count_nonzero(tail > _SUPPORT_BUDGET**2)))
+
+
 @dataclass(frozen=True)
 class DensityState:
-    """A mixed single-mode state as a Hermitian, unit-trace density matrix."""
+    """A mixed single-mode state as a Hermitian, unit-trace density matrix.
+
+    The entries must be finite and the trace 1 to ``1e-10``, both checked on
+    the whole matrix.  The Hermitian residue (at most ``1e-12``) and the
+    eigenvalue floor (``-1e-10``) are checked on the leading ``k x k`` block,
+    where ``k`` is the matrix's numerical support: the smallest ``k`` such
+    that the entries with row or column ``>= k`` have Frobenius norm at most
+    ``1e-13``.  Each of those entries is then at most ``1e-13``, so none
+    could break the Hermitian bound.  The matrix differs from the block
+    padded with zeros by a matrix of spectral norm at most ``1e-13``, so by Weyl's
+    inequality (Horn & Johnson, *Matrix Analysis*, 4.3) every eigenvalue
+    moves by at most ``1e-13``: the Cholesky factorization of
+    ``block + (1e-10 - 1e-13) I``, which succeeds when every eigenvalue of
+    the block exceeds ``-(1e-10 - 1e-13)``, proves that every eigenvalue of
+    the matrix exceeds ``-1e-10``.  When it fails, ``eigvalsh`` of the whole
+    matrix decides and names the eigenvalue.  The stored matrix is the
+    whole matrix as given.
+    """
 
     matrix: Array
 
@@ -89,7 +126,9 @@ class DensityState:
             raise DimensionError("density matrix must be square and non-empty")
         if not np.isfinite(mat).all():
             raise ValidationError("density matrix entries must be finite")
-        herm_residue = float(np.max(np.abs(mat - mat.conj().T)))
+        k = _support(mat)
+        block = mat[:k, :k]
+        herm_residue = float(np.max(np.abs(block - block.conj().T)))
         if herm_residue > _NORM_TOL:
             raise ValidationError(
                 f"density matrix is not Hermitian (residue {herm_residue:.3e})"
@@ -97,11 +136,12 @@ class DensityState:
         trace = float(np.trace(mat).real)
         if abs(trace - 1.0) > _TRACE_TOL:
             raise ValidationError(f"density matrix trace is {trace!r}, not 1")
-        # Cholesky of rho + _EIG_TOL I succeeds iff every eigenvalue of rho
-        # exceeds -_EIG_TOL (up to roundoff); eigvalsh, several times
-        # slower, only runs to confirm a failure and name the eigenvalue.
+        # Cholesky of block + (_EIG_TOL - _SUPPORT_BUDGET) I succeeds iff
+        # every eigenvalue of the block exceeds _SUPPORT_BUDGET - _EIG_TOL
+        # (up to roundoff); eigvalsh, several times slower, only runs to
+        # confirm a failure and name the eigenvalue.
         try:
-            np.linalg.cholesky(mat + _EIG_TOL * np.eye(mat.shape[0]))
+            np.linalg.cholesky(block + (_EIG_TOL - _SUPPORT_BUDGET) * np.eye(k))
         except np.linalg.LinAlgError:
             min_eig = float(np.linalg.eigvalsh(mat).min())
             if min_eig < -_EIG_TOL:

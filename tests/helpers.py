@@ -260,3 +260,23 @@ def sliced_char_values(state, betas) -> Array:
     upper = np.exp(1j * offsets * np.angle(pts)[:, None]) * acc[inverse]
     lower_sign = np.where(offsets > 0, 1 - 2 * (offsets % 2), 0)
     return upper.sum(axis=1) + (lower_sign * upper.conj()).sum(axis=1)
+
+
+def uncut_offset_diagonals(state, count: int) -> tuple[Array, Array]:
+    """``_offset_diagonals`` over the whole basis (reference).
+
+    Builds the diagonals of every row and trims the all-zero rows and
+    offsets afterwards, as earlier versions did.
+    """
+    dim = state.dim
+    cols = np.arange(dim)[:, None] + np.arange(min(count, dim))
+    if isinstance(state, FockState):
+        amps = np.concatenate([state.amplitudes, np.zeros(count)])
+        diagonals = amps[:dim, None] * amps[cols].conj()
+    else:
+        padded = np.concatenate([state.matrix, np.zeros((dim, count))], axis=1)
+        diagonals = padded[np.arange(dim)[:, None], cols]
+    nonzero = diagonals != 0
+    offsets = np.flatnonzero(nonzero.any(axis=0))
+    rows = np.flatnonzero(nonzero.any(axis=1))[-1] + 1
+    return offsets, diagonals[:rows, offsets]

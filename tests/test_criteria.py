@@ -452,6 +452,50 @@ def test_hierarchy_refuses_a_determinant_beyond_the_float_range():
         determinant_hierarchy(table, "d2", 24)
 
 
+def overflowing_table() -> MomentTable:
+    """A finite table whose ``quad`` matrix leaves the float range:
+    ``<:x^2 p^2:>`` is ``2 <a^dag^2 a^2> = 2e308`` plus finite terms."""
+    values = np.zeros((5, 5), dtype=complex)
+    values[0, 0] = 1.0
+    values[2, 2] = 1e308
+    return MomentTable(values)
+
+
+def test_hierarchy_refuses_a_matrix_beyond_the_float_range():
+    """The table is finite and its matrix is not: refused, without a numpy
+    warning, with the message build_matrix gives."""
+    table = overflowing_table()
+    with pytest.raises(ValidationError, match="^moment matrix entries must be finite$"):
+        determinant_hierarchy(table, "quad", 6)
+    with pytest.raises(ValidationError, match="^moment matrix entries must be finite$"):
+        build_matrix(table, MonomialBasis.graded(BasisKind.QUAD, 6))
+
+
+def test_hierarchy_builds_no_moment_matrix(monkeypatch):
+    """The hierarchy reads the gathered matrix itself; its report is the
+    one of the matrix build_matrix wraps."""
+    table = moment_table(random_density_state(64, 3), 8)
+    want = [determinant_hierarchy(table, kind, 4, phi=0.37) for kind in ("aa", "quad", "xn", "d2")]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("determinant_hierarchy built a MomentMatrix")
+
+    monkeypatch.setattr(criteria, "MomentMatrix", refuse)
+    got = [determinant_hierarchy(table, kind, 4, phi=0.37) for kind in ("aa", "quad", "xn", "d2")]
+    assert got == want
+
+
+def test_hierarchy_basis_is_built_once_per_checked_order():
+    assert criteria._hierarchy_basis("aa", 7) is criteria._hierarchy_basis(BasisKind.AA, 7)
+    assert criteria._hierarchy_basis("d2", np.int64(5)) is criteria._hierarchy_basis("d2", 5)
+    # 1 and 4 are cached now; True and 4.0 hash like them and are refused
+    criteria._hierarchy_basis("d2", 1)
+    criteria._hierarchy_basis("d2", 4)
+    for n_max in (True, 4.0):
+        with pytest.raises(ValidationError):
+            criteria._hierarchy_basis("d2", n_max)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_moment_matrix_refuses_non_finite_entries(bad):
     """The Hermitian check reads ``residue > tol``, which NaN passes."""

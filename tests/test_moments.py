@@ -29,10 +29,12 @@ from helpers import (
     random_pure_state,
     sliced_char_values,
     traced_peak,
+    uncut_offset_diagonals,
 )
 from nclmoments import (
     BasisKind,
     DensityState,
+    FockState,
     InsufficientOrderError,
     LOConfig,
     MomentTable,
@@ -59,6 +61,7 @@ from nclmoments import (
     scheme_b_forward,
     witnesses,
 )
+from nclmoments import moments
 from nclmoments.moments import _CharKernel
 from nclmoments.serialize import table_to_json
 from nclmoments.operators import displacement_matrix
@@ -873,6 +876,67 @@ def test_char_kernel_matches_the_sliced_row_loop_past_the_warning():
         got = char_values(state, betas)
     assert [w.category for w in caught] == [OrderAccuracyWarning]
     assert same_bits(got, sliced_char_values(state, betas))
+
+
+def zero_row_density(dim: int) -> DensityState:
+    """A state whose last two diagonal entries are zero, while
+    ``rho[dim-2, dim-1]`` and its mirror are 1e-12: row ``dim - 2`` reads
+    past the last nonzero diagonal entry."""
+    rho = np.diag(np.linspace(1.0, 0.0, dim - 1)).astype(complex)
+    rho = np.pad(rho, (0, 1)) / np.trace(rho).real
+    rho[dim - 2, dim - 1] = rho[dim - 1, dim - 2] = 1e-12
+    return DensityState(rho)
+
+
+def fock_mixture(levels, dim: int) -> DensityState:
+    rho = np.zeros((dim, dim), dtype=complex)
+    rho[levels, levels] = 1.0 / len(levels)
+    return DensityState(rho)
+
+
+CUT_STATES = {
+    "fock 3, dim 128": lambda: make_fock(3, 128),
+    "fock 0, dim 1": lambda: make_fock(0, 1),
+    "fock 15, dim 16": lambda: make_fock(15, 16),
+    # amplitudes at 0 and 40 only; |c_40|^2 underflows to zero
+    "sparse ket": lambda: FockState(np.eye(64)[0] + 1e-170 * np.eye(64)[40]),
+    "coherent, dim 24": lambda: make_coherent(0.9 * np.exp(0.3j), 24),
+    "squeezed vacuum": lambda: apply_squeeze(make_fock(0, 32), 0.45 + 0.1j),
+    "fock mixture 2, 3": lambda: fock_mixture([2, 3], 64),
+    "fock mixture 0, 9": lambda: fock_mixture([0, 9], 12),
+    "vacuum rho": lambda: make_thermal(0.0, 16),
+    "thermal nbar 0.5": lambda: make_thermal(0.5, 32),
+    "zero last diagonal": lambda: zero_row_density(16),
+    "rank-3 rho, dim 5": lambda: random_density_state(5, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CUT_STATES))
+def test_offset_diagonals_cut_before_building_match_the_whole_basis(name):
+    """Cutting the basis at the last nonzero amplitude or row drops exact
+    zeros only: offsets and diagonals are the whole-basis ones, bit for bit,
+    at a moment table's counts and at the kernel's."""
+    state = CUT_STATES[name]()
+    for count in sorted({1, 2, 5, 9, state.dim, state.dim + 3}):
+        offsets, diagonals = moments._offset_diagonals(state, count)
+        want_offsets, want_diagonals = uncut_offset_diagonals(state, count)
+        np.testing.assert_array_equal(offsets, want_offsets)
+        assert same_bits(np.ascontiguousarray(diagonals),
+                         np.ascontiguousarray(want_diagonals)), count
+
+
+def test_fock_kernel_builds_only_the_populated_rows(monkeypatch):
+    """``|3>`` at dim 128 builds its diagonals on four rows, not 128."""
+    shapes = []
+    concatenate = np.concatenate
+
+    def record(arrays, *args, **kwargs):
+        shapes.append(np.shape(arrays[0]))
+        return concatenate(arrays, *args, **kwargs)
+
+    monkeypatch.setattr(moments.np, "concatenate", record)
+    moments._offset_diagonals(make_fock(3, 128), 128)
+    assert shapes == [(4,)]
 
 
 def test_char_kernel_memory_stays_at_points_times_offsets():

@@ -6,6 +6,8 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_density_state, traced_peak, whole_grid_q
 
@@ -28,6 +30,7 @@ from nclmoments import states
 from nclmoments.operators import create, destroy, number, squeeze_matrix
 from nclmoments.states import (
     _Q_POINTS,
+    _SUPPORT_BUDGET,
     State,
     _hermite_seeds,
     _squeeze_amplitudes,
@@ -228,6 +231,115 @@ def test_density_state_negativity_bound(dim):
         DensityState(density_with_min_eigenvalue(0.0, dim, seed))
         with pytest.raises(ValidationError, match="negative eigenvalue -2.0"):
             DensityState(density_with_min_eigenvalue(-2e-10, dim, seed))
+
+
+def narrow_density(dim: int) -> np.ndarray:
+    """``|0><0|`` at ``dim``: its numerical support is one row."""
+    rho = np.zeros((dim, dim), dtype=complex)
+    rho[0, 0] = 1.0
+    return rho
+
+
+def coherent_mixture(amp: float, dim: int = 200) -> np.ndarray:
+    """The classical mixture of ``|A>, |-A>, |iA>, |-iA/2>``."""
+    kets = [make_coherent(a, dim).amplitudes for a in (amp, -amp, 1j * amp, -0.5j * amp)]
+    return sum(np.outer(k, k.conj()) for k in kets) / len(kets)
+
+
+@pytest.mark.parametrize("dim", [2, 16, 200])
+def test_density_state_refuses_an_asymmetric_entry_past_the_support(dim):
+    """An entry in the last column whose mirror in the last row is zero, and
+    the reverse: each is seen by only one of the column and row weights."""
+    rho = narrow_density(dim)
+    rho[0, dim - 1] = 1e-3
+    with pytest.raises(ValidationError, match="not Hermitian"):
+        DensityState(rho)
+    rho = narrow_density(dim)
+    rho[dim - 1, 0] = 1e-3
+    with pytest.raises(ValidationError, match="not Hermitian"):
+        DensityState(rho)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_density_state_refuses_a_non_finite_entry_past_the_support(bad):
+    for entry in [(15, 14), (15, 15), (0, 15)]:
+        rho = narrow_density(16)
+        rho[entry] = bad
+        with pytest.raises(ValidationError, match="entries must be finite"):
+            DensityState(rho)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.integers(2, 64),
+    support=st.integers(1, 64),
+    rank=st.integers(1, 4),
+    lowest=st.one_of(st.floats(-1e-3, -3e-10), st.floats(-3e-11, 0.0)),
+    tail=st.sampled_from([0.0, 1e-16, 1e-15, 1e-14]),
+    seed=st.integers(0, 2**16),
+)
+def test_density_state_accepts_exactly_above_the_eigenvalue_floor(
+    dim, support, rank, lowest, tail, seed
+):
+    """A rank-``rank`` state on ``support`` levels, with one more eigenvalue
+    ``lowest`` in the support when it has room, and a Hermitian tail of
+    entries at most ``tail`` in the rows and columns past it.  The tail
+    moves the eigenvalues by far less than the distance of ``lowest`` from
+    the floor, so the verdict is decided by the drawn spectrum."""
+    rng = np.random.default_rng(seed)
+    support = min(support, dim)
+    rank = min(rank, support)
+    eigs = np.zeros(support)
+    if support > rank:
+        eigs[rank] = lowest
+    eigs[:rank] = rng.random(rank) + 0.1
+    eigs[:rank] *= (1.0 - eigs[rank:].sum()) / eigs[:rank].sum()
+    basis, _ = np.linalg.qr(
+        rng.standard_normal((support, support)) + 1j * rng.standard_normal((support, support))
+    )
+    noise = tail * (rng.uniform(-1, 1, (dim, dim)) + 1j * rng.uniform(-1, 1, (dim, dim))) / 2
+    rho = 0.5 * (noise + noise.conj().T)
+    rho[:support, :support] = (basis * eigs) @ basis.conj().T
+    rho = 0.5 * (rho + rho.conj().T)
+    accept = np.linalg.eigvalsh(rho).min() >= -1e-10
+    try:
+        DensityState(rho)
+    except ValidationError as exc:
+        assert not accept and "negative eigenvalue" in str(exc)
+    else:
+        assert accept
+
+
+def test_density_state_factors_only_the_support(monkeypatch):
+    """The A = 2 mixture at dim 200 is factored on a block of at most 64
+    rows; a thermal state at dim 64 on fewer than 64."""
+    shapes = []
+    cholesky = np.linalg.cholesky
+
+    def record(a):
+        shapes.append(a.shape)
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", record)
+    DensityState(coherent_mixture(2.0))
+    assert len(shapes) == 1 and shapes[0][0] <= 64, shapes
+    shapes.clear()
+    make_thermal(0.5, 64)
+    assert len(shapes) == 1 and shapes[0][0] < 64, shapes
+
+
+def test_density_state_support_holds_the_tail_to_the_budget():
+    """Row and column weights together: the dropped tail's Frobenius norm
+    stays within the budget, and one more row would break it."""
+    for rho in (coherent_mixture(2.0), coherent_mixture(4.0),
+                make_thermal(0.5, 64).matrix, narrow_density(16)):
+        k = states._support(rho)
+        inside = np.zeros(rho.shape, dtype=bool)
+        inside[:k, :k] = True
+        assert np.linalg.norm(rho[~inside]) <= _SUPPORT_BUDGET
+        if k > 1:
+            inside[k - 1, :] = inside[:, k - 1] = False
+            assert np.linalg.norm(rho[~inside]) > _SUPPORT_BUDGET / 2
 
 
 def test_squeeze_operator_is_unitary_on_truncation():
